@@ -14,8 +14,8 @@ from .data import (Cohort, ColumnSpec, FilterReport, FilterRules, RawRecord,
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, SurvKitError, TrainingError)
 from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
-                         censoring_survival, cox_calibrate, kaplan_meier,
-                         nelson_aalen)
+                         breslow_survival, censoring_survival, cox_calibrate,
+                         kaplan_meier, nelson_aalen)
 from .explain import (ImportanceReport, ShapleyResult, global_attribution,
                       permutation_importance, shapley_values)
 from .hpo import (ParamSpec, Study, Trial, run_study, sample_cmaes,
@@ -25,7 +25,7 @@ from .metrics import (ConcordanceResult, TimeGrid, brier, default_tau,
 from .models import (FittedModel, fit_family, fit_gb_aft, fit_gb_cox,
                      fit_gb_reg_weighted, fit_gbsa, fit_horizon_classifier,
                      fit_rsf, fit_ssvm, load_model, predict_curves,
-                     predict_risk, save_model)
+                     predict_risk, save_model, survival_matrix)
 from .preprocess import EncoderState, fit_encoder, kfold, split, transform
 
 __version__ = "0.1.0"

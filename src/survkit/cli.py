@@ -482,8 +482,7 @@ def cmd_train_eval(config: RunConfig) -> int:
                 "per_time_auc": [],
             }
             if family in M.CURVE_FAMILIES:
-                curves = M.predict_curves(model, X_test, grid)
-                mat = np.vstack([fn(grid.times) for fn in curves])
+                mat = M.survival_matrix(model, X_test, grid.times)
                 row["ibs"] = ibs(grid, mat, test.time, test.event, censor_dist)
                 curve_means[family] = mat.mean(axis=0)
             if family in M.TDAUC_FAMILIES:

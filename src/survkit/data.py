@@ -453,7 +453,8 @@ def read_cohort_csv(path, columns: list[ColumnSpec] | None = None) -> Cohort:
     has_w = header[-1] == "weight"
     n_meta = 3 if has_w else 2
     feat_names = header[:-n_meta]
-    if header[len(feat_names)] != "time" or header[len(feat_names) + 1] != "event":
+    if (len(header) < n_meta or header[len(feat_names)] != "time"
+            or header[len(feat_names) + 1] != "event"):
         raise DataError(f"{path}: expected trailing time,event[,weight] columns")
     if columns is None:
         columns = [ColumnSpec(name, "numeric") for name in feat_names]
@@ -467,7 +468,7 @@ def read_cohort_csv(path, columns: list[ColumnSpec] | None = None) -> Cohort:
         time = np.asarray([float(r[len(feat_names)]) for r in rows])
         event = np.asarray([int(r[len(feat_names) + 1]) for r in rows])
         weights = (np.asarray([float(r[-1]) for r in rows]) if has_w else None)
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: unparseable cell ({exc})") from None
     return Cohort(features=features, columns=columns, time=time, event=event,
                   weights=weights)

@@ -25,6 +25,7 @@ __all__ = [
     "nelson_aalen",
     "censoring_survival",
     "breslow_baseline",
+    "breslow_survival",
     "cox_calibrate",
     "CoxCalibration",
 ]
@@ -91,11 +92,9 @@ class CoxCalibration:
     def survival(self, score) -> list[StepFunction]:
         """Subject survival curves S(t|score) = exp(-H0(t) * exp(beta*score))."""
         scores = np.atleast_1d(np.asarray(score, dtype=float))
-        curves = []
-        for s in scores:
-            vals = np.exp(-self.baseline.values * np.exp(self.beta * s))
-            curves.append(StepFunction(self.baseline.times, vals, 1.0))
-        return curves
+        times = self.baseline.times
+        return [StepFunction(times, row, 1.0) for row in
+                breslow_survival(self.baseline, self.beta * scores, times)]
 
 
 def _check_targets(time, event):
@@ -186,6 +185,20 @@ def breslow_baseline(time, event, eta) -> StepFunction:
     has_event = deaths > 0
     increments = deaths[has_event] / s0_scaled[has_event] * np.exp(-eta.max())
     return StepFunction(uniq[has_event], np.cumsum(increments), 0.0)
+
+
+def breslow_survival(baseline: StepFunction, eta, times) -> np.ndarray:
+    """Survival matrix S(t|x) = exp(-H0(t) * exp(eta(x))).
+
+    One C-contiguous row per linear predictor and one column per time; H0
+    is looked up right-continuously and S is 1 before the first step.
+    """
+    idx = np.searchsorted(baseline.times, np.asarray(times, dtype=float),
+                          side="right") - 1
+    h0 = baseline.values[np.clip(idx, 0, None)]
+    surv = np.exp(-h0[None, :] * np.exp(np.asarray(eta, dtype=float))[:, None])
+    surv[:, idx < 0] = 1.0
+    return surv
 
 
 def _cox_profile(scores, time, event, beta):

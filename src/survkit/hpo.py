@@ -141,14 +141,17 @@ class Study:
 
     @classmethod
     def from_json(cls, text: str) -> "Study":
-        obj = json.loads(text)
-        space = [ParamSpec(**{**s, "choices": tuple(s["choices"])
-                              if s["choices"] is not None else None})
-                 for s in obj["space"]]
-        trials = [Trial(**t) for t in obj["trials"]]
-        return cls(space=space, trials=trials, sampler=obj["sampler"],
-                   seed=obj["seed"], best_index=obj["best_index"],
-                   meta=obj.get("meta", {}))
+        try:
+            obj = json.loads(text)
+            space = [ParamSpec(**{**s, "choices": tuple(s["choices"])
+                                  if s["choices"] is not None else None})
+                     for s in obj["space"]]
+            trials = [Trial(**t) for t in obj["trials"]]
+            return cls(space=space, trials=trials, sampler=obj["sampler"],
+                       seed=obj["seed"], best_index=obj["best_index"],
+                       meta=obj.get("meta", {}))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"malformed study JSON: {exc!r}") from None
 
 
 def sample_random(space: list[ParamSpec], history: list[Trial],
@@ -429,14 +432,19 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
 
     folds = kfold(train.n, k_folds, seed=derive_seed(seed, "hpo/folds"),
                   event=train.event if stratify_folds else None)
+    meta = {"family": family, "k_folds": k_folds, "objective": objective,
+            "stratified_folds": stratify_folds}
     if study is None:
-        study = Study(space=space, sampler=sampler, seed=seed,
-                      meta={"family": family, "k_folds": k_folds,
-                            "objective": objective,
-                            "stratified_folds": stratify_folds})
-    elif study.sampler != sampler or study.seed != seed:
-        raise ConfigError("resumed study was built with a different sampler "
-                          "or seed")
+        study = Study(space=space, sampler=sampler, seed=seed, meta=meta)
+    else:
+        wanted = {**meta, "sampler": sampler, "seed": seed,
+                  "space": list(space)}
+        found = {**study.meta, "sampler": study.sampler, "seed": study.seed,
+                 "space": list(study.space)}
+        differ = [key for key in wanted if found.get(key) != wanted[key]]
+        if differ:
+            raise ConfigError("resumed study was built with a different "
+                              + ", ".join(differ))
 
     for t in range(len(study.trials), n_trials):
         rng = np.random.default_rng(derive_seed(seed, f"hpo/trial/{t}"))

@@ -7,6 +7,10 @@ normalization before calling in.
 IPCW weighting evaluates the censoring survival G at the left limit of
 event times (deaths-before-censorings convention), and at the evaluation
 time itself for still-at-risk subjects.
+
+Cost: harrell_c and ipcw_c count risk ranks over time-sorted prefixes in
+O(n log^2 n); td_auc sorts the risks once and costs O(n log n) per
+evaluation time; brier and ibs are O(n) per grid time.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ __all__ = [
     "default_tau",
     "default_time_grid",
 ]
-
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class ConcordanceResult:
@@ -87,6 +88,61 @@ def _check_inputs(time, event, risk):
     return time, event, risk
 
 
+def _prefix_rank_counts(rank, prefix_len, query_rank):
+    """Count, for each query q, the entries of ``rank[:prefix_len[q]]``
+    below and equal to ``query_rank[q]``.
+
+    The prefix [0, L) splits into one aligned block of size 2^b per set bit
+    b of L. Per level b, one sort of (block, rank) keys places every block's
+    ranks in order at its own offset, so a searchsorted per query counts
+    inside its block. Ranks are dense integers; O(n log^2 n) overall.
+    """
+    n = rank.size
+    n_ranks = int(rank.max()) + 2
+    position = np.arange(n)
+    less = np.zeros(prefix_len.size, dtype=np.int64)
+    equal = np.zeros(prefix_len.size, dtype=np.int64)
+    for b in range(n.bit_length()):
+        hit = ((prefix_len >> b) & 1).astype(bool)
+        if not hit.any():
+            continue
+        keys = np.sort((position >> b) * n_ranks + rank)
+        block = (prefix_len[hit] >> b) - 1
+        target = block * n_ranks + query_rank[hit]
+        lo = np.searchsorted(keys, target, side="left")
+        less[hit] += lo - (block << b)
+        equal[hit] += np.searchsorted(keys, target, side="right") - lo
+    return less, equal
+
+
+def _later_risk_counts(time, event, risk, query, censored_ties: bool):
+    """Comparable-set sizes and lower/equal risk counts for query subjects.
+
+    Subject j is comparable to query subject i when T_j > T_i, or, with
+    ``censored_ties``, when T_j == T_i and j is censored. Sorting by time
+    descending with censorings before events at a tied time makes each
+    comparable set a prefix of that order. Results follow the original
+    order of the subjects selected by ``query``.
+    """
+    order = np.lexsort((event, -time))
+    t_sorted = time[order]
+    changes = np.empty(time.size, dtype=bool)
+    changes[0] = True
+    changes[1:] = t_sorted[1:] != t_sorted[:-1]
+    if censored_ties:
+        e_sorted = event[order]
+        changes[1:] |= e_sorted[1:] != e_sorted[:-1]
+    group_start = np.maximum.accumulate(
+        np.where(changes, np.arange(time.size), 0))
+    position = np.empty(time.size, dtype=np.int64)
+    position[order] = np.arange(time.size)
+    rank = np.unique(risk, return_inverse=True)[1][order]
+    queried = position[np.flatnonzero(query)]
+    prefix_len = group_start[queried]
+    less, equal = _prefix_rank_counts(rank, prefix_len, rank[queried])
+    return prefix_len, less, equal
+
+
 def harrell_c(time, event, risk) -> ConcordanceResult:
     """Harrell's concordance index.
 
@@ -95,22 +151,18 @@ def harrell_c(time, event, risk) -> ConcordanceResult:
     event subject must then be ranked riskier). Risk ties count 0.5.
     """
     time, event, risk = _check_inputs(time, event, risk)
-    n = time.size
-    concordant = tied = comparable = 0.0
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        ti, ei, ri = time[a:b, None], event[a:b, None], risk[a:b, None]
-        short = ((ti < time[None, :]) & (ei == 1)) | \
-                ((ti == time[None, :]) & (ei == 1) & (event[None, :] == 0))
-        comparable += short.sum()
-        concordant += (short & (ri > risk[None, :])).sum()
-        tied += (short & (ri == risk[None, :])).sum()
+    query = event == 1
+    comparable = concordant = tied = 0.0
+    if query.any():
+        counts = _later_risk_counts(time, event, risk, query,
+                                    censored_ties=True)
+        comparable, concordant, tied = (float(c.sum()) for c in counts)
     if comparable == 0:
         raise DataError("no comparable pairs")
     c = (concordant + 0.5 * tied) / comparable
-    return ConcordanceResult(c_index=float(c), concordant=float(concordant),
+    return ConcordanceResult(c_index=float(c), concordant=concordant,
                              discordant=float(comparable - concordant - tied),
-                             tied_risk=float(tied), comparable=float(comparable))
+                             tied_risk=tied, comparable=comparable)
 
 
 def ipcw_c(time, event, risk, censor_dist: StepFunction,
@@ -131,21 +183,19 @@ def ipcw_c(time, event, risk, censor_dist: StepFunction,
         w = np.where((event == 1) & (time < tau), 1.0 / g_left ** 2, 0.0)
     if not np.all(np.isfinite(w)):
         raise DataError("zero censoring survival at a contributing event")
-    n = time.size
-    concordant = tied = comparable = 0.0
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        ti, ri, wi = time[a:b, None], risk[a:b, None], w[a:b, None]
-        short = (ti < time[None, :]) & (wi > 0)
-        comparable += (short * wi).sum()
-        concordant += ((short & (ri > risk[None, :])) * wi).sum()
-        tied += ((short & (ri == risk[None, :])) * wi).sum()
+    query = w > 0
+    comparable = concordant = tied = 0.0
+    if query.any():
+        counts = _later_risk_counts(time, event, risk, query,
+                                    censored_ties=False)
+        comparable, concordant, tied = (float(np.sum(w[query] * c))
+                                        for c in counts)
     if comparable == 0:
         raise DataError("no weighted comparable mass")
     c = (concordant + 0.5 * tied) / comparable
-    return ConcordanceResult(c_index=float(c), concordant=float(concordant),
+    return ConcordanceResult(c_index=float(c), concordant=concordant,
                              discordant=float(comparable - concordant - tied),
-                             tied_risk=float(tied), comparable=float(comparable))
+                             tied_risk=tied, comparable=comparable)
 
 
 def brier(t: float, predicted_survival, time, event,
@@ -217,6 +267,8 @@ def td_auc(time, event, risk, eval_times: TimeGrid,
     """
     time, event, risk = _check_inputs(time, event, risk)
     g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
+    by_risk = np.argsort(risk, kind="stable")
+    risk_sorted, time_by_risk = risk[by_risk], time[by_risk]
     kept_times, values = [], []
     for t in np.asarray(eval_times.times, dtype=float):
         cases = (time <= t) & (event == 1)
@@ -229,9 +281,9 @@ def td_auc(time, event, risk, eval_times: TimeGrid,
             raise DataError("zero censoring survival at a case time")
         w = 1.0 / g_left[cases]
         rc = risk[cases]
-        rk = risk[controls]
-        wins = (rc[:, None] > rk[None, :]).sum(axis=1)
-        ties = (rc[:, None] == rk[None, :]).sum(axis=1)
+        rk = risk_sorted[time_by_risk > t]
+        wins = np.searchsorted(rk, rc, side="left")
+        ties = np.searchsorted(rk, rc, side="right") - wins
         numer = np.sum(w * (wins + 0.5 * ties))
         denom = w.sum() * controls.sum()
         kept_times.append(t)

@@ -22,7 +22,8 @@ from .engine import (BoostParams, SurvivalTreeParams, TreeNode, TreeParams,
                      boost)
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
-from .estimators import CoxCalibration, StepFunction, breslow_baseline, cox_calibrate
+from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
+                         breslow_survival, cox_calibrate)
 from .losses import (AftLoss, AftLossConfig, CoxLoss, FirstOrder, LogisticLoss,
                      SquaredLoss)
 from .metrics import TimeGrid
@@ -36,7 +37,7 @@ __all__ = [
     "HorizonParams", "SsvmParams", "SsvmModel",
     "fit_rsf", "fit_gbsa", "fit_gb_cox", "fit_gb_aft",
     "fit_gb_reg_weighted", "fit_horizon_classifier", "fit_ssvm",
-    "fit_family", "predict_risk", "predict_curves",
+    "fit_family", "predict_risk", "predict_curves", "survival_matrix",
     "save_model", "load_model", "PARAM_CLASSES",
 ]
 
@@ -494,10 +495,49 @@ def predict_risk(model: FittedModel, features) -> np.ndarray:
     raise DataError(f"unknown model family {model.family!r}")
 
 
-def _resample(fn: StepFunction, grid: TimeGrid | None) -> StepFunction:
-    if grid is None:
-        return fn
-    return StepFunction(grid.times, fn(grid.times), 1.0)
+def survival_matrix(model: FittedModel, features, times) -> np.ndarray:
+    """Survival probabilities of the curve-capable families on ``times``.
+
+    Returns a C-contiguous (n, len(times)) matrix: row i is S(t | x_i),
+    looked up right-continuously on the family's curve support and 1 before
+    its first step. Risk-only families raise NoSurvivalFunctionError.
+    """
+    X = _check_dim(model, features)
+    if model.family == RSF:
+        forest: RsfForest = model.artifact
+        idx = np.searchsorted(forest.grid, np.asarray(times, dtype=float),
+                              side="right") - 1
+        surv = np.exp(-np.take(forest.ensemble_chf(X), np.clip(idx, 0, None),
+                               axis=1))
+        surv[:, idx < 0] = 1.0
+        return surv
+    if model.family == GBSA:
+        ensemble, baseline = model.artifact
+        return breslow_survival(baseline, ensemble.predict(X), times)
+    if model.family == SSVM:
+        calib = _calibration(model)
+        return breslow_survival(calib.baseline,
+                                calib.beta * (X @ model.artifact.weights), times)
+    raise NoSurvivalFunctionError(
+        f"no survival function defined for family {model.family!r}")
+
+
+def _calibration(model: FittedModel) -> CoxCalibration:
+    calib = model.artifact.calibration
+    if calib is None:
+        raise NoSurvivalFunctionError("SSVM model was fit without calibration")
+    return calib
+
+
+def _curve_support(model: FittedModel) -> np.ndarray:
+    if model.family == RSF:
+        return model.artifact.grid
+    if model.family == GBSA:
+        return model.artifact[1].times
+    if model.family == SSVM:
+        return _calibration(model).baseline.times
+    raise NoSurvivalFunctionError(
+        f"no survival function defined for family {model.family!r}")
 
 
 def predict_curves(model: FittedModel, features,
@@ -509,26 +549,9 @@ def predict_curves(model: FittedModel, features,
     raise NoSurvivalFunctionError.
     """
     X = _check_dim(model, features)
-    if model.family == RSF:
-        chf = model.artifact.ensemble_chf(X)
-        times = model.artifact.grid
-        return [_resample(StepFunction(times, np.exp(-row), 1.0), grid)
-                for row in chf]
-    if model.family == GBSA:
-        ensemble, baseline = model.artifact
-        eta = ensemble.predict(X)
-        return [_resample(StepFunction(baseline.times,
-                                       np.exp(-baseline.values * np.exp(e)), 1.0),
-                          grid)
-                for e in eta]
-    if model.family == SSVM:
-        calib = model.artifact.calibration
-        if calib is None:
-            raise NoSurvivalFunctionError("SSVM model was fit without calibration")
-        scores = X @ model.artifact.weights
-        return [_resample(fn, grid) for fn in calib.survival(scores)]
-    raise NoSurvivalFunctionError(
-        f"no survival function defined for family {model.family!r}")
+    times = _curve_support(model) if grid is None else grid.times
+    return [StepFunction(times, row, 1.0)
+            for row in survival_matrix(model, X, times)]
 
 
 def save_model(model: FittedModel, path) -> None:

@@ -236,6 +236,20 @@ class TestHpoCommand:
         assert len(resumed["trials"]) == 3
         assert resumed["trials"][:2] == study["trials"][:2]
 
+    def test_resume_with_other_folds_is_config_error(self, prepared_dir,
+                                                     tmp_path):
+        keys = {"out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+                "sampler": "random", "trials": "1", "folds": "2",
+                "family.gb_cox.n_rounds": "3"}
+        assert run(["hpo", "--config",
+                    write_config(tmp_path / "a.cfg", **keys)]) == 0
+        study_path = prepared_dir / "studies" / "study_gb_cox_random.json"
+        before = study_path.read_bytes()
+        keys.update(trials="2", folds="3")
+        assert run(["hpo", "--config",
+                    write_config(tmp_path / "b.cfg", **keys)]) == 2
+        assert study_path.read_bytes() == before
+
     def test_winner_is_argmax_across_samplers(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "hpo.cfg", **{
             "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
@@ -341,3 +355,20 @@ class TestExitCodes:
         assert run(["synth", "--config", cfg]) == 0
         second = (out / "cohort.csv").read_bytes()
         assert first != second  # different master seed changed the cohort
+
+    def test_time_only_csv_is_data_error(self, prepared_dir, tmp_path):
+        (prepared_dir / "train.csv").write_text("time\n1.0\n",
+                                                encoding="utf-8")
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "families": "ssvm"})
+        assert run(["train-eval", "--config", cfg]) == 3
+
+    def test_truncated_study_is_data_error(self, prepared_dir, tmp_path):
+        studies = prepared_dir / "studies"
+        studies.mkdir()
+        (studies / "study_gb_cox_random.json").write_text(
+            '{"space": [{"name": "x", "kind"', encoding="utf-8")
+        cfg = write_config(tmp_path / "hpo.cfg", **{
+            "out": str(prepared_dir), "families": "gb_cox",
+            "sampler": "random", "trials": "1", "folds": "2"})
+        assert run(["hpo", "--config", cfg]) == 3

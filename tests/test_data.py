@@ -264,6 +264,18 @@ class TestCohort:
         np.testing.assert_array_equal(back.time, cohort.time)
         np.testing.assert_array_equal(back.event, cohort.event)
 
+    def test_csv_header_without_event_column(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("time\n1.0\n2.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="trailing time,event"):
+            read_cohort_csv(path)
+
+    def test_csv_short_row_is_data_error(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("x,time,event\n1.0,2.0,1\n1.0\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            read_cohort_csv(path)
+
     def test_csv_round_trip_with_weights(self, tmp_path):
         cohort = synth_cohort(20, 2, "ph", [1, 0], censor_rate=0.0, seed=10)
         cohort.weights = np.linspace(0.5, 2.0, 20)

@@ -4,7 +4,7 @@ from scipy import stats as scipy_stats
 
 import survkit.hpo as hpo
 from survkit.data import synth_cohort
-from survkit.errors import ConfigError, TrainingError
+from survkit.errors import ConfigError, DataError, TrainingError
 from survkit.hpo import (CmaesConfig, ParamSpec, Study, TpeConfig, Trial,
                          _cma_replay, run_study, sample_cmaes, sample_random,
                          sample_tpe, tpe_split)
@@ -58,6 +58,12 @@ class TestTrialStudy:
                            fold_values=[0.6, 0.8]))
         back = Study.from_json(study.to_json())
         assert back.to_json() == study.to_json()
+
+    def test_truncated_json_is_data_error(self):
+        study = Study(space=[ParamSpec("x", "float", 0, 1)], sampler="tpe")
+        text = study.to_json()
+        with pytest.raises(DataError, match="malformed study JSON"):
+            Study.from_json(text[:len(text) // 2])
 
 
 class TestRandomSampler:
@@ -254,6 +260,31 @@ class TestRunStudy:
         resumed = run_study(small_cohort, "gb_cox", SMALL_SPACE, n_trials=6,
                             study=short, **kw)
         assert resumed.to_json() == full.to_json()
+
+    def test_resume_with_other_k_folds_refused(self, small_cohort):
+        kw = dict(sampler="random", seed=3, base_params={"n_rounds": 5})
+        study = run_study(small_cohort, "gb_cox", SMALL_SPACE, n_trials=2,
+                          k_folds=2, **kw)
+        with pytest.raises(ConfigError, match="k_folds"):
+            run_study(small_cohort, "gb_cox", SMALL_SPACE, n_trials=4,
+                      k_folds=3, study=study, **kw)
+        assert len(study.trials) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"family": "gb_aft"},
+        {"space": SMALL_SPACE[:1]},
+        {"objective": "ipcw"},
+        {"stratify_folds": False},
+        {"sampler": "tpe"},
+        {"seed": 4},
+    ])
+    def test_resume_with_other_settings_refused(self, small_cohort, change):
+        kw = dict(family="gb_cox", space=SMALL_SPACE, sampler="random",
+                  k_folds=2, seed=3, base_params={"n_rounds": 5})
+        study = run_study(small_cohort, n_trials=1, **kw)
+        with pytest.raises(ConfigError, match="different"):
+            run_study(small_cohort, n_trials=2, study=study,
+                      **{**kw, **change})
 
     def test_failed_trials_recorded_and_study_continues(self, small_cohort,
                                                         monkeypatch):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import harrell_oracle, random_survival_instance
+from conftest import (harrell_oracle, ipcw_oracle, random_survival_instance,
+                      td_auc_oracle)
 from survkit.data import synth_cohort
 from survkit.errors import DataError
 from survkit.estimators import censoring_survival, kaplan_meier
@@ -322,3 +325,110 @@ class TestGrids:
     def test_grid_validation(self):
         with pytest.raises(DataError):
             TimeGrid(np.array([2.0, 1.0]), 2)
+
+
+TIE_MODES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _oracle_instance(seed, tie_times, tie_risks, max_n=150):
+    rng = np.random.default_rng(seed)
+    time, event, risk = random_survival_instance(
+        rng, max_n=max_n, tie_times=tie_times, tie_risks=tie_risks)
+    event[0] = 1
+    return time, event, risk
+
+
+class TestSortedPathsMatchOracles:
+    """The sort-based metrics against the O(n^2) pair-matrix oracles."""
+
+    @pytest.mark.parametrize("tie_times,tie_risks", TIE_MODES)
+    def test_harrell_counts_exact(self, tie_times, tie_risks):
+        for seed in range(30):
+            time, event, risk = _oracle_instance(seed, tie_times, tie_risks)
+            conc, tied, comp = harrell_oracle(time, event, risk)
+            if comp == 0:
+                continue
+            r = harrell_c(time, event, risk)
+            assert (r.concordant, r.tied_risk, r.comparable) == (conc, tied, comp)
+
+    @pytest.mark.parametrize("tie_times,tie_risks", TIE_MODES)
+    def test_ipcw_within_1e12(self, tie_times, tie_risks):
+        checked = 0
+        for seed in range(40):
+            time, event, risk = _oracle_instance(seed, tie_times, tie_risks,
+                                                 max_n=400)
+            g = censoring_survival(time, event)
+            tau = default_tau(time, event, g)
+            want = ipcw_oracle(time, event, risk, g, tau)
+            if want[2] == 0:
+                continue
+            r = ipcw_c(time, event, risk, g)
+            got = (r.concordant, r.tied_risk, r.comparable)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("tie_times,tie_risks", TIE_MODES)
+    def test_td_auc_exact(self, tie_times, tie_risks):
+        for seed in range(30):
+            time, event, risk = _oracle_instance(seed, tie_times, tie_risks,
+                                                 max_n=400)
+            g = censoring_survival(time, event)
+            cuts = np.unique(time)[:-1] + 1e-9
+            if cuts.size == 0:
+                continue
+            grid = TimeGrid(cuts, cuts.size)
+            want_t, want_v = td_auc_oracle(time, event, risk, grid.times, g)
+            if want_t.size == 0:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                r = td_auc(time, event, risk, grid, g)
+            assert np.array_equal(r.times, want_t)
+            assert np.array_equal(r.values, want_v)
+
+    def test_single_subject_has_no_pairs(self):
+        g = censoring_survival([2.0], [1])
+        with pytest.raises(DataError):
+            harrell_c([2.0], [1], [0.5])
+        with pytest.raises(DataError):
+            ipcw_c([2.0], [1], [0.5], g, tau=3.0)
+
+    def test_all_risks_tied(self):
+        rng = np.random.default_rng(5)
+        time, event, _ = random_survival_instance(rng, n=200)
+        risk = np.full(200, 0.25)
+        r = harrell_c(time, event, risk)
+        assert (r.concordant, r.tied_risk, r.comparable) == \
+            harrell_oracle(time, event, risk)
+        assert r.c_index == 0.5
+        g = censoring_survival(time, event)
+        u = ipcw_c(time, event, risk, g)
+        assert u.concordant == 0.0 and u.c_index == 0.5
+        grid = TimeGrid(np.quantile(time, [0.3, 0.6]), 2)
+        np.testing.assert_array_equal(td_auc(time, event, risk, grid, g).values,
+                                      0.5)
+
+    def test_no_comparable_pairs_still_errors(self):
+        # every subject is censored or shares its time with the other events
+        time = np.array([3.0, 3.0, 3.0, 5.0])
+        event = np.array([1, 1, 1, 0])
+        with pytest.raises(DataError):
+            harrell_c(time[:3], event[:3], [1.0, 2.0, 3.0])
+        g = censoring_survival(time, event)
+        with pytest.raises(DataError):
+            ipcw_c(time, event, [1.0, 2.0, 3.0, 4.0], g, tau=2.0)
+
+    def test_tau_cuts_off_events(self):
+        for seed in range(20):
+            time, event, risk = _oracle_instance(seed, True, True, max_n=300)
+            g = censoring_survival(time, event)
+            tau = float(np.median(time))
+            want = ipcw_oracle(time, event, risk, g, tau)
+            if want[2] == 0:
+                continue
+            r = ipcw_c(time, event, risk, g, tau=tau)
+            np.testing.assert_allclose(
+                (r.concordant, r.tied_risk, r.comparable), want,
+                rtol=1e-12, atol=0)
+            assert r.comparable < ipcw_c(time, event, risk, g).comparable
