@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time as _time
 from pathlib import Path
@@ -25,7 +24,8 @@ import numpy as np
 from . import models as M
 from .data import (INTERVAL_CATEGORIES, Cohort, ColumnSpec, FilterRules,
                    apply_filters, build_targets, categorize_interval,
-                   ingest_csv, read_cohort_csv, synth_cohort, write_cohort_csv)
+                   atomic_write, ingest_csv, read_cohort_csv, synth_cohort,
+                   write_cohort_csv)
 from .errors import ConfigError, DataError, SurvKitError, TrainingError
 from .estimators import censoring_survival, kaplan_meier
 from .explain import global_attribution, permutation_importance
@@ -139,14 +139,10 @@ class RunConfig:
                 if k.startswith(prefix)}
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -312,7 +308,8 @@ def cmd_prep(config: RunConfig) -> int:
     test_enc = transform(encoder, test)
     write_cohort_csv(train_enc, out / "train.csv")
     write_cohort_csv(test_enc, out / "test.csv")
-    _write_atomic(out / "encoder.json", encoder.to_json() + "\n")
+    with atomic_write(out / "encoder.json") as fh:
+        fh.write(encoder.to_json() + "\n")
     meta = {
         "mode": mode,
         "test_fraction": test_fraction,
@@ -340,28 +337,6 @@ def _load_prepared(out: Path) -> tuple[Cohort, Cohort]:
 
 # ------------------------------------------------------------------ hpo
 
-def _default_space(family: str) -> list[ParamSpec]:
-    if family == M.RSF:
-        return [ParamSpec("n_trees", "int", 30, 150),
-                ParamSpec("max_depth", "int", 3, 10),
-                ParamSpec("min_samples_leaf", "int", 5, 50)]
-    if family in (M.GBSA, M.GB_COX, M.GB_AFT, M.GB_REG):
-        space = [ParamSpec("n_rounds", "int", 50, 300),
-                 ParamSpec("learning_rate", "float", 0.01, 0.3, log=True),
-                 ParamSpec("max_depth", "int", 2, 5),
-                 ParamSpec("subsample", "float", 0.5, 1.0)]
-        if family != M.GBSA:
-            space.append(ParamSpec("reg_lambda", "float", 1e-3, 10.0, log=True))
-        if family == M.GB_AFT:
-            space.append(ParamSpec("sigma", "float", 0.5, 2.0))
-        if family == M.GB_REG:
-            space.append(ParamSpec("censored_weight", "float", 0.1, 1.0))
-        return space
-    if family == M.SSVM:
-        return [ParamSpec("gamma", "float", 1e-3, 10.0, log=True)]
-    raise ConfigError(f"no default search space for family {family!r}")
-
-
 def _parse_space_entry(name: str, text: str) -> ParamSpec:
     parts = [p.strip() for p in text.split(":")]
     kind = parts[0]
@@ -378,10 +353,13 @@ def _parse_space_entry(name: str, text: str) -> ParamSpec:
 
 def _space_for(config: RunConfig, family: str) -> list[ParamSpec]:
     entries = config.prefixed(f"hpo.space.{family}.")
-    if not entries:
-        return _default_space(family)
-    return [_parse_space_entry(name, text)
-            for name, text in sorted(entries.items())]
+    if entries:
+        return [_parse_space_entry(name, text)
+                for name, text in sorted(entries.items())]
+    fam = M.FAMILY_TABLE.get(family)
+    if fam is None or not fam.space:
+        raise ConfigError(f"no default search space for family {family!r}")
+    return [ParamSpec(*entry) for entry in fam.space]
 
 
 def cmd_hpo(config: RunConfig) -> int:
@@ -415,7 +393,8 @@ def cmd_hpo(config: RunConfig) -> int:
                 objective=objective, study=study)
             log.info("hpo %s/%s: best %.4f (%.1fs)", family, sampler,
                      study.best_trial.value, _time.perf_counter() - started)
-            _write_atomic(study_path, study.to_json() + "\n")
+            with atomic_write(study_path) as fh:
+                fh.write(study.to_json() + "\n")
             if study.best_trial.value > best_value:
                 best_value = study.best_trial.value
                 best_payload = {"family": family, "sampler": sampler,
@@ -511,13 +490,13 @@ def cmd_train_eval(config: RunConfig) -> int:
 
     km = kaplan_meier(test.time, test.event)
     header = ["time", "km"] + [f for f in families if f in curve_means]
-    lines = [",".join(header)]
     km_vals = km(grid.times)
-    for k, t in enumerate(grid.times):
-        cells = [repr(float(t)), repr(float(km_vals[k]))]
-        cells += [repr(float(curve_means[f][k])) for f in header[2:]]
-        lines.append(",".join(cells))
-    _write_atomic(out / "curves.csv", "\n".join(lines) + "\n")
+    with atomic_write(out / "curves.csv") as fh:
+        fh.write(",".join(header) + "\n")
+        for k, t in enumerate(grid.times):
+            cells = [repr(float(t)), repr(float(km_vals[k]))]
+            cells += [repr(float(curve_means[f][k])) for f in header[2:]]
+            fh.write(",".join(cells) + "\n")
 
     horizons = [float(h) for h in config.get_list("horizons")]
     if horizons:
@@ -534,7 +513,8 @@ def cmd_train_eval(config: RunConfig) -> int:
                 repr(float(np.mean(p_death < 0.5))),
                 repr(float(np.mean(1.0 - p_death))),
                 str(clf.meta["n_excluded"]), str(clf.meta["n_trained"])]))
-        _write_atomic(out / "horizons.csv", "\n".join(hlines) + "\n")
+        with atomic_write(out / "horizons.csv") as fh:
+            fh.write("\n".join(hlines) + "\n")
     return EXIT_OK
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -33,6 +35,7 @@ __all__ = [
     "DAYS_PER_MONTH",
     "read_cohort_csv",
     "write_cohort_csv",
+    "atomic_write",
 ]
 
 # mean Gregorian month; continuous-valued to avoid tie inflation
@@ -416,11 +419,26 @@ def synth_cohort(n: int, d: int, model: str = "ph", beta=None,
                         "beta": beta, "model": model, "seed": seed})
 
 
+@contextmanager
+def atomic_write(path):
+    """UTF-8 text handle on ``<path>.tmp``, moved over ``path`` when the
+    block ends; if it raises, the temporary file is removed instead."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_cohort_csv(cohort: Cohort, path) -> None:
     """Write an encoded cohort as CSV: feature columns, time, event[, weight]."""
     names = cohort.column_names()
     has_w = cohort.weights is not None
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ["time", "event"] + (["weight"] if has_w else []))
         for i in range(cohort.n):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ConvergenceError, DataError
 
 __all__ = [
@@ -76,7 +77,7 @@ class StepFunction:
 
     def to_csv(self, path) -> None:
         """Export as two-column CSV (time, value)."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("time,value\n")
             for t, v in zip(self.times, self.values):
                 fh.write(f"{float(t)!r},{float(v)!r}\n")

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Cohort
+from .data import Cohort, atomic_write
 from .errors import DataError
 from .estimators import censoring_survival
 from .metrics import harrell_c, ipcw_c
@@ -45,7 +45,7 @@ class ImportanceReport:
         return [self.features[i] for i in np.argsort(-self.values)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("feature,value,dispersion\n")
             for name, v, s in zip(self.features, self.values, self.dispersion):
                 fh.write(f"{name},{float(v)!r},{float(s)!r}\n")

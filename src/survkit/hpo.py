@@ -177,7 +177,6 @@ class TpeConfig:
     gamma: float = 0.25
     n_startup: int = 10
     n_candidates: int = 24
-    bandwidth: str = "scott"
 
 
 class _ParzenDensity:

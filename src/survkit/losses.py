@@ -28,7 +28,6 @@ __all__ = [
     "SquaredLoss",
     "LogisticLoss",
     "FirstOrder",
-    "make_loss",
 ]
 
 HESSIAN_FLOOR = 1e-16
@@ -265,22 +264,3 @@ class FirstOrder:
 
     def intercept(self, time, event, weights=None):
         return self.inner.intercept(time, event, weights)
-
-
-def make_loss(loss_id: str, aft_config: AftLossConfig | None = None):
-    """Instantiate a loss plug-in from its identifier."""
-    if loss_id == "cox":
-        return CoxLoss()
-    if loss_id == "cox_first_order":
-        return FirstOrder(CoxLoss())
-    if loss_id.startswith("aft"):
-        cfg = aft_config
-        if cfg is None:
-            dist = loss_id.split("_", 1)[1] if "_" in loss_id else "normal"
-            cfg = AftLossConfig(distribution=dist)
-        return AftLoss(cfg)
-    if loss_id == "squared":
-        return SquaredLoss()
-    if loss_id == "logistic":
-        return LogisticLoss()
-    raise DataError(f"unknown loss {loss_id!r}")

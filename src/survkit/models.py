@@ -12,18 +12,19 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import special
 
 from . import engine
-from .data import Cohort
+from .data import Cohort, atomic_write
 from .engine import (BoostParams, SurvivalTreeParams, TreeNode, TreeParams,
                      boost)
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
-from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
-                         breslow_survival, cox_calibrate)
+from .estimators import (CoxCalibration, StepFunction, _life_table,
+                         breslow_baseline, breslow_survival, cox_calibrate)
 from .losses import (AftLoss, AftLossConfig, CoxLoss, FirstOrder, LogisticLoss,
                      SquaredLoss)
 from .metrics import TimeGrid
@@ -32,6 +33,8 @@ __all__ = [
     "FAMILIES",
     "CURVE_FAMILIES",
     "TDAUC_FAMILIES",
+    "FAMILY_TABLE",
+    "Family",
     "FittedModel",
     "RsfParams", "GbParams", "AftParams", "RegWeightedParams",
     "HorizonParams", "SsvmParams", "SsvmModel",
@@ -50,8 +53,6 @@ GB_REG = "gb_reg_weighted"
 HORIZON = "horizon"
 
 FAMILIES = (RSF, GBSA, SSVM, GB_COX, GB_AFT, GB_REG)
-CURVE_FAMILIES = (RSF, GBSA, SSVM)
-TDAUC_FAMILIES = (RSF, GBSA, SSVM, GB_COX)
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,13 @@ class SsvmParams:
     seed: int = 0
 
 
-PARAM_CLASSES = {
-    RSF: RsfParams,
-    GBSA: GbParams,
-    SSVM: SsvmParams,
-    GB_COX: GbParams,
-    GB_AFT: AftParams,
-    GB_REG: RegWeightedParams,
-    HORIZON: HorizonParams,
-}
+def _step_fields(step: StepFunction) -> dict:
+    return {"times": step.times.tolist(), "values": step.values.tolist()}
+
+
+def _step_from(obj: dict) -> StepFunction:
+    return StepFunction(np.asarray(obj["times"]), np.asarray(obj["values"]),
+                        0.0)
 
 
 @dataclass
@@ -143,6 +142,31 @@ class RsfForest:
             total += chf[leaf_ids]
         return total / len(self.trees)
 
+    def survival(self, X, times) -> np.ndarray:
+        idx = np.searchsorted(self.grid, np.asarray(times, dtype=float),
+                              side="right") - 1
+        surv = np.exp(-np.take(self.ensemble_chf(X), np.clip(idx, 0, None),
+                               axis=1))
+        surv[:, idx < 0] = 1.0
+        return surv
+
+    def to_fields(self) -> dict:
+        return {"grid": [float(t) for t in self.grid],
+                "trees": [engine.tree_to_dict(t) for t in self.trees],
+                "leaf_chf": [chf.tolist() for chf in self.leaf_chf]}
+
+    @classmethod
+    def from_fields(cls, obj: dict) -> "RsfForest":
+        forest = cls(trees=[engine.tree_from_dict(t) for t in obj["trees"]],
+                     leaf_chf=[np.asarray(c, dtype=float)
+                               for c in obj["leaf_chf"]],
+                     grid=np.asarray(obj["grid"], dtype=float))
+        if len(forest.trees) != len(forest.leaf_chf) or any(
+                chf.ndim != 2 or chf.shape[1] != forest.grid.size
+                for chf in forest.leaf_chf):
+            raise ValueError("leaf_chf does not match the trees and the grid")
+        return forest
+
 
 @dataclass
 class SsvmModel:
@@ -152,6 +176,35 @@ class SsvmModel:
     gamma: float
     pair_mode: str
     calibration: CoxCalibration | None = None
+
+    def calibrated(self) -> CoxCalibration:
+        if self.calibration is None:
+            raise NoSurvivalFunctionError("SSVM model was fit without calibration")
+        return self.calibration
+
+    def survival(self, X, times) -> np.ndarray:
+        calib = self.calibrated()
+        return breslow_survival(calib.baseline, calib.beta * (X @ self.weights),
+                                times)
+
+    def to_fields(self) -> dict:
+        fields = {"weights": self.weights.tolist(), "gamma": self.gamma,
+                  "pair_mode": self.pair_mode}
+        if self.calibration is not None:
+            fields["calibration"] = {"beta": self.calibration.beta,
+                                     **_step_fields(self.calibration.baseline)}
+        return fields
+
+    @classmethod
+    def from_fields(cls, obj: dict) -> "SsvmModel":
+        weights = np.asarray(obj["weights"], dtype=float)
+        if weights.shape != (obj["n_features"],):
+            raise ValueError("SSVM weights do not match n_features")
+        calib = obj.get("calibration")
+        return cls(weights=weights, gamma=obj["gamma"],
+                   pair_mode=obj["pair_mode"],
+                   calibration=None if calib is None else CoxCalibration(
+                       beta=calib["beta"], baseline=_step_from(calib)))
 
 
 @dataclass
@@ -165,11 +218,13 @@ class FittedModel:
     event_time_grid: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def predict_risk(self, X) -> np.ndarray:
-        return predict_risk(self, X)
 
-    def predict_curves(self, X, grid: TimeGrid | None = None):
-        return predict_curves(self, X, grid)
+def _fitted(family: str, train: Cohort, X, artifact, params,
+            meta: dict | None = None) -> FittedModel:
+    return FittedModel(family=family, artifact=artifact, params=asdict(params),
+                       n_features=X.shape[1],
+                       event_time_grid=np.unique(train.time[train.event == 1]),
+                       meta=meta or {})
 
 
 def _check_events(cohort: Cohort) -> None:
@@ -188,12 +243,7 @@ def _chf_on_grid(time, event, grid: np.ndarray) -> np.ndarray:
     """Nelson-Aalen cumulative hazard of a member set, sampled on a grid."""
     if event.sum() == 0:
         return np.zeros(grid.size)
-    order = np.argsort(time, kind="stable")
-    t, e = time[order], event[order]
-    uniq, start = np.unique(t, return_index=True)
-    deaths = np.add.reduceat(e.astype(float), start)
-    leaving = np.add.reduceat(np.ones_like(t), start)
-    at_risk = t.size - np.concatenate(([0.0], np.cumsum(leaving)[:-1]))
+    uniq, deaths, _, at_risk = _life_table(time, event)
     has = deaths > 0
     steps, cumhaz = uniq[has], np.cumsum(deaths[has] / at_risk[has])
     idx = np.searchsorted(steps, grid, side="right") - 1
@@ -254,9 +304,8 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
             leaf.members = None  # row indices are bootstrap-local; drop them
         trees.append(root)
         leaf_chfs.append(chf)
-    forest = RsfForest(trees=trees, leaf_chf=leaf_chfs, grid=grid)
-    return FittedModel(family=RSF, artifact=forest, params=asdict(params),
-                       n_features=d, event_time_grid=grid)
+    return _fitted(RSF, train, X,
+                   RsfForest(trees=trees, leaf_chf=leaf_chfs, grid=grid), params)
 
 
 def fit_gbsa(train: Cohort, params: GbParams = GbParams()) -> FittedModel:
@@ -270,10 +319,7 @@ def fit_gbsa(train: Cohort, params: GbParams = GbParams()) -> FittedModel:
                   params.boost_params(reg_lambda=0.0), weights=train.weights)
     eta = model.predict(X)
     baseline = breslow_baseline(train.time, train.event, eta)
-    grid = np.unique(train.time[train.event == 1])
-    return FittedModel(family=GBSA, artifact=(model, baseline),
-                       params=asdict(params), n_features=X.shape[1],
-                       event_time_grid=grid)
+    return _fitted(GBSA, train, X, (model, baseline), params)
 
 
 def fit_gb_cox(train: Cohort, params: GbParams = GbParams()) -> FittedModel:
@@ -282,9 +328,7 @@ def fit_gb_cox(train: Cohort, params: GbParams = GbParams()) -> FittedModel:
     X = _float_features(train)
     model = boost(X, train.time, train.event, CoxLoss(), params.boost_params(),
                   weights=train.weights)
-    grid = np.unique(train.time[train.event == 1])
-    return FittedModel(family=GB_COX, artifact=model, params=asdict(params),
-                       n_features=X.shape[1], event_time_grid=grid)
+    return _fitted(GB_COX, train, X, model, params)
 
 
 def fit_gb_aft(train: Cohort, params: AftParams = AftParams()) -> FittedModel:
@@ -295,9 +339,7 @@ def fit_gb_aft(train: Cohort, params: AftParams = AftParams()) -> FittedModel:
     loss = AftLoss(AftLossConfig(params.distribution, params.sigma))
     model = boost(X, train.time, train.event, loss, params.boost_params(),
                   weights=train.weights)
-    grid = np.unique(train.time[train.event == 1])
-    return FittedModel(family=GB_AFT, artifact=model, params=asdict(params),
-                       n_features=X.shape[1], event_time_grid=grid)
+    return _fitted(GB_AFT, train, X, model, params)
 
 
 def fit_gb_reg_weighted(train: Cohort,
@@ -311,9 +353,7 @@ def fit_gb_reg_weighted(train: Cohort,
         w = w * train.weights
     model = boost(X, train.time, train.event, SquaredLoss(),
                   params.boost_params(), weights=w)
-    grid = np.unique(train.time[train.event == 1])
-    return FittedModel(family=GB_REG, artifact=model, params=asdict(params),
-                       n_features=X.shape[1], event_time_grid=grid)
+    return _fitted(GB_REG, train, X, model, params)
 
 
 def fit_horizon_classifier(train: Cohort,
@@ -334,12 +374,10 @@ def fit_horizon_classifier(train: Cohort,
     w = None if train.weights is None else train.weights[kept]
     model = boost(X[kept], train.time[kept], label[kept], LogisticLoss(),
                   params.boost_params(), weights=w)
-    grid = np.unique(train.time[train.event == 1])
-    return FittedModel(family=HORIZON, artifact=model, params=asdict(params),
-                       n_features=X.shape[1], event_time_grid=grid,
-                       meta={"horizon": params.horizon,
-                             "n_excluded": int(excluded.sum()),
-                             "n_trained": int(kept.sum())})
+    return _fitted(HORIZON, train, X, model, params,
+                   meta={"horizon": params.horizon,
+                         "n_excluded": int(excluded.sum()),
+                         "n_trained": int(kept.sum())})
 
 
 def _comparable_pairs(time, event, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -437,34 +475,130 @@ def fit_ssvm(train: Cohort, params: SsvmParams = SsvmParams()) -> FittedModel:
             meta["calibration_error"] = str(exc)
     artifact = SsvmModel(weights=w, gamma=params.gamma,
                          pair_mode=params.pair_mode, calibration=calibration)
-    grid = np.unique(train.time[train.event == 1])
-    return FittedModel(family=SSVM, artifact=artifact, params=asdict(params),
-                       n_features=X.shape[1], event_time_grid=grid, meta=meta)
+    return _fitted(SSVM, train, X, artifact, params, meta)
 
 
-_FITTERS = {
-    RSF: fit_rsf,
-    GBSA: fit_gbsa,
-    SSVM: fit_ssvm,
-    GB_COX: fit_gb_cox,
-    GB_AFT: fit_gb_aft,
-    GB_REG: fit_gb_reg_weighted,
-    HORIZON: fit_horizon_classifier,
+# ------------------------------------------------------------ family table
+
+def _ensemble_fields(ensemble: engine.BoostedEnsemble) -> dict:
+    return {"ensemble": engine.ensemble_to_dict(ensemble)}
+
+
+def _ensemble_from(obj: dict) -> engine.BoostedEnsemble:
+    ensemble = engine.ensemble_from_dict(obj["ensemble"])
+    if ensemble.n_features != obj["n_features"]:
+        raise ValueError("ensemble n_features does not match the model")
+    return ensemble
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything survkit knows about one model family.
+
+    ``risk`` follows the package convention (higher = earlier event).
+    ``survival`` returns the (n, len(times)) matrix and ``support`` the
+    curves' own step times; both are None for risk-only families.
+    ``fields`` and ``from_fields`` map the artifact to and from its
+    model-file keys (by default, one boosted ensemble); the readers raise
+    ValueError on a malformed file. ``space`` is the default HPO space as
+    (name, kind, low, high[, log]) tuples; empty means the family has none.
+    """
+
+    params: type
+    fit: Callable[[Cohort, object], FittedModel]
+    risk: Callable[[object, np.ndarray], np.ndarray]
+    fields: Callable[[object], dict] = _ensemble_fields
+    from_fields: Callable[[dict], object] = _ensemble_from
+    survival: Callable[[object, np.ndarray, object], np.ndarray] | None = None
+    support: Callable[[object], np.ndarray] | None = None
+    td_auc: bool = False
+    space: tuple = ()
+
+
+_BOOST_SPACE = (("n_rounds", "int", 50, 300),
+                ("learning_rate", "float", 0.01, 0.3, True),
+                ("max_depth", "int", 2, 5),
+                ("subsample", "float", 0.5, 1.0))
+_REG_BOOST_SPACE = _BOOST_SPACE + (("reg_lambda", "float", 1e-3, 10.0, True),)
+
+# The one place that knows each family: adding a family means one fit
+# function plus one entry here.
+FAMILY_TABLE: dict[str, Family] = {
+    RSF: Family(
+        RsfParams, fit_rsf,
+        risk=lambda forest, X: forest.ensemble_chf(X).sum(axis=1),
+        survival=RsfForest.survival, support=lambda forest: forest.grid,
+        fields=RsfForest.to_fields, from_fields=RsfForest.from_fields,
+        td_auc=True,
+        space=(("n_trees", "int", 30, 150), ("max_depth", "int", 3, 10),
+               ("min_samples_leaf", "int", 5, 50))),
+    GBSA: Family(
+        GbParams, fit_gbsa,
+        risk=lambda art, X: art[0].predict(X),
+        survival=lambda art, X, times: breslow_survival(
+            art[1], art[0].predict(X), times),
+        support=lambda art: art[1].times,
+        fields=lambda art: {**_ensemble_fields(art[0]),
+                            "baseline": _step_fields(art[1])},
+        from_fields=lambda obj: (_ensemble_from(obj),
+                                 _step_from(obj["baseline"])),
+        td_auc=True,
+        space=_BOOST_SPACE),
+    SSVM: Family(
+        SsvmParams, fit_ssvm,
+        risk=lambda svm, X: X @ svm.weights,
+        survival=SsvmModel.survival,
+        support=lambda svm: svm.calibrated().baseline.times,
+        fields=SsvmModel.to_fields, from_fields=SsvmModel.from_fields,
+        td_auc=True,
+        space=(("gamma", "float", 1e-3, 10.0, True),)),
+    GB_COX: Family(
+        GbParams, fit_gb_cox,
+        risk=lambda ensemble, X: ensemble.predict(X),
+        td_auc=True, space=_REG_BOOST_SPACE),
+    GB_AFT: Family(
+        AftParams, fit_gb_aft,
+        risk=lambda ensemble, X: -ensemble.predict(X),  # log-time
+        space=_REG_BOOST_SPACE + (("sigma", "float", 0.5, 2.0),)),
+    GB_REG: Family(
+        RegWeightedParams, fit_gb_reg_weighted,
+        risk=lambda ensemble, X: -ensemble.predict(X),  # time
+        space=_REG_BOOST_SPACE + (("censored_weight", "float", 0.1, 1.0),)),
+    HORIZON: Family(
+        HorizonParams, fit_horizon_classifier,
+        risk=lambda ensemble, X: special.expit(ensemble.predict(X))),
 }
+
+PARAM_CLASSES = {name: fam.params for name, fam in FAMILY_TABLE.items()}
+CURVE_FAMILIES = tuple(f for f in FAMILIES if FAMILY_TABLE[f].survival)
+TDAUC_FAMILIES = tuple(f for f in FAMILIES if FAMILY_TABLE[f].td_auc)
+
+
+def _family(name: str, error: type = DataError) -> Family:
+    if name not in FAMILY_TABLE:
+        raise error(f"unknown model family {name!r}")
+    return FAMILY_TABLE[name]
+
+
+def _curve_family(model: FittedModel) -> Family:
+    fam = _family(model.family)
+    if fam.survival is None:
+        raise NoSurvivalFunctionError(
+            f"no survival function defined for family {model.family!r}")
+    return fam
 
 
 def fit_family(family: str, train: Cohort, params=None, **overrides) -> FittedModel:
     """Train one family by name; ``overrides`` update the default params."""
-    if family not in _FITTERS:
-        raise ConfigError(f"unknown model family {family!r}")
+    fam = _family(family, ConfigError)
     try:
         if params is None:
-            params = PARAM_CLASSES[family](**overrides)
+            params = fam.params(**overrides)
         elif overrides:
-            params = PARAM_CLASSES[family](**{**asdict(params), **overrides})
+            params = fam.params(**{**asdict(params), **overrides})
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {family}: {exc}") from None
-    return _FITTERS[family](train, params)
+    return fam.fit(train, params)
 
 
 def _check_dim(model: FittedModel, X) -> np.ndarray:
@@ -477,22 +611,7 @@ def _check_dim(model: FittedModel, X) -> np.ndarray:
 def predict_risk(model: FittedModel, features) -> np.ndarray:
     """Family-specific score, sign-normalized so higher = earlier event."""
     X = _check_dim(model, features)
-    if model.family == RSF:
-        return model.artifact.ensemble_chf(X).sum(axis=1)
-    if model.family == GBSA:
-        ensemble, _ = model.artifact
-        return ensemble.predict(X)
-    if model.family == GB_COX:
-        return model.artifact.predict(X)
-    if model.family == GB_AFT:
-        return -model.artifact.predict(X)
-    if model.family == GB_REG:
-        return -model.artifact.predict(X)
-    if model.family == HORIZON:
-        return special.expit(model.artifact.predict(X))
-    if model.family == SSVM:
-        return X @ model.artifact.weights
-    raise DataError(f"unknown model family {model.family!r}")
+    return _family(model.family).risk(model.artifact, X)
 
 
 def survival_matrix(model: FittedModel, features, times) -> np.ndarray:
@@ -503,41 +622,7 @@ def survival_matrix(model: FittedModel, features, times) -> np.ndarray:
     its first step. Risk-only families raise NoSurvivalFunctionError.
     """
     X = _check_dim(model, features)
-    if model.family == RSF:
-        forest: RsfForest = model.artifact
-        idx = np.searchsorted(forest.grid, np.asarray(times, dtype=float),
-                              side="right") - 1
-        surv = np.exp(-np.take(forest.ensemble_chf(X), np.clip(idx, 0, None),
-                               axis=1))
-        surv[:, idx < 0] = 1.0
-        return surv
-    if model.family == GBSA:
-        ensemble, baseline = model.artifact
-        return breslow_survival(baseline, ensemble.predict(X), times)
-    if model.family == SSVM:
-        calib = _calibration(model)
-        return breslow_survival(calib.baseline,
-                                calib.beta * (X @ model.artifact.weights), times)
-    raise NoSurvivalFunctionError(
-        f"no survival function defined for family {model.family!r}")
-
-
-def _calibration(model: FittedModel) -> CoxCalibration:
-    calib = model.artifact.calibration
-    if calib is None:
-        raise NoSurvivalFunctionError("SSVM model was fit without calibration")
-    return calib
-
-
-def _curve_support(model: FittedModel) -> np.ndarray:
-    if model.family == RSF:
-        return model.artifact.grid
-    if model.family == GBSA:
-        return model.artifact[1].times
-    if model.family == SSVM:
-        return _calibration(model).baseline.times
-    raise NoSurvivalFunctionError(
-        f"no survival function defined for family {model.family!r}")
+    return _curve_family(model).survival(model.artifact, X, times)
 
 
 def predict_curves(model: FittedModel, features,
@@ -549,7 +634,8 @@ def predict_curves(model: FittedModel, features,
     raise NoSurvivalFunctionError.
     """
     X = _check_dim(model, features)
-    times = _curve_support(model) if grid is None else grid.times
+    times = (_curve_family(model).support(model.artifact) if grid is None
+             else grid.times)
     return [StepFunction(times, row, 1.0)
             for row in survival_matrix(model, X, times)]
 
@@ -564,66 +650,26 @@ def save_model(model: FittedModel, path) -> None:
         "event_time_grid": [float(t) for t in model.event_time_grid],
         "meta": {k: v for k, v in model.meta.items()
                  if isinstance(v, (int, float, str, bool))},
+        **_family(model.family).fields(model.artifact),
     }
-    if model.family == RSF:
-        forest: RsfForest = model.artifact
-        obj["grid"] = [float(t) for t in forest.grid]
-        obj["trees"] = [engine.tree_to_dict(t) for t in forest.trees]
-        obj["leaf_chf"] = [chf.tolist() for chf in forest.leaf_chf]
-    elif model.family == GBSA:
-        ensemble, baseline = model.artifact
-        obj["ensemble"] = engine.ensemble_to_dict(ensemble)
-        obj["baseline"] = {"times": baseline.times.tolist(),
-                           "values": baseline.values.tolist()}
-    elif model.family in (GB_COX, GB_AFT, GB_REG, HORIZON):
-        obj["ensemble"] = engine.ensemble_to_dict(model.artifact)
-    elif model.family == SSVM:
-        svm: SsvmModel = model.artifact
-        obj["weights"] = svm.weights.tolist()
-        obj["gamma"] = svm.gamma
-        obj["pair_mode"] = svm.pair_mode
-        if svm.calibration is not None:
-            obj["calibration"] = {
-                "beta": svm.calibration.beta,
-                "times": svm.calibration.baseline.times.tolist(),
-                "values": svm.calibration.baseline.values.tolist(),
-            }
-    else:
-        raise DataError(f"unknown model family {model.family!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True)
 
 
 def load_model(path) -> FittedModel:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("version") != engine.MODEL_FILE_VERSION:
-        raise DataError(f"unsupported model file version {obj.get('version')!r}")
-    family = obj["family"]
-    grid = np.asarray(obj["event_time_grid"], dtype=float)
-    if family == RSF:
-        artifact = RsfForest(
-            trees=[engine.tree_from_dict(t) for t in obj["trees"]],
-            leaf_chf=[np.asarray(c, dtype=float) for c in obj["leaf_chf"]],
-            grid=np.asarray(obj["grid"], dtype=float))
-    elif family == GBSA:
-        baseline = StepFunction(np.asarray(obj["baseline"]["times"]),
-                                np.asarray(obj["baseline"]["values"]), 0.0)
-        artifact = (engine.ensemble_from_dict(obj["ensemble"]), baseline)
-    elif family in (GB_COX, GB_AFT, GB_REG, HORIZON):
-        artifact = engine.ensemble_from_dict(obj["ensemble"])
-    elif family == SSVM:
-        calibration = None
-        if "calibration" in obj:
-            base = StepFunction(np.asarray(obj["calibration"]["times"]),
-                                np.asarray(obj["calibration"]["values"]), 0.0)
-            calibration = CoxCalibration(beta=obj["calibration"]["beta"],
-                                         baseline=base)
-        artifact = SsvmModel(weights=np.asarray(obj["weights"], dtype=float),
-                             gamma=obj["gamma"], pair_mode=obj["pair_mode"],
-                             calibration=calibration)
-    else:
-        raise DataError(f"unknown model family {family!r}")
-    return FittedModel(family=family, artifact=artifact, params=obj["params"],
-                       n_features=obj["n_features"], event_time_grid=grid,
-                       meta=obj.get("meta", {}))
+    """Read a model file written by save_model; a malformed file raises
+    DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if obj.get("version") != engine.MODEL_FILE_VERSION:
+            raise DataError(
+                f"unsupported model file version {obj.get('version')!r}")
+        artifact = _family(obj["family"]).from_fields(obj)
+        return FittedModel(family=obj["family"], artifact=artifact,
+                           params=obj["params"], n_features=obj["n_features"],
+                           event_time_grid=np.asarray(obj["event_time_grid"],
+                                                      dtype=float),
+                           meta=obj.get("meta", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed model file {path}: {exc!r}") from None

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from survkit.cli import main
+from survkit.cli import RunConfig, _space_for, main
+from survkit.errors import ConfigError
+from survkit.hpo import ParamSpec
 from test_data import _row, write_csv
 
 
@@ -372,3 +374,49 @@ class TestExitCodes:
             "out": str(prepared_dir), "families": "gb_cox",
             "sampler": "random", "trials": "1", "folds": "2"})
         assert run(["hpo", "--config", cfg]) == 3
+
+    def test_truncated_model_is_data_error(self, prepared_dir, tmp_path):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        model = prepared_dir / "model_gb_cox.json"
+        model.write_bytes(model.read_bytes()[:40])
+        cfg2 = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
+        })
+        assert run(["explain", "--config", cfg2]) == 3
+
+
+# The built-in search spaces, as the CLI defined them before they moved
+# into the family table; study files record them, so order and types
+# (int bounds stay ints) must not change.
+_BOOST = [ParamSpec("n_rounds", "int", 50, 300),
+          ParamSpec("learning_rate", "float", 0.01, 0.3, log=True),
+          ParamSpec("max_depth", "int", 2, 5),
+          ParamSpec("subsample", "float", 0.5, 1.0)]
+_REG_LAMBDA = [ParamSpec("reg_lambda", "float", 1e-3, 10.0, log=True)]
+DEFAULT_SPACES = {
+    "rsf": [ParamSpec("n_trees", "int", 30, 150),
+            ParamSpec("max_depth", "int", 3, 10),
+            ParamSpec("min_samples_leaf", "int", 5, 50)],
+    "gbsa": _BOOST,
+    "gb_cox": _BOOST + _REG_LAMBDA,
+    "gb_aft": _BOOST + _REG_LAMBDA + [ParamSpec("sigma", "float", 0.5, 2.0)],
+    "gb_reg_weighted": _BOOST + _REG_LAMBDA + [
+        ParamSpec("censored_weight", "float", 0.1, 1.0)],
+    "ssvm": [ParamSpec("gamma", "float", 1e-3, 10.0, log=True)],
+}
+
+
+class TestDefaultSpaces:
+    @pytest.mark.parametrize("family", sorted(DEFAULT_SPACES))
+    def test_space_unchanged(self, family):
+        space = _space_for(RunConfig({}), family)
+        assert [repr(s) for s in space] == [repr(s) for s in
+                                            DEFAULT_SPACES[family]]
+
+    def test_horizon_has_no_default_space(self):
+        with pytest.raises(ConfigError, match="no default search space"):
+            _space_for(RunConfig({}), "horizon")

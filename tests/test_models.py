@@ -1,19 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from survkit.data import Cohort, ColumnSpec, synth_cohort
 from survkit.engine import boost
-from survkit.errors import DataError, NoSurvivalFunctionError
+from survkit.errors import ConfigError, DataError, NoSurvivalFunctionError
 from survkit.estimators import nelson_aalen
 from survkit.losses import SquaredLoss
 from survkit.metrics import TimeGrid, harrell_c
-from survkit.models import (AftParams, GbParams, HorizonParams,
+from survkit.models import (CURVE_FAMILIES, FAMILIES, FAMILY_TABLE,
+                            AftParams, FittedModel, GbParams, HorizonParams,
                             RegWeightedParams, RsfParams, SsvmParams,
                             fit_family, fit_gb_aft, fit_gb_cox,
                             fit_gb_reg_weighted, fit_gbsa,
                             fit_horizon_classifier, fit_rsf, fit_ssvm,
                             load_model, predict_curves, predict_risk,
-                            save_model)
+                            save_model, survival_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +306,111 @@ class TestSameSeedReproducibility:
         r2 = predict_risk(fit_family(family, cohort, seed=37, **kw),
                           cohort.features)
         np.testing.assert_array_equal(r1, r2)
+
+
+@pytest.fixture(scope="module")
+def fitted_families():
+    """One small fitted model per family in the table."""
+    cohort = synth_cohort(120, 3, "ph", [1, 0.5, 0], censor_rate=0.25,
+                          seed=38)
+    kw = {"rsf": {"n_trees": 4}, "ssvm": {}, "horizon": {"horizon": 0.6}}
+    return cohort, {family: fit_family(family, cohort, seed=39,
+                                       **kw.get(family, {"n_rounds": 4}))
+                    for family in FAMILY_TABLE}
+
+
+class TestFamilyTable:
+    def test_resave_byte_identical(self, tmp_path, fitted_families):
+        _, models = fitted_families
+        assert set(models) == set(FAMILIES) | {"horizon"}
+        for family, model in models.items():
+            first, second = tmp_path / "a.json", tmp_path / "b.json"
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes(), family
+
+    def test_survival_matrix_exactly_for_curve_families(self, fitted_families):
+        cohort, models = fitted_families
+        times = np.quantile(cohort.time, [0.2, 0.5, 0.8])
+        for family, model in models.items():
+            if family in CURVE_FAMILIES:
+                mat = survival_matrix(model, cohort.features[:4], times)
+                assert mat.shape == (4, 3), family
+            else:
+                with pytest.raises(NoSurvivalFunctionError):
+                    survival_matrix(model, cohort.features[:4], times)
+
+    def test_unknown_family_rejected(self, tmp_path, fitted_families):
+        cohort, models = fitted_families
+        with pytest.raises(ConfigError, match="unknown model family"):
+            fit_family("cox_ph", cohort)
+        bogus = FittedModel(family="cox_ph", artifact=None, params={},
+                            n_features=3, event_time_grid=np.ones(1))
+        for call in (lambda: predict_risk(bogus, cohort.features),
+                     lambda: survival_matrix(bogus, cohort.features, [1.0]),
+                     lambda: save_model(bogus, tmp_path / "m.json")):
+            with pytest.raises(DataError, match="unknown model family"):
+                call()
+
+    def test_failed_save_keeps_old_file(self, tmp_path, fitted_families):
+        _, models = fitted_families
+        path = tmp_path / "model.json"
+        save_model(models["gb_cox"], path)
+        before = path.read_bytes()
+        model = models["gb_cox"]
+        broken = FittedModel(family=model.family, artifact=model.artifact,
+                             params={**model.params, "zz": object()},
+                             n_features=model.n_features,
+                             event_time_grid=model.event_time_grid)
+        with pytest.raises(TypeError):
+            save_model(broken, path)  # fails midway through the JSON
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class TestLoadModelErrors:
+    def _saved(self, tmp_path, model) -> dict:
+        save_model(model, tmp_path / "m.json")
+        return json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+
+    def _load(self, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return load_model(path)
+
+    def test_truncated_and_non_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for text in ('{"version": 1, "fam', "[1, 2]", ""):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match="malformed model file"):
+                load_model(path)
+
+    @pytest.mark.parametrize("family,key", [
+        ("gb_cox", "n_features"), ("gb_cox", "ensemble"), ("rsf", "grid"),
+        ("gbsa", "baseline"), ("ssvm", "weights"), ("horizon", "params"),
+    ])
+    def test_missing_key(self, tmp_path, fitted_families, family, key):
+        obj = self._saved(tmp_path, fitted_families[1][family])
+        del obj[key]
+        with pytest.raises(DataError, match="malformed model file"):
+            self._load(tmp_path, obj)
+
+    def test_unknown_family(self, tmp_path, fitted_families):
+        obj = self._saved(tmp_path, fitted_families[1]["gb_cox"])
+        obj["family"] = "cox_ph"
+        with pytest.raises(DataError, match="unknown model family"):
+            self._load(tmp_path, obj)
+
+    def test_shape_mismatches(self, tmp_path, fitted_families):
+        models = fitted_families[1]
+        rsf = self._saved(tmp_path, models["rsf"])
+        rsf["leaf_chf"][0] = [row[:-1] for row in rsf["leaf_chf"][0]]
+        cox = self._saved(tmp_path, models["gb_cox"])
+        cox["n_features"] = 4
+        gbsa = self._saved(tmp_path, models["gbsa"])
+        gbsa["ensemble"]["n_features"] = 2
+        ssvm = self._saved(tmp_path, models["ssvm"])
+        ssvm["weights"] = ssvm["weights"][:-1]
+        for obj in (rsf, cox, gbsa, ssvm):
+            with pytest.raises(DataError, match="malformed model file"):
+                self._load(tmp_path, obj)
