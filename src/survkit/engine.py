@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, TrainingError
+from .estimators import _life_table
 
 __all__ = [
     "TreeNode",
@@ -185,64 +186,80 @@ def fit_regression_tree(X, gradients, hessians,
     return build(np.arange(X.shape[0]), 0)
 
 
-def _node_logrank_scan(X_col, time, event, msl: int, chunk: int = 512):
-    """Standardized two-group log-rank statistic for every candidate split.
+def _node_logrank_scan(Xb, time, event, msl: int, chunk: int = 512):
+    """Standardized two-group log-rank statistic for every candidate split
+    of every column of one node's (mtry, m) feature block.
 
-    The numerator decomposes into per-subject scores delta_j - H(T_j)
-    (cumulative hazard of the whole node), so it is a cumulative sum in
-    feature order. The variance needs the left-group at-risk counts per
-    event time, accumulated chunkwise to bound memory.
+    The node's event-time statistics are computed once. The numerator
+    decomposes into per-subject scores delta_j - H(T_j) (cumulative hazard
+    of the whole node), so it is a cumulative sum in each feature's order.
+    The variance sums var_coef * n1 * (N - n1) over event times in time
+    order, with n1 the left group's at-risk count; it is built only on the
+    admissible positions, in (mtry, K, width) blocks of about K * chunk
+    elements, skipping event times whose var_coef is 0 (adding +0.0 is
+    exact).
 
-    Returns (|z| per split position, thresholds) with -inf at inadmissible
-    positions, or None when the column admits no split.
+    Every block is at least two positions wide, so numpy sums each position
+    in time order; a lone position would be summed pairwise. A column-at-a-
+    time scan in ``chunk``-wide blocks leaves the last position alone when
+    m - 1 = 1 (mod chunk), admissible only for msl = 1; that position is
+    summed pairwise here too, so the gains match it to the last bit.
+
+    Returns (z, thresholds), both (mtry, m - 1): |z| per feature and split
+    position with -inf where inadmissible, and the midpoint thresholds.
     """
-    m = X_col.size
-    order = np.argsort(X_col, kind="stable")
-    xs = X_col[order]
-    t_sorted = time[order]
-    e_sorted = event[order]
+    n_feat, m = Xb.shape
+    order = np.argsort(Xb, axis=1, kind="stable")
+    xs = np.take_along_axis(Xb, order, axis=1)
 
-    # per distinct time in the node: deaths and at-risk
-    order_t = np.argsort(time, kind="stable")
-    tt, ee = time[order_t], event[order_t]
-    grid, gstart = np.unique(tt, return_index=True)
-    deaths = np.add.reduceat(ee.astype(float), gstart)
-    leaving = np.add.reduceat(np.ones(m), gstart)
-    at_risk = m - np.concatenate(([0.0], np.cumsum(leaving)[:-1]))
+    grid, deaths, _, at_risk = _life_table(time, event)
     has_event = deaths > 0
     grid, deaths, at_risk = grid[has_event], deaths[has_event], at_risk[has_event]
-    if grid.size == 0:
-        return None
     with np.errstate(divide="ignore", invalid="ignore"):
         var_coef = np.where(at_risk > 1,
                             deaths * (at_risk - deaths) / (at_risk ** 2 * (at_risk - 1)),
                             0.0)
     cumhaz = np.cumsum(deaths / at_risk)
     # per-subject log-rank score: event indicator minus node cumulative hazard
-    pos = np.searchsorted(grid, t_sorted, side="right") - 1
-    haz_at = np.where(pos >= 0, cumhaz[np.clip(pos, 0, None)], 0.0)
-    scores = e_sorted - haz_at
-    num = np.cumsum(scores)[:-1]
+    pos = np.searchsorted(grid, time, side="right") - 1
+    scores = event - np.where(pos >= 0, cumhaz[np.clip(pos, 0, None)], 0.0)
+    num = np.cumsum(scores[order], axis=1)[:, :-1]
 
-    variance = np.empty(m - 1)
-    base = np.zeros(grid.size)
-    for a in range(0, m - 1, chunk):
-        b = min(a + chunk, m - 1)
-        at_risk_chunk = grid[:, None] <= t_sorted[None, a:b]
-        n1 = base[:, None] + np.cumsum(at_risk_chunk, axis=1)
-        variance[a:b] = np.sum(var_coef[:, None] * n1 * (at_risk[:, None] - n1),
-                               axis=0)
-        base += at_risk_chunk.sum(axis=1)
+    variance = np.zeros((n_feat, m - 1))
+    lo, hi = msl - 1, m - msl  # admissible columns: positions msl..m-msl
+    if msl == 1 and (m - 1) % chunk == 1:
+        hi -= 1
+        last_at_risk = grid[None, :] <= time[order[:, -1]][:, None]
+        n1 = at_risk - last_at_risk
+        variance[:, hi] = np.sum(var_coef * n1 * (at_risk - n1), axis=1)
+    if hi > lo:
+        keep = var_coef > 0
+        coef, n_risk = var_coef[keep][:, None], at_risk[keep][:, None]
+        # a subject is at risk at the k-th kept event time iff level > k
+        level = np.searchsorted(grid[keep], time, side="right")[order]
+        ks = np.arange(coef.shape[0])[None, :, None]
+        # a lone admissible column borrows its left neighbour's block
+        first = max(0, min(lo, hi - 2))
+        starts = list(range(first, hi, max(2, chunk // n_feat)))
+        if len(starts) > 1 and hi - starts[-1] == 1:
+            starts.pop()
+        base = (ks < level[:, None, :first]).sum(axis=2, dtype=float)
+        for a, b in zip(starts, starts[1:] + [hi]):
+            n1 = (ks < level[:, None, a:b]).astype(float)
+            n1[:, :, 0] += base
+            np.cumsum(n1, axis=2, out=n1)
+            base = n1[:, :, -1].copy()
+            n2 = n_risk - n1
+            n1 *= coef  # (coef * n1) * (N - n1), as products commute
+            n1 *= n2
+            variance[:, a:b] = n1.sum(axis=1)
 
     positions = np.arange(1, m)
-    ok = (xs[:-1] != xs[1:]) & (positions >= msl) & (m - positions >= msl)
+    ok = (xs[:, :-1] != xs[:, 1:]) & (positions >= msl) & (m - positions >= msl)
     ok &= variance > 0
-    if not ok.any():
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(num) / np.sqrt(variance)
-    z[~ok] = -np.inf
-    thresholds = 0.5 * (xs[:-1] + xs[1:])
+    z = np.full((n_feat, m - 1), -np.inf)
+    z[ok] = np.abs(num[ok]) / np.sqrt(variance[ok])
+    thresholds = 0.5 * (xs[:, :-1] + xs[:, 1:])
     return z, thresholds
 
 
@@ -250,10 +267,10 @@ def fit_survival_tree(X, time, event,
                       params: SurvivalTreeParams = SurvivalTreeParams()) -> TreeNode:
     """Grow a survival tree by maximizing the standardized log-rank statistic.
 
-    At each node a random subset of ``mtry`` features is scanned; leaves
-    hold the member row indices so callers can attach nonparametric
-    estimates. Nodes without events or without an admissible split become
-    leaves.
+    At each node a random subset of ``mtry`` features is scanned in one
+    pass; leaves hold the member row indices so callers can attach
+    nonparametric estimates. Nodes without events or without an admissible
+    split become leaves.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
@@ -263,26 +280,22 @@ def fit_survival_tree(X, time, event,
     d = X.shape[1]
     mtry = d if params.mtry is None else min(params.mtry, d)
     rng = np.random.default_rng(params.seed)
+    XT = np.ascontiguousarray(X.T)
 
     def build(idx, depth):
         if (depth >= params.max_depth or idx.size < 2 * params.min_samples_leaf
                 or event[idx].sum() == 0):
             return TreeNode(members=idx.copy())
         feats = np.sort(rng.choice(d, size=mtry, replace=False))
-        best_z, best_feat, best_thr = -np.inf, -1, 0.0
-        for f in feats:
-            found = _node_logrank_scan(X[idx, f], time[idx], event[idx],
-                                       params.min_samples_leaf)
-            if found is None:
-                continue
-            z, thresholds = found
-            k = int(np.argmax(z))
-            if z[k] > best_z:
-                best_z, best_feat, best_thr = float(z[k]), int(f), float(thresholds[k])
-        if best_feat < 0:
+        z, thresholds = _node_logrank_scan(XT[np.ix_(feats, idx)], time[idx],
+                                           event[idx], params.min_samples_leaf)
+        # row-major first max: lowest feature, then lowest threshold wins ties
+        f, k = np.unravel_index(int(np.argmax(z)), z.shape)
+        if z[f, k] == -np.inf:
             return TreeNode(members=idx.copy())
+        best_feat, best_thr = int(feats[f]), float(thresholds[f, k])
         mask = X[idx, best_feat] <= best_thr
-        node = TreeNode(feature=best_feat, threshold=best_thr, gain=best_z)
+        node = TreeNode(feature=best_feat, threshold=best_thr, gain=float(z[f, k]))
         node.left = build(idx[mask], depth + 1)
         node.right = build(idx[~mask], depth + 1)
         return node

@@ -23,8 +23,8 @@ from .engine import (BoostParams, SurvivalTreeParams, TreeNode, TreeParams,
                      boost)
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
-from .estimators import (CoxCalibration, StepFunction, _life_table,
-                         breslow_baseline, breslow_survival, cox_calibrate)
+from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
+                         breslow_survival, cox_calibrate)
 from .losses import (AftLoss, AftLossConfig, CoxLoss, FirstOrder, LogisticLoss,
                      SquaredLoss)
 from .metrics import TimeGrid
@@ -165,6 +165,12 @@ class RsfForest:
                 chf.ndim != 2 or chf.shape[1] != forest.grid.size
                 for chf in forest.leaf_chf):
             raise ValueError("leaf_chf does not match the trees and the grid")
+        for tree, chf in zip(forest.trees, forest.leaf_chf):
+            for leaf in _leaves(tree):
+                v = leaf.value
+                if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and float(v).is_integer() and 0 <= v < chf.shape[0]):
+                    raise ValueError(f"leaf id {v!r} is not a row of leaf_chf")
         return forest
 
 
@@ -239,31 +245,32 @@ def _float_features(cohort: Cohort) -> np.ndarray:
     return X
 
 
-def _chf_on_grid(time, event, grid: np.ndarray) -> np.ndarray:
-    """Nelson-Aalen cumulative hazard of a member set, sampled on a grid."""
-    if event.sum() == 0:
-        return np.zeros(grid.size)
-    uniq, deaths, _, at_risk = _life_table(time, event)
-    has = deaths > 0
-    steps, cumhaz = uniq[has], np.cumsum(deaths[has] / at_risk[has])
-    idx = np.searchsorted(steps, grid, side="right") - 1
-    return np.where(idx >= 0, cumhaz[np.clip(idx, 0, None)], 0.0)
+def _leaf_chf(leaf, n_leaves: int, time, event, grid: np.ndarray) -> np.ndarray:
+    """Nelson-Aalen cumulative hazard of every leaf on the grid, in one pass.
+
+    ``leaf`` gives each row's leaf id. With q the number of grid times <= t,
+    a row is at risk at grid[g] iff q > g and, if it had an event, dies at
+    grid[q - 1]. With the rows sorted by (leaf, q), a leaf's at-risk count
+    at each of its death times is a difference of two binary searches.
+    Grid times without a death in a leaf add exact zeros to its running
+    sum, so each row equals the leaf's own Nelson-Aalen estimate.
+    """
+    width = grid.size + 1
+    key = leaf * width + np.searchsorted(grid, time, side="right")
+    rows = np.sort(key)
+    dies, deaths = np.unique(key[event == 1], return_counts=True)
+    at_risk = (np.searchsorted(rows, dies // width * width + width)
+               - np.searchsorted(rows, dies))
+    chf = np.zeros((n_leaves, grid.size))
+    chf[dies // width, dies % width - 1] = deaths / at_risk
+    return np.cumsum(chf, axis=1, out=chf)
 
 
-def _index_leaves(root: TreeNode) -> list[TreeNode]:
-    """Assign DFS leaf ids via the value slot; returns the leaves in order."""
-    leaves: list[TreeNode] = []
-
-    def walk(node):
-        if node.is_leaf:
-            node.value = float(len(leaves))
-            leaves.append(node)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(root)
-    return leaves
+def _leaves(node: TreeNode) -> list[TreeNode]:
+    """The leaves of a tree in depth-first (left before right) order."""
+    if node.is_leaf:
+        return [node]
+    return _leaves(node.left) + _leaves(node.right)
 
 
 def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
@@ -296,14 +303,15 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
                                      mtry=mtry,
                                      seed=int(rng.integers(2 ** 31)))
             root = engine.fit_survival_tree(X[sample], t_s, e_s, stp)
-        leaves = _index_leaves(root)
-        chf = np.empty((len(leaves), grid.size))
+        leaves = _leaves(root)
+        leaf_of = np.empty(sample.size, dtype=np.intp)
         for k, leaf in enumerate(leaves):
-            members = leaf.members
-            chf[k] = _chf_on_grid(t_s[members], e_s[members], grid)
-            leaf.members = None  # row indices are bootstrap-local; drop them
+            leaf_of[leaf.members] = k
+            # the value slot holds the leaf id; the bootstrap-local row
+            # indices are dropped
+            leaf.value, leaf.members = float(k), None
         trees.append(root)
-        leaf_chfs.append(chf)
+        leaf_chfs.append(_leaf_chf(leaf_of, len(leaves), t_s, e_s, grid))
     return _fitted(RSF, train, X,
                    RsfForest(trees=trees, leaf_chf=leaf_chfs, grid=grid), params)
 
@@ -640,9 +648,35 @@ def predict_curves(model: FittedModel, features,
             for row in survival_matrix(model, X, times)]
 
 
-def save_model(model: FittedModel, path) -> None:
-    """Serialize a fitted model to a JSON file (family header + artifact)."""
-    obj: dict = {
+def _write_json(fh, obj, top: bool = True) -> None:
+    """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` in small pieces.
+
+    ``json.dump`` runs the pure-Python encoder; ``json.dumps`` runs the C
+    one. The top-level dict and every list of containers are walked, and
+    each remaining value (a tree, a row of floats) is encoded on its own,
+    so no piece holds more than one of them.
+    """
+    if top and isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(fh, obj[key], top=False)
+        fh.write("}")
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(
+            obj[0], (list, tuple, dict)):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(", ")
+            _write_json(fh, item, top=False)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, sort_keys=True))
+
+
+def _file_fields(model: FittedModel) -> dict:
+    """The model file's top-level object: family header + artifact."""
+    return {
         "version": engine.MODEL_FILE_VERSION,
         "family": model.family,
         "params": model.params,
@@ -652,8 +686,14 @@ def save_model(model: FittedModel, path) -> None:
                  if isinstance(v, (int, float, str, bool))},
         **_family(model.family).fields(model.artifact),
     }
+
+
+def save_model(model: FittedModel, path) -> None:
+    """Serialize a fitted model to a JSON file, byte for byte
+    ``json.dumps(fields, sort_keys=True)``."""
+    fields = _file_fields(model)
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True)
+        _write_json(fh, fields)
 
 
 def load_model(path) -> FittedModel:

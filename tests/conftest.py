@@ -99,6 +99,78 @@ def td_auc_oracle(time, event, risk, eval_times, censor_dist):
     return np.asarray(kept_times), np.asarray(values)
 
 
+def logrank_scan_oracle(X_col, time, event, msl, chunk=512):
+    """One feature's log-rank scan (the pre-block code, one column at a time).
+
+    Returns (|z| per split position, thresholds) with -inf at inadmissible
+    positions, or None when the column admits no split.
+    """
+    m = X_col.size
+    order = np.argsort(X_col, kind="stable")
+    xs = X_col[order]
+    t_sorted = time[order]
+    e_sorted = event[order]
+
+    # per distinct time in the node: deaths and at-risk
+    order_t = np.argsort(time, kind="stable")
+    tt, ee = time[order_t], event[order_t]
+    grid, gstart = np.unique(tt, return_index=True)
+    deaths = np.add.reduceat(ee.astype(float), gstart)
+    leaving = np.add.reduceat(np.ones(m), gstart)
+    at_risk = m - np.concatenate(([0.0], np.cumsum(leaving)[:-1]))
+    has_event = deaths > 0
+    grid, deaths, at_risk = grid[has_event], deaths[has_event], at_risk[has_event]
+    if grid.size == 0:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_coef = np.where(at_risk > 1,
+                            deaths * (at_risk - deaths) / (at_risk ** 2 * (at_risk - 1)),
+                            0.0)
+    cumhaz = np.cumsum(deaths / at_risk)
+    pos = np.searchsorted(grid, t_sorted, side="right") - 1
+    haz_at = np.where(pos >= 0, cumhaz[np.clip(pos, 0, None)], 0.0)
+    scores = e_sorted - haz_at
+    num = np.cumsum(scores)[:-1]
+
+    variance = np.empty(m - 1)
+    base = np.zeros(grid.size)
+    for a in range(0, m - 1, chunk):
+        b = min(a + chunk, m - 1)
+        at_risk_chunk = grid[:, None] <= t_sorted[None, a:b]
+        n1 = base[:, None] + np.cumsum(at_risk_chunk, axis=1)
+        variance[a:b] = np.sum(var_coef[:, None] * n1 * (at_risk[:, None] - n1),
+                               axis=0)
+        base += at_risk_chunk.sum(axis=1)
+
+    positions = np.arange(1, m)
+    ok = (xs[:-1] != xs[1:]) & (positions >= msl) & (m - positions >= msl)
+    ok &= variance > 0
+    if not ok.any():
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(num) / np.sqrt(variance)
+    z[~ok] = -np.inf
+    thresholds = 0.5 * (xs[:-1] + xs[1:])
+    return z, thresholds
+
+
+def chf_on_grid_oracle(time, event, grid):
+    """Nelson-Aalen cumulative hazard of one leaf's members on a grid (the
+    pre-one-pass code, one leaf at a time)."""
+    if event.sum() == 0:
+        return np.zeros(grid.size)
+    order = np.argsort(time, kind="stable")
+    t, e = time[order], event[order]
+    uniq, start = np.unique(t, return_index=True)
+    deaths = np.add.reduceat(e.astype(float), start)
+    leaving = np.add.reduceat(np.ones_like(t), start)
+    at_risk = t.size - np.concatenate(([0.0], np.cumsum(leaving)[:-1]))
+    has = deaths > 0
+    steps, cumhaz = uniq[has], np.cumsum(deaths[has] / at_risk[has])
+    idx = np.searchsorted(steps, grid, side="right") - 1
+    return np.where(idx >= 0, cumhaz[np.clip(idx, 0, None)], 0.0)
+
+
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: np.random.default_rng(seed)

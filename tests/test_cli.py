@@ -388,6 +388,24 @@ class TestExitCodes:
         })
         assert run(["explain", "--config", cfg2]) == 3
 
+    def test_out_of_range_rsf_leaf_id_is_data_error(self, prepared_dir, tmp_path):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "rsf",
+            "family.rsf.n_trees": "2",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        path = prepared_dir / "model_rsf.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        node = obj["trees"][1]
+        while "feature" in node:
+            node = node["right"]
+        node["value"] = 999.0
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        cfg2 = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "rsf",
+        })
+        assert run(["explain", "--config", cfg2]) == 3
+
 
 # The built-in search spaces, as the CLI defined them before they moved
 # into the family table; study files record them, so order and types

@@ -1,4 +1,6 @@
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from survkit.errors import ConfigError, DataError, NoSurvivalFunctionError
 from survkit.estimators import nelson_aalen
 from survkit.losses import SquaredLoss
 from survkit.metrics import TimeGrid, harrell_c
+from survkit import models as M
 from survkit.models import (CURVE_FAMILIES, FAMILIES, FAMILY_TABLE,
                             AftParams, FittedModel, GbParams, HorizonParams,
                             RegWeightedParams, RsfParams, SsvmParams,
@@ -352,6 +355,27 @@ class TestFamilyTable:
             with pytest.raises(DataError, match="unknown model family"):
                 call()
 
+    def test_file_equals_json_dumps(self, tmp_path, fitted_families):
+        _, models = fitted_families
+        meta = {"nan": float("nan"), "inf": float("inf"),
+                "ninf": -float("inf"), "n": 3, "ok": True, "s": "\u00e9"}
+        for family, model in models.items():
+            model = replace(model, meta={**model.meta, **meta})
+            path = tmp_path / f"{family}.json"
+            save_model(model, path)
+            expected = json.dumps(M._file_fields(model), sort_keys=True)
+            assert path.read_bytes() == expected.encode("utf-8"), family
+            assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
+
+    def test_writer_matches_json_dumps_on_edge_values(self):
+        obj = {"z": [], "b": [[]], "c": [[1.5, float("nan")], [], [0.1]],
+               "\u00fc": "\u00e9", "d": {"z": 1, "a": [1, 2], "m": {"y": None}},
+               "t": (1, (2.5, -0.0)), "e": [{"x": -0.0, "a": [[1]]}, 2],
+               "f": 1e300, "g": [[[1, 2], [3]], [[4]]], "h": {}}
+        out = io.StringIO()
+        M._write_json(out, obj)
+        assert out.getvalue() == json.dumps(obj, sort_keys=True)
+
     def test_failed_save_keeps_old_file(self, tmp_path, fitted_families):
         _, models = fitted_families
         path = tmp_path / "model.json"
@@ -414,3 +438,13 @@ class TestLoadModelErrors:
         for obj in (rsf, cox, gbsa, ssvm):
             with pytest.raises(DataError, match="malformed model file"):
                 self._load(tmp_path, obj)
+
+    @pytest.mark.parametrize("leaf_id", [999, -1, 1.5, None, "0"])
+    def test_out_of_range_leaf_id(self, tmp_path, fitted_families, leaf_id):
+        obj = self._saved(tmp_path, fitted_families[1]["rsf"])
+        node = obj["trees"][0]
+        while "feature" in node:
+            node = node["left"]
+        node["value"] = leaf_id
+        with pytest.raises(DataError, match="malformed model file"):
+            self._load(tmp_path, obj)

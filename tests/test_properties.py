@@ -1,4 +1,5 @@
-"""Property tests: metric invariances and survival-matrix consistency."""
+"""Property tests: metric invariances, survival-matrix consistency and the
+RSF fast paths against their oracles."""
 
 import warnings
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import chf_on_grid_oracle, logrank_scan_oracle
 from survkit.data import synth_cohort
+from survkit.engine import _node_logrank_scan, apply_tree
 from survkit.errors import DataError
 from survkit.estimators import censoring_survival
 from survkit.metrics import TimeGrid, harrell_c, ipcw_c, td_auc
-from survkit.models import fit_family, predict_curves, survival_matrix
+from survkit.models import (_leaf_chf, _leaves, fit_family,
+                            predict_curves, survival_matrix)
 from survkit.preprocess import split
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -116,3 +120,108 @@ def test_survival_matrix_equals_stacked_curves(curve_models, family, rows,
     assert np.array_equal(mat, native)
     on_grid = predict_curves(model, X_rows, TimeGrid(times, times.size))
     assert np.array_equal(mat, np.vstack([fn.values for fn in on_grid]))
+
+
+def _assert_scan_equals_oracle(X, time, event, msl, chunk):
+    """Block scan == column-by-column oracle, bit for bit, per feature."""
+    z, thresholds = _node_logrank_scan(X, time, event, msl, chunk)
+    assert z.shape == thresholds.shape == (X.shape[0], X.shape[1] - 1)
+    for f in range(X.shape[0]):
+        found = logrank_scan_oracle(X[f], time, event, msl, chunk)
+        if found is None:
+            assert np.all(z[f] == -np.inf)
+        else:
+            assert z[f].tobytes() == found[0].tobytes()
+            assert thresholds[f].tobytes() == found[1].tobytes()
+
+
+@st.composite
+def scan_nodes(draw):
+    """A node's (mtry, m) feature block, tied features and times, with m on
+    both sides of a ``chunk`` boundary or at m = 2 * min_samples_leaf."""
+    chunk = draw(st.sampled_from([2, 3, 4, 8, 16]))
+    msl = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    m = draw(st.one_of(
+        st.builds(lambda k, off: k * chunk + off + 1,
+                  st.integers(1, 6), st.integers(-1, 2)),
+        st.just(2 * msl),
+        st.integers(2, 70)))
+    m = max(m, 2 * msl)
+    n_feat = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, m))
+    X = np.asarray(draw(st.lists(st.integers(0, levels), min_size=n_feat * m,
+                                 max_size=n_feat * m)),
+                   dtype=float).reshape(n_feat, m)
+    n_times = draw(st.integers(1, m))
+    time = np.asarray(draw(st.lists(st.integers(1, n_times), min_size=m,
+                                    max_size=m)), dtype=float)
+    event = np.asarray(draw(st.lists(st.integers(0, 1), min_size=m,
+                                     max_size=m)))
+    event[0] = 1
+    return X, time, event, msl, chunk
+
+
+@PROPERTY_SETTINGS
+@given(scan_nodes())
+def test_logrank_scan_equals_oracle(node):
+    _assert_scan_equals_oracle(*node)
+
+
+@pytest.mark.parametrize("chunk,m", [
+    (512, 512), (512, 513), (512, 514), (512, 515), (512, 1026),
+    (16, 33), (16, 34), (16, 35), (4, 21), (4, 22), (2, 41), (2, 42)])
+@pytest.mark.parametrize("msl", [1, 2])
+def test_logrank_scan_equals_oracle_at_block_edges(chunk, m, msl):
+    # m - 1 = 1 (mod chunk) leaves the oracle a lone last column, which
+    # numpy sums pairwise; many distinct event times make that show
+    rng = np.random.default_rng(m + 7 * msl + chunk)
+    X = np.round(rng.standard_normal((3, m)), 1)
+    time = rng.exponential(1.0, size=m)
+    event = (rng.random(m) < 0.7).astype(int)
+    _assert_scan_equals_oracle(X, time, event, msl, chunk)
+
+
+@st.composite
+def leaf_partitions(draw):
+    n = draw(st.integers(1, 60))
+    n_leaves = draw(st.integers(1, 6))
+    leaf = np.asarray(draw(st.lists(st.integers(0, n_leaves - 1), min_size=n,
+                                    max_size=n)))
+    time = np.asarray(draw(st.lists(st.integers(1, 15), min_size=n,
+                                    max_size=n)), dtype=float)
+    event = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    # the grid comes from the whole training set, a superset of the rows
+    extra = draw(st.lists(st.integers(1, 15), max_size=10))
+    grid = np.unique(np.concatenate([time[event == 1], np.asarray(extra, float)]))
+    return leaf, n_leaves, time, event, grid
+
+
+@PROPERTY_SETTINGS
+@given(leaf_partitions())
+def test_leaf_chf_equals_stacked_oracle_rows(part):
+    leaf, n_leaves, time, event, grid = part
+    if grid.size == 0:
+        return
+    chf = _leaf_chf(leaf, n_leaves, time, event, grid)
+    expected = np.vstack([chf_on_grid_oracle(time[leaf == k], event[leaf == k],
+                                             grid)
+                          for k in range(n_leaves)])
+    assert chf.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("msl", [1, 5])
+def test_forest_leaf_chf_equals_stacked_oracle_rows(msl):
+    cohort = synth_cohort(150, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
+                          seed=64)
+    X = np.asarray(cohort.features, dtype=float)
+    forest = fit_family("rsf", cohort, n_trees=3, bootstrap=False,
+                        min_samples_leaf=msl, seed=65).artifact
+    grid = np.unique(cohort.time[cohort.event == 1])
+    for tree, chf in zip(forest.trees, forest.leaf_chf):
+        leaf_of = np.array([leaf.value for leaf in apply_tree(tree, X)], int)
+        expected = np.vstack([
+            chf_on_grid_oracle(cohort.time[leaf_of == k],
+                               cohort.event[leaf_of == k], grid)
+            for k in range(len(_leaves(tree)))])
+        assert chf.tobytes() == expected.tobytes()
