@@ -6,6 +6,11 @@ trees with log-rank splitting for the forest. Exact splits (midpoints of
 consecutive distinct values) keep fits affordable at the cohort sizes in
 scope and make results reproducible across platforms; gain ties break
 toward the lower feature index, then the lower threshold.
+
+A tree is one ``NodeTable``: parallel node arrays in preorder. Growers
+append to it, ``TreeNode`` is a read-only view of one of its nodes, and
+``_route`` sends rows through a whole list of trees at once, one numpy
+step per depth level.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import DataError, TrainingError
 from .estimators import _life_table
 
 __all__ = [
+    "NodeTable",
     "TreeNode",
     "TreeParams",
     "SurvivalTreeParams",
@@ -35,26 +41,96 @@ __all__ = [
 
 MODEL_FILE_VERSION = 1
 
+# (row, tree) pairs routed per block: bounds the per-level temporaries
+_ROUTE_BLOCK = 1 << 15
 
-@dataclass
-class TreeNode:
-    """Binary tree node. Routing rule: go left iff x[feature] <= threshold.
 
-    Leaves carry either a regression ``value`` or a ``members`` index list
-    (survival trees).
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """One tree as parallel arrays over its nodes in preorder: a node, then
+    its left subtree, then its right subtree, so node 0 is the root.
+
+    ``feature`` is -1 at leaves and a split sends a row left iff
+    x[feature] <= threshold. ``left``/``right`` are child node ids (-1 at
+    leaves). ``value`` (leaf output) and ``gain`` (split gain) are NaN
+    where a node has none. ``row_leaf`` gives each training row's leaf for
+    survival trees and is None otherwise.
     """
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
-    members: np.ndarray | None = None
-    gain: float | None = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    gain: np.ndarray
+    row_leaf: np.ndarray | None = None
+
+    @classmethod
+    def from_lists(cls, feature, threshold, right, value, gain,
+                   row_leaf=None) -> "NodeTable":
+        feature = np.asarray(feature, dtype=np.intp)
+        # in preorder a split's left child is the next node
+        left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
+        return cls(feature, np.asarray(threshold, dtype=float), left,
+                   np.asarray(right, dtype=np.intp),
+                   np.asarray(value, dtype=float), np.asarray(gain, dtype=float),
+                   row_leaf)
+
+
+class TreeNode:
+    """Read-only view of node ``i`` of a node table. Routing rule: go left
+    iff x[feature] <= threshold.
+
+    ``feature``, ``threshold``, ``left`` and ``right`` are None at leaves;
+    ``value`` and ``gain`` are None where the node has none. ``members``
+    lists a survival-tree leaf's training rows.
+    """
+
+    __slots__ = ("table", "i")
+
+    def __init__(self, table: NodeTable, i: int = 0):
+        self.table = table
+        self.i = int(i)
 
     @property
     def is_leaf(self) -> bool:
-        return self.feature is None
+        return bool(self.table.feature[self.i] < 0)
+
+    @property
+    def feature(self) -> int | None:
+        return None if self.is_leaf else int(self.table.feature[self.i])
+
+    @property
+    def threshold(self) -> float | None:
+        return None if self.is_leaf else float(self.table.threshold[self.i])
+
+    @property
+    def left(self) -> "TreeNode | None":
+        if self.is_leaf:
+            return None
+        return TreeNode(self.table, self.table.left[self.i])
+
+    @property
+    def right(self) -> "TreeNode | None":
+        if self.is_leaf:
+            return None
+        return TreeNode(self.table, self.table.right[self.i])
+
+    @property
+    def value(self) -> float | None:
+        v = float(self.table.value[self.i])
+        return None if np.isnan(v) else v
+
+    @property
+    def gain(self) -> float | None:
+        v = float(self.table.gain[self.i])
+        return None if np.isnan(v) else v
+
+    @property
+    def members(self) -> np.ndarray | None:
+        if self.table.row_leaf is None or not self.is_leaf:
+            return None
+        return np.flatnonzero(self.table.row_leaf == self.i)
 
 
 @dataclass(frozen=True)
@@ -108,43 +184,84 @@ def _check_matrix(X) -> np.ndarray:
 
 
 def _best_regression_split(X, g, h, idx, params: TreeParams):
-    """Exact greedy split search over one node's rows.
+    """Exact greedy split search over one node's rows, all features at once.
 
     Gain = 1/2 [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)].
+    The node's (d, m) feature block is sorted row by row with one stable
+    argsort and the left gradient and hessian sums are row-wise cumulative
+    sums, so each feature's gains equal a one-feature scan's bit for bit.
+    Per feature the first maximum wins (lowest threshold); a feature whose
+    first maximum is NaN is skipped; the lowest feature wins ties.
     Returns (gain, feature, threshold) or None.
     """
     lam = params.reg_lambda
     msl = params.min_samples_leaf
-    G, H = g[idx].sum(), h[idx].sum()
+    gi, hi = g[idx], h[idx]
+    G, H = gi.sum(), hi.sum()
     parent = G * G / (H + lam) if H + lam > 0 else 0.0
     m = idx.size
-    best_gain, best_feat, best_thr = -np.inf, -1, 0.0
-    positions = np.arange(1, m)
-    for f in range(X.shape[1]):
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        gl = np.cumsum(g[idx][order])[:-1]
-        hl = np.cumsum(h[idx][order])[:-1]
-        gr, hr = G - gl, H - hl
-        ok = (xs[:-1] != xs[1:])
-        ok &= (positions >= msl) & (m - positions >= msl)
-        ok &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
-        ok &= (hl + lam > 0) & (hr + lam > 0)
-        if not ok.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - parent)
-        # floating-point jitter on a flat objective must not trigger a split
-        gain[~ok | (gain < 1e-12 * (1.0 + abs(parent)))] = -np.inf
-        k = int(np.argmax(gain))  # first max: lowest threshold wins ties
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best_feat = f
-            best_thr = 0.5 * (xs[k] + xs[k + 1])
-    if best_feat < 0:
+    if m < 2 or X.shape[1] == 0:
         return None
-    return best_gain, best_feat, best_thr
+    block = np.ascontiguousarray(X[idx].T)
+    order = np.argsort(block, axis=1, kind="stable")
+    xs = np.take_along_axis(block, order, axis=1)
+    gl = np.cumsum(gi[order], axis=1)[:, :-1]
+    hl = np.cumsum(hi[order], axis=1)[:, :-1]
+    gr, hr = G - gl, H - hl
+    positions = np.arange(1, m)
+    ok = (xs[:, :-1] != xs[:, 1:])
+    ok &= (positions >= msl) & (m - positions >= msl)
+    ok &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+    ok &= (hl + lam > 0) & (hr + lam > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - parent)
+    # floating-point jitter on a flat objective must not trigger a split
+    gain[~ok | (gain < 1e-12 * (1.0 + abs(parent)))] = -np.inf
+    k = np.argmax(gain, axis=1)  # first max per feature (NaN counts as max)
+    best = gain[np.arange(gain.shape[0]), k]
+    best[np.isnan(best)] = -np.inf
+    f = int(np.argmax(best))
+    if best[f] == -np.inf:
+        return None
+    return float(best[f]), f, 0.5 * (xs[f, k[f]] + xs[f, k[f] + 1])
+
+
+def _grow(X, split, leaf_value, record_rows: bool) -> TreeNode:
+    """Grow a tree depth first, appending each node to its table in preorder.
+
+    ``split(idx, depth)`` gives (gain, feature, threshold) for a split or
+    None for a leaf, and ``leaf_value(idx)`` a leaf's value. With
+    ``record_rows`` the table keeps each row's leaf.
+    """
+    feature, threshold, right, value, gain = [], [], [], [], []
+    row_leaf = np.full(X.shape[0], -1, dtype=np.intp) if record_rows else None
+
+    def build(idx, depth):
+        i = len(feature)
+        found = split(idx, depth)
+        if found is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            right.append(-1)
+            value.append(leaf_value(idx))
+            gain.append(np.nan)
+            if row_leaf is not None:
+                row_leaf[idx] = i
+            return
+        node_gain, feat, thr = found
+        feature.append(feat)
+        threshold.append(thr)
+        right.append(-1)
+        value.append(np.nan)
+        gain.append(node_gain)
+        mask = X[idx, feat] <= thr
+        build(idx[mask], depth + 1)
+        right[i] = len(feature)
+        build(idx[~mask], depth + 1)
+
+    build(np.arange(X.shape[0]), 0)
+    return TreeNode(NodeTable.from_lists(feature, threshold, right, value,
+                                         gain, row_leaf))
 
 
 def fit_regression_tree(X, gradients, hessians,
@@ -152,7 +269,7 @@ def fit_regression_tree(X, gradients, hessians,
     """Grow an exact-greedy regression tree on gradient/hessian statistics.
 
     Leaf value is the Newton step -G_leaf / (H_leaf + lam). Splitting stops
-    on depth, sample, child-weight or gain floors.
+    on depth, sample, child-weight or gain floors. Returns the root's view.
     """
     X = _check_matrix(X)
     g = np.asarray(gradients, dtype=float)
@@ -165,25 +282,19 @@ def fit_regression_tree(X, gradients, hessians,
         raise DataError("hessians must be nonnegative")
     lam = params.reg_lambda
 
-    def leaf(idx):
+    def leaf_value(idx):
         denom = h[idx].sum() + lam
-        val = 0.0 if denom <= 0 else -g[idx].sum() / denom
-        return TreeNode(value=float(val))
+        return 0.0 if denom <= 0 else -g[idx].sum() / denom
 
-    def build(idx, depth):
+    def split(idx, depth):
         if depth >= params.max_depth or idx.size < 2 * params.min_samples_leaf:
-            return leaf(idx)
+            return None
         found = _best_regression_split(X, g, h, idx, params)
         if found is None or found[0] <= params.min_split_gain:
-            return leaf(idx)
-        gain, feat, thr = found
-        mask = X[idx, feat] <= thr
-        node = TreeNode(feature=feat, threshold=thr, gain=gain)
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
-        return node
+            return None
+        return found
 
-    return build(np.arange(X.shape[0]), 0)
+    return _grow(X, split, leaf_value, record_rows=False)
 
 
 def _node_logrank_scan(Xb, time, event, msl: int, chunk: int = 512):
@@ -268,9 +379,9 @@ def fit_survival_tree(X, time, event,
     """Grow a survival tree by maximizing the standardized log-rank statistic.
 
     At each node a random subset of ``mtry`` features is scanned in one
-    pass; leaves hold the member row indices so callers can attach
+    pass; the table records each row's leaf so callers can attach
     nonparametric estimates. Nodes without events or without an admissible
-    split become leaves.
+    split become leaves. Returns the root's view.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
@@ -282,49 +393,82 @@ def fit_survival_tree(X, time, event,
     rng = np.random.default_rng(params.seed)
     XT = np.ascontiguousarray(X.T)
 
-    def build(idx, depth):
+    def split(idx, depth):
         if (depth >= params.max_depth or idx.size < 2 * params.min_samples_leaf
                 or event[idx].sum() == 0):
-            return TreeNode(members=idx.copy())
+            return None
         feats = np.sort(rng.choice(d, size=mtry, replace=False))
         z, thresholds = _node_logrank_scan(XT[np.ix_(feats, idx)], time[idx],
                                            event[idx], params.min_samples_leaf)
         # row-major first max: lowest feature, then lowest threshold wins ties
         f, k = np.unravel_index(int(np.argmax(z)), z.shape)
         if z[f, k] == -np.inf:
-            return TreeNode(members=idx.copy())
-        best_feat, best_thr = int(feats[f]), float(thresholds[f, k])
-        mask = X[idx, best_feat] <= best_thr
-        node = TreeNode(feature=best_feat, threshold=best_thr, gain=float(z[f, k]))
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
-        return node
+            return None
+        return float(z[f, k]), int(feats[f]), float(thresholds[f, k])
 
-    return build(np.arange(X.shape[0]), 0)
+    return _grow(X, split, lambda idx: np.nan, record_rows=True)
+
+
+def _route(trees: list[TreeNode], X) -> np.ndarray:
+    """The leaf every row reaches in every tree: a (len(trees), n) matrix of
+    node ids local to each tree's table.
+
+    The tables are concatenated with node offsets into one child array,
+    child[2 * i + 1] the left and child[2 * i] the right child of node i,
+    with each leaf its own child. Every (tree, row) pair starts at its
+    tree's node and takes one numpy step per depth level. Rows go in blocks
+    of about ``_ROUTE_BLOCK`` pairs so the per-level temporaries stay small.
+    """
+    X = _check_matrix(X)
+    n, d = X.shape
+    out = np.empty((len(trees), n), dtype=np.intp)
+    if not trees:
+        return out
+    tables = [t.table for t in trees]
+    sizes = np.array([t.feature.size for t in tables])
+    offset = np.cumsum(sizes) - sizes
+    shift = np.repeat(offset, sizes)
+    feature = np.concatenate([t.feature for t in tables])
+    threshold = np.concatenate([t.threshold for t in tables])
+    leaf = feature < 0
+    ids = np.arange(feature.size)
+    left = np.where(leaf, ids, np.concatenate([t.left for t in tables]) + shift)
+    right = np.where(leaf, ids, np.concatenate([t.right for t in tables]) + shift)
+    child = np.stack([right, left], axis=1).ravel()
+    feature[leaf] = 0
+    start = offset + np.array([t.i for t in trees])
+    # the number of steps is the deepest level any start node reaches
+    levels, frontier = 0, start
+    while True:
+        frontier = frontier[~leaf[frontier]]
+        if frontier.size == 0:
+            break
+        frontier = np.concatenate([left[frontier], right[frontier]])
+        levels += 1
+    flat = X.ravel()
+    step = max(1, _ROUTE_BLOCK // len(trees))
+    for a in range(0, n, step):
+        row_start = np.arange(a, min(a + step, n)) * d  # row offsets in flat
+        node = np.repeat(start[:, None], row_start.size, axis=1)
+        for _ in range(levels):
+            go_left = flat[row_start + feature[node]] <= threshold[node]
+            node = child[2 * node + go_left]
+        out[:, a:a + step] = node - offset[:, None]
+    return out
 
 
 def apply_tree(root: TreeNode, X) -> list[TreeNode]:
     """Route every row to its leaf; returns the leaf node per row."""
-    X = _check_matrix(X)
-    out: list[TreeNode | None] = [None] * X.shape[0]
-
-    def walk(node, idx):
-        if node.is_leaf:
-            for i in idx:
-                out[i] = node
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
-
-    walk(root, np.arange(X.shape[0]))
-    return out  # type: ignore[return-value]
+    leaf = _route([root], X)[0]
+    nodes = np.empty(root.table.feature.size, dtype=object)
+    for i in np.unique(leaf):
+        nodes[i] = TreeNode(root.table, i)
+    return nodes[leaf].tolist()
 
 
 def predict_tree(root: TreeNode, X) -> np.ndarray:
     """Regression-tree output per row."""
-    leaves = apply_tree(root, X)
-    return np.array([leaf.value for leaf in leaves], dtype=float)
+    return root.table.value[_route([root], X)[0]]
 
 
 def boost(X, time, event, loss, params: BoostParams = BoostParams(),
@@ -373,42 +517,106 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
 
 
 def predict_ensemble(model: BoostedEnsemble, X) -> np.ndarray:
-    """base_score + learning_rate * sum of tree outputs, per row."""
+    """base_score + learning_rate * sum of tree outputs, per row, added
+    tree by tree."""
     X = _check_matrix(X)
     if X.shape[1] != model.n_features:
         raise DataError(f"expected {model.n_features} features, got {X.shape[1]}")
     out = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        out += model.learning_rate * predict_tree(tree, X)
+    for tree, leaf in zip(model.trees, _route(model.trees, X)):
+        out += model.learning_rate * tree.table.value[leaf]
     return out
 
 
 def tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        leaf: dict = {}
-        if node.value is not None:
-            leaf["value"] = node.value
-        if node.members is not None:
-            leaf["members"] = [int(i) for i in node.members]
-        return leaf
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
+    """The subtree at ``node`` as nested dicts with Python int/float values
+    (the model-file form)."""
+    t = node.table
+    feature, threshold = t.feature.tolist(), t.threshold.tolist()
+    left, right = t.left.tolist(), t.right.tolist()
+    value, gain = t.value.tolist(), t.gain.tolist()
+
+    def emit(i):
+        if feature[i] < 0:
+            leaf: dict = {}
+            if value[i] == value[i]:  # not NaN
+                leaf["value"] = value[i]
+            if t.row_leaf is not None:
+                leaf["members"] = np.flatnonzero(t.row_leaf == i).tolist()
+            return leaf
+        return {
+            "feature": feature[i],
+            "threshold": threshold[i],
+            "gain": gain[i] if gain[i] == gain[i] else None,
+            "left": emit(left[i]),
+            "right": emit(right[i]),
+        }
+
+    return emit(node.i)
+
+
+def _number(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} {v!r} is not a number")
+    return float(v)
 
 
 def tree_from_dict(obj: dict) -> TreeNode:
-    if "feature" in obj:
-        return TreeNode(feature=obj["feature"], threshold=obj["threshold"],
-                        gain=obj.get("gain"),
-                        left=tree_from_dict(obj["left"]),
-                        right=tree_from_dict(obj["right"]))
-    return TreeNode(value=obj.get("value"),
-                    members=None if "members" not in obj
-                    else np.asarray(obj["members"], dtype=int))
+    """Rebuild a tree from its nested-dict form; returns the root's view.
+
+    A node that is not an object, a split feature that is not a
+    nonnegative int, or a non-numeric threshold, gain or leaf value raises
+    ValueError. Leaf ``members`` must partition the rows 0..n-1.
+    """
+    feature, threshold, right, value, gain = [], [], [], [], []
+    members: dict[int, list] = {}
+
+    def add(node):
+        if not isinstance(node, dict):
+            raise ValueError(f"tree node {node!r} is not an object")
+        i = len(feature)
+        right.append(-1)
+        if "feature" not in node:
+            v = node.get("value")
+            feature.append(-1)
+            threshold.append(np.nan)
+            value.append(np.nan if v is None else _number(v, "leaf value"))
+            gain.append(np.nan)
+            if "members" in node:
+                members[i] = node["members"]
+            return
+        f = node["feature"]
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+            raise ValueError(f"split feature {f!r} is not a column index")
+        g = node.get("gain")
+        feature.append(f)
+        threshold.append(_number(node["threshold"], "threshold"))
+        value.append(np.nan)
+        gain.append(np.nan if g is None else _number(g, "gain"))
+        add(node["left"])
+        right[i] = len(feature)
+        add(node["right"])
+
+    add(obj)
+    row_leaf = None
+    if members:
+        rows = np.concatenate([np.asarray(m, dtype=np.intp)
+                               for m in members.values()])
+        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
+            raise ValueError("leaf members do not partition the rows")
+        row_leaf = np.empty(rows.size, dtype=np.intp)
+        row_leaf[rows] = np.repeat(list(members),
+                                   [len(m) for m in members.values()])
+    return TreeNode(NodeTable.from_lists(feature, threshold, right, value,
+                                         gain, row_leaf))
+
+
+def _check_split_features(trees: list[TreeNode], n_features) -> None:
+    """Raise ValueError unless every split feature indexes a column."""
+    top = max((int(t.table.feature.max()) for t in trees), default=-1)
+    if top >= n_features:
+        raise ValueError(f"split feature {top} is not below n_features "
+                         f"{n_features}")
 
 
 def ensemble_to_dict(model: BoostedEnsemble) -> dict:
@@ -425,8 +633,9 @@ def ensemble_to_dict(model: BoostedEnsemble) -> dict:
 def ensemble_from_dict(obj: dict) -> BoostedEnsemble:
     if obj.get("version") != MODEL_FILE_VERSION:
         raise DataError(f"unsupported model file version {obj.get('version')!r}")
-    return BoostedEnsemble(base_score=obj["base_score"],
-                           trees=[tree_from_dict(t) for t in obj["trees"]],
+    trees = [tree_from_dict(t) for t in obj["trees"]]
+    _check_split_features(trees, obj["n_features"])
+    return BoostedEnsemble(base_score=obj["base_score"], trees=trees,
                            learning_rate=obj["learning_rate"],
                            loss_id=obj["loss"],
                            n_features=obj["n_features"])

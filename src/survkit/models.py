@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -19,8 +19,8 @@ from scipy import special
 
 from . import engine
 from .data import Cohort, atomic_write
-from .engine import (BoostParams, SurvivalTreeParams, TreeNode, TreeParams,
-                     boost)
+from .engine import (BoostParams, NodeTable, SurvivalTreeParams, TreeNode,
+                     TreeParams, boost)
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
 from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
@@ -137,9 +137,9 @@ class RsfForest:
 
     def ensemble_chf(self, X) -> np.ndarray:
         total = np.zeros((X.shape[0], self.grid.size))
-        for tree, chf in zip(self.trees, self.leaf_chf):
-            leaf_ids = engine.predict_tree(tree, X).astype(int)
-            total += chf[leaf_ids]
+        for tree, chf, leaf in zip(self.trees, self.leaf_chf,
+                                   engine._route(self.trees, X)):
+            total += chf[tree.table.value[leaf].astype(int)]
         return total / len(self.trees)
 
     def survival(self, X, times) -> np.ndarray:
@@ -165,12 +165,13 @@ class RsfForest:
                 chf.ndim != 2 or chf.shape[1] != forest.grid.size
                 for chf in forest.leaf_chf):
             raise ValueError("leaf_chf does not match the trees and the grid")
+        engine._check_split_features(forest.trees, obj["n_features"])
         for tree, chf in zip(forest.trees, forest.leaf_chf):
-            for leaf in _leaves(tree):
-                v = leaf.value
-                if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and float(v).is_integer() and 0 <= v < chf.shape[0]):
-                    raise ValueError(f"leaf id {v!r} is not a row of leaf_chf")
+            ids = tree.table.value[tree.table.feature < 0]
+            ok = (ids >= 0) & (ids < chf.shape[0]) & (ids == np.floor(ids))
+            if not ok.all():
+                raise ValueError(f"leaf id {float(ids[~ok][0])!r} is not a "
+                                 "row of leaf_chf")
         return forest
 
 
@@ -296,22 +297,22 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
             sample = np.arange(n)
         t_s, e_s = train.time[sample], train.event[sample]
         if e_s.sum() == 0:
-            root = TreeNode(members=np.arange(sample.size))
+            table = NodeTable.from_lists([-1], [np.nan], [-1], [np.nan],
+                                         [np.nan], np.zeros(sample.size, np.intp))
         else:
             stp = SurvivalTreeParams(max_depth=params.max_depth,
                                      min_samples_leaf=params.min_samples_leaf,
                                      mtry=mtry,
                                      seed=int(rng.integers(2 ** 31)))
-            root = engine.fit_survival_tree(X[sample], t_s, e_s, stp)
-        leaves = _leaves(root)
-        leaf_of = np.empty(sample.size, dtype=np.intp)
-        for k, leaf in enumerate(leaves):
-            leaf_of[leaf.members] = k
-            # the value slot holds the leaf id; the bootstrap-local row
-            # indices are dropped
-            leaf.value, leaf.members = float(k), None
-        trees.append(root)
-        leaf_chfs.append(_leaf_chf(leaf_of, len(leaves), t_s, e_s, grid))
+            table = engine.fit_survival_tree(X[sample], t_s, e_s, stp).table
+        # a leaf's id is its rank among the leaves in preorder; the value
+        # slot holds it, and the bootstrap-local row_leaf is dropped
+        is_leaf = table.feature < 0
+        rank = np.cumsum(is_leaf) - 1
+        trees.append(TreeNode(replace(
+            table, value=np.where(is_leaf, rank, np.nan), row_leaf=None)))
+        leaf_chfs.append(_leaf_chf(rank[table.row_leaf], int(is_leaf.sum()),
+                                   t_s, e_s, grid))
     return _fitted(RSF, train, X,
                    RsfForest(trees=trees, leaf_chf=leaf_chfs, grid=grid), params)
 

@@ -171,6 +171,67 @@ def chf_on_grid_oracle(time, event, grid):
     return np.where(idx >= 0, cumhaz[np.clip(idx, 0, None)], 0.0)
 
 
+def apply_tree_oracle(root, X):
+    """Recursive row routing (the pre-node-table code): the leaf node each
+    row reaches."""
+    X = np.asarray(X, dtype=float)
+    out = [None] * X.shape[0]
+
+    def walk(node, idx):
+        if node.is_leaf:
+            for i in idx:
+                out[i] = node
+            return
+        mask = X[idx, node.feature] <= node.threshold
+        walk(node.left, idx[mask])
+        walk(node.right, idx[~mask])
+
+    walk(root, np.arange(X.shape[0]))
+    return out
+
+
+def predict_tree_oracle(root, X):
+    """Regression-tree output per row through the recursive routing."""
+    return np.array([leaf.value for leaf in apply_tree_oracle(root, X)],
+                    dtype=float)
+
+
+def regression_split_oracle(X, g, h, idx, params):
+    """Exact greedy split search one feature at a time (the pre-one-pass
+    code). Returns (gain, feature, threshold) or None."""
+    lam = params.reg_lambda
+    msl = params.min_samples_leaf
+    G, H = g[idx].sum(), h[idx].sum()
+    parent = G * G / (H + lam) if H + lam > 0 else 0.0
+    m = idx.size
+    best_gain, best_feat, best_thr = -np.inf, -1, 0.0
+    positions = np.arange(1, m)
+    for f in range(X.shape[1]):
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        gl = np.cumsum(g[idx][order])[:-1]
+        hl = np.cumsum(h[idx][order])[:-1]
+        gr, hr = G - gl, H - hl
+        ok = (xs[:-1] != xs[1:])
+        ok &= (positions >= msl) & (m - positions >= msl)
+        ok &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+        ok &= (hl + lam > 0) & (hr + lam > 0)
+        if not ok.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam) - parent)
+        gain[~ok | (gain < 1e-12 * (1.0 + abs(parent)))] = -np.inf
+        k = int(np.argmax(gain))  # first max: lowest threshold wins ties
+        if gain[k] > best_gain:
+            best_gain = float(gain[k])
+            best_feat = f
+            best_thr = 0.5 * (xs[k] + xs[k + 1])
+    if best_feat < 0:
+        return None
+    return best_gain, best_feat, best_thr
+
+
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: np.random.default_rng(seed)

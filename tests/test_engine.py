@@ -305,3 +305,22 @@ class TestSerialization:
     def test_bad_version_rejected(self):
         with pytest.raises(DataError):
             ensemble_from_dict({"version": 99})
+
+    def test_survival_tree_round_trip_keeps_members(self):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((40, 2))
+        time = rng.exponential(1, 40)
+        root = fit_survival_tree(X, time, np.ones(40, int),
+                                 SurvivalTreeParams(max_depth=3,
+                                                    min_samples_leaf=4))
+        payload = tree_to_dict(root)
+        clone = tree_from_dict(json.loads(json.dumps(payload)))
+        assert tree_to_dict(clone) == payload
+        assert [leaf.i for leaf in apply_tree(clone, X)] == [
+            leaf.i for leaf in apply_tree(root, X)]
+        leaf = payload
+        while "feature" in leaf:
+            leaf = leaf["left"]
+        leaf["members"] = leaf["members"][1:]  # a row in no leaf
+        with pytest.raises(ValueError, match="partition"):
+            tree_from_dict(payload)

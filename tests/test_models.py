@@ -1,6 +1,7 @@
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +440,31 @@ class TestLoadModelErrors:
             with pytest.raises(DataError, match="malformed model file"):
                 self._load(tmp_path, obj)
 
+    @pytest.mark.parametrize("family", ["rsf", "gb_cox"])
+    @pytest.mark.parametrize("feature", [3, 7, -1, True, 1.5, 1.0, None, "0"])
+    def test_bad_split_feature(self, tmp_path, fitted_families, family,
+                               feature):
+        obj = self._saved(tmp_path, fitted_families[1][family])
+        trees = obj["trees"] if family == "rsf" else obj["ensemble"]["trees"]
+        node = trees[-1]
+        while "feature" in node["right"]:
+            node = node["right"]
+        node["feature"] = feature  # the file has 3 features
+        with pytest.raises(DataError, match="malformed model file"):
+            self._load(tmp_path, obj)
+
+    @pytest.mark.parametrize("family", ["rsf", "gbsa"])
+    @pytest.mark.parametrize("child", [None, 5, [], "leaf"])
+    def test_split_child_not_an_object(self, tmp_path, fitted_families,
+                                       family, child):
+        obj = self._saved(tmp_path, fitted_families[1][family])
+        trees = obj["trees"] if family == "rsf" else obj["ensemble"]["trees"]
+        node = trees[0]
+        assert "feature" in node
+        node["left"] = child
+        with pytest.raises(DataError, match="malformed model file"):
+            self._load(tmp_path, obj)
+
     @pytest.mark.parametrize("leaf_id", [999, -1, 1.5, None, "0"])
     def test_out_of_range_leaf_id(self, tmp_path, fitted_families, leaf_id):
         obj = self._saved(tmp_path, fitted_families[1]["rsf"])
@@ -448,3 +474,39 @@ class TestLoadModelErrors:
         node["value"] = leaf_id
         with pytest.raises(DataError, match="malformed model file"):
             self._load(tmp_path, obj)
+
+
+class TestModelFileCompatibility:
+    """Model files written before trees became node tables.
+
+    ``tests/model_files`` holds files saved by that code, and ``risks.json``
+    the risks it predicted on 25 rows. The files come from
+    ``synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3, seed=71)``
+    with rsf (4 trees, depth 3, min_samples_leaf 5), gbsa and gb_cox (6
+    rounds, depth 2), all seeded 73; the rows are the features of the
+    same generator at n=25, seed 72.
+    """
+
+    @pytest.mark.parametrize("family", ["rsf", "gbsa", "gb_cox"])
+    def test_load_predict_resave(self, tmp_path, family):
+        files = Path(__file__).parent / "model_files"
+        recorded = json.loads((files / "risks.json").read_text(encoding="utf-8"))
+        model = load_model(files / f"{family}.json")
+        risk = predict_risk(model, np.asarray(recorded["features"]))
+        assert risk.tobytes() == np.asarray(recorded["risk"][family]).tobytes()
+        save_model(model, tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (files / f"{family}.json").read_bytes())
+
+    def test_refit_writes_the_same_files(self, tmp_path):
+        files = Path(__file__).parent / "model_files"
+        train = synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
+                             seed=71)
+        for family, kw in (("rsf", dict(n_trees=4, max_depth=3,
+                                        min_samples_leaf=5)),
+                           ("gbsa", dict(n_rounds=6, max_depth=2)),
+                           ("gb_cox", dict(n_rounds=6, max_depth=2))):
+            save_model(fit_family(family, train, seed=73, **kw),
+                       tmp_path / "m.json")
+            assert ((tmp_path / "m.json").read_bytes()
+                    == (files / f"{family}.json").read_bytes()), family

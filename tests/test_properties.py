@@ -1,5 +1,6 @@
 """Property tests: metric invariances, survival-matrix consistency and the
-RSF fast paths against their oracles."""
+tree fast paths (RSF scan and leaf hazards, regression split search, tree
+and ensemble routing) against their oracles."""
 
 import warnings
 
@@ -8,9 +9,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chf_on_grid_oracle, logrank_scan_oracle
+from conftest import (apply_tree_oracle, chf_on_grid_oracle,
+                      logrank_scan_oracle, predict_tree_oracle,
+                      regression_split_oracle)
+from survkit import engine
 from survkit.data import synth_cohort
-from survkit.engine import _node_logrank_scan, apply_tree
+from survkit.engine import (BoostParams, TreeParams, _best_regression_split,
+                            _node_logrank_scan, apply_tree, boost,
+                            fit_regression_tree, predict_ensemble,
+                            predict_tree)
+from survkit.losses import SquaredLoss
 from survkit.errors import DataError
 from survkit.estimators import censoring_survival
 from survkit.metrics import TimeGrid, harrell_c, ipcw_c, td_auc
@@ -225,3 +233,130 @@ def test_forest_leaf_chf_equals_stacked_oracle_rows(msl):
                                cohort.event[leaf_of == k], grid)
             for k in range(len(_leaves(tree)))])
         assert chf.tobytes() == expected.tobytes()
+
+
+@st.composite
+def split_nodes(draw):
+    """A node's rows and the params that gate its split: tied integer
+    features, hessians with zeros, and gradients at a drawn scale; at 1e200
+    G^2 overflows, so every admissible gain is NaN or -inf."""
+    n = draw(st.integers(2, 50))
+    d = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 6))
+    X = np.asarray(draw(st.lists(st.integers(0, levels), min_size=n * d,
+                                 max_size=n * d)), dtype=float).reshape(n, d)
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e200]))
+    g = scale * np.asarray(draw(st.lists(st.integers(-5, 5), min_size=n,
+                                         max_size=n)), dtype=float)
+    h = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                   dtype=float) / 2
+    params = TreeParams(max_depth=draw(st.integers(0, 4)),
+                        min_samples_leaf=draw(st.integers(1, 5)),
+                        min_child_weight=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                        reg_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return X, g, h, params
+
+
+def _split_bits(found):
+    if found is None:
+        return None
+    gain, feat, thr = found
+    return np.float64(gain).tobytes(), feat, np.float64(thr).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(split_nodes(), st.data())
+def test_regression_split_equals_oracle(node, data):
+    X, g, h, params = node
+    keep = data.draw(st.lists(st.booleans(), min_size=X.shape[0],
+                              max_size=X.shape[0]))
+    idx = np.flatnonzero(keep)
+    with np.errstate(over="ignore"):
+        found = _best_regression_split(X, g, h, idx, params)
+        expected = regression_split_oracle(X, g, h, idx, params)
+    assert _split_bits(found) == _split_bits(expected)
+
+
+def test_regression_split_skips_nan_gains_like_oracle():
+    # G^2 overflows: feature 0's admissible gains are NaN (inf - inf), which
+    # the one-feature scan skips, and feature 1 admits no split
+    X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+    g = np.full(4, 1e200)
+    h = np.ones(4)
+    idx = np.arange(4)
+    params = TreeParams(reg_lambda=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gl = np.cumsum(g)[:-1]
+        parent = g.sum() ** 2 / 4
+        assert np.all(np.isnan(gl ** 2 / np.arange(1, 4)
+                               + (g.sum() - gl) ** 2 / np.arange(3, 0, -1)
+                               - parent))
+        assert _best_regression_split(X, g, h, idx, params) is None
+        assert regression_split_oracle(X, g, h, idx, params) is None
+
+
+def _query_rows(X, tables, data):
+    """Training rows plus rows drawn from the training values and the split
+    thresholds, so some rows lie exactly on a threshold."""
+    d = X.shape[1]
+    values = np.concatenate([np.unique(X)] + [t.threshold[t.feature >= 0]
+                                              for t in tables])
+    k = data.draw(st.integers(1, 30))
+    picks = data.draw(st.lists(st.integers(0, values.size - 1),
+                               min_size=k * d, max_size=k * d))
+    return np.vstack([X, values[np.asarray(picks)].reshape(k, d)])
+
+
+@PROPERTY_SETTINGS
+@given(split_nodes(), st.data())
+def test_tree_routing_equals_recursive_oracle(node, data):
+    X, g, h, params = node
+    with np.errstate(over="ignore"):
+        tree = fit_regression_tree(X, g, h, params)
+    Xq = _query_rows(X, [tree.table], data)
+    for start in ([tree] if tree.is_leaf else [tree, tree.left, tree.right]):
+        assert (predict_tree(start, Xq).tobytes()
+                == predict_tree_oracle(start, Xq).tobytes())
+        assert ([leaf.i for leaf in apply_tree(start, Xq)]
+                == [leaf.i for leaf in apply_tree_oracle(start, Xq)])
+
+
+@PROPERTY_SETTINGS
+@given(n_rounds=st.integers(0, 6), depth=st.integers(0, 3),
+       msl=st.integers(1, 5), subsample=st.sampled_from([0.5, 1.0]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_predict_ensemble_equals_sequential_tree_sum(n_rounds, depth, msl,
+                                                     subsample, seed, data):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((40, 3)), 1)
+    y = rng.standard_normal(40)
+    model = boost(X, y, np.zeros(40, int), SquaredLoss(),
+                  BoostParams(n_rounds=n_rounds, learning_rate=0.3,
+                              subsample=subsample, seed=seed,
+                              tree=TreeParams(max_depth=depth,
+                                              min_samples_leaf=msl)))
+    Xq = _query_rows(X, [t.table for t in model.trees], data)
+    expected = np.full(Xq.shape[0], model.base_score)
+    for tree in model.trees:
+        expected += model.learning_rate * predict_tree_oracle(tree, Xq)
+    assert predict_ensemble(model, Xq).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+def test_blocked_routing_equals_oracle(monkeypatch, block):
+    monkeypatch.setattr(engine, "_ROUTE_BLOCK", block)
+    cohort = synth_cohort(150, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
+                          seed=66)
+    X = np.asarray(cohort.features, dtype=float)
+    ensemble = fit_family("gb_cox", cohort, n_rounds=9, max_depth=3,
+                          seed=67).artifact
+    expected = np.full(X.shape[0], ensemble.base_score)
+    for tree in ensemble.trees:
+        expected += ensemble.learning_rate * predict_tree_oracle(tree, X)
+    assert predict_ensemble(ensemble, X).tobytes() == expected.tobytes()
+    forest = fit_family("rsf", cohort, n_trees=5, seed=68).artifact
+    total = np.zeros((X.shape[0], forest.grid.size))
+    for tree, chf in zip(forest.trees, forest.leaf_chf):
+        total += chf[predict_tree_oracle(tree, X).astype(int)]
+    assert (forest.ensemble_chf(X).tobytes()
+            == (total / len(forest.trees)).tobytes())
