@@ -34,12 +34,12 @@ __all__ = [
     "boost",
     "predict_ensemble",
     "predict_tree",
-    "apply_tree",
     "tree_to_dict",
     "tree_from_dict",
 ]
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2  # the version every file is written as
+READ_VERSIONS = (1, 2)  # v1 stores RSF leaf hazards densely, v2 as steps
 
 # (row, tree) pairs routed per block: bounds the per-level temporaries
 _ROUTE_BLOCK = 1 << 15
@@ -457,15 +457,6 @@ def _route(trees: list[TreeNode], X) -> np.ndarray:
     return out
 
 
-def apply_tree(root: TreeNode, X) -> list[TreeNode]:
-    """Route every row to its leaf; returns the leaf node per row."""
-    leaf = _route([root], X)[0]
-    nodes = np.empty(root.table.feature.size, dtype=object)
-    for i in np.unique(leaf):
-        nodes[i] = TreeNode(root.table, i)
-    return nodes[leaf].tolist()
-
-
 def predict_tree(root: TreeNode, X) -> np.ndarray:
     """Regression-tree output per row."""
     return root.table.value[_route([root], X)[0]]
@@ -478,7 +469,8 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
     Per round: compute gradients/hessians at the current predictions (on a
     row subsample when subsample < 1), fit an exact-greedy tree to them,
     and add it with shrinkage. The training-loss trace (full data) is
-    recorded per round.
+    recorded per round. Without subsampling, one loss call per round gives
+    both the gradients and the previous round's trace value.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
@@ -486,30 +478,43 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
     n = X.shape[0]
     if not 0.0 < params.subsample <= 1.0:
         raise DataError("subsample must lie in (0, 1]")
+    full = params.subsample == 1.0
     rng = np.random.default_rng(params.seed)
     base = float(loss.intercept(time, event, weights))
     preds = np.full(n, base)
     trees: list[TreeNode] = []
     trace: list[float] = []
-    l0, _, _ = loss.value_grad_hess(time, event, preds, weights)
-    trace.append(float(l0))
-    for rnd in range(params.n_rounds):
-        if params.subsample < 1.0:
-            k = max(1, int(round(params.subsample * n)))
-            sub = np.sort(rng.choice(n, size=k, replace=False))
-        else:
-            sub = np.arange(n)
-        w_sub = None if weights is None else np.asarray(weights, float)[sub]
-        _, g, h = loss.value_grad_hess(time[sub], event[sub], preds[sub], w_sub)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            raise TrainingError(f"non-finite loss statistics at round {rnd}")
-        tree = fit_regression_tree(X[sub], g, h, params.tree)
-        trees.append(tree)
-        preds += params.learning_rate * predict_tree(tree, X)
-        lval, _, _ = loss.value_grad_hess(time, event, preds, weights)
-        if not np.isfinite(lval):
+
+    def record(lval, rnd):
+        # the loss after round rnd; rnd = -1 is the intercept's, unchecked
+        if rnd >= 0 and not np.isfinite(lval):
             raise TrainingError(f"non-finite loss value at round {rnd}")
         trace.append(float(lval))
+
+    if not full:
+        record(loss.value_grad_hess(time, event, preds, weights)[0], -1)
+    for rnd in range(params.n_rounds):
+        if full:
+            lval, g, h = loss.value_grad_hess(time, event, preds, weights)
+            record(lval, rnd - 1)
+            X_fit = X
+        else:
+            k = max(1, int(round(params.subsample * n)))
+            sub = np.sort(rng.choice(n, size=k, replace=False))
+            w_sub = None if weights is None else np.asarray(weights, float)[sub]
+            _, g, h = loss.value_grad_hess(time[sub], event[sub], preds[sub],
+                                           w_sub)
+            X_fit = X[sub]
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            raise TrainingError(f"non-finite loss statistics at round {rnd}")
+        tree = fit_regression_tree(X_fit, g, h, params.tree)
+        trees.append(tree)
+        preds += params.learning_rate * predict_tree(tree, X)
+        if not full:
+            record(loss.value_grad_hess(time, event, preds, weights)[0], rnd)
+    if full:
+        record(loss.value_grad_hess(time, event, preds, weights)[0],
+               params.n_rounds - 1)
     return BoostedEnsemble(base_score=base, trees=trees,
                            learning_rate=params.learning_rate,
                            loss_id=getattr(loss, "name", "custom"),
@@ -630,9 +635,15 @@ def ensemble_to_dict(model: BoostedEnsemble) -> dict:
     }
 
 
+def check_model_version(obj: dict) -> None:
+    """Raise DataError unless ``obj`` carries a version in READ_VERSIONS."""
+    version = obj.get("version")
+    if type(version) is not int or version not in READ_VERSIONS:
+        raise DataError(f"unsupported model file version {version!r}")
+
+
 def ensemble_from_dict(obj: dict) -> BoostedEnsemble:
-    if obj.get("version") != MODEL_FILE_VERSION:
-        raise DataError(f"unsupported model file version {obj.get('version')!r}")
+    check_model_version(obj)
     trees = [tree_from_dict(t) for t in obj["trees"]]
     _check_split_features(trees, obj["n_features"])
     return BoostedEnsemble(base_score=obj["base_score"], trees=trees,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -127,6 +128,63 @@ def _step_from(obj: dict) -> StepFunction:
                         0.0)
 
 
+def _chf_steps(chf: np.ndarray) -> dict:
+    """One tree's (n_leaves, len(grid)) leaf hazards as each leaf's steps.
+
+    A leaf's ``positions`` are the grid columns where its row differs, bit
+    for bit, from the column before (from 0.0 before column 0), and its
+    ``values`` the row there; ``_chf_from_steps`` inverts this exactly.
+    """
+    bits = np.pad(chf, ((0, 0), (1, 0))).view(np.int64)
+    change = bits[:, 1:] != bits[:, :-1]
+    rows, cols = np.nonzero(change)
+    positions, values = cols.tolist(), chf[rows, cols].tolist()
+    ends = np.cumsum(change.sum(axis=1)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    return {"positions": [positions[a:b] for a, b in spans],
+            "values": [values[a:b] for a, b in spans]}
+
+
+def _chf_from_steps(steps: dict, width: int) -> np.ndarray:
+    """The dense (n_leaves, width) leaf hazards of one tree's steps.
+
+    Each leaf needs as many numeric values as int positions, and the
+    positions must rise strictly within [0, width); otherwise ValueError.
+    """
+    positions, values = steps["positions"], steps["values"]
+    if not (isinstance(positions, list) and isinstance(values, list)
+            and len(positions) == len(values)):
+        raise ValueError("leaf steps need one positions and one values "
+                         "list per leaf")
+    for leaf, (p, v) in enumerate(zip(positions, values)):
+        if not (isinstance(p, list) and isinstance(v, list)
+                and len(p) == len(v)):
+            raise ValueError(f"leaf {leaf} does not have one step value "
+                             "per step position")
+    flat_pos = list(chain.from_iterable(positions))
+    flat_val = list(chain.from_iterable(values))
+    for p in flat_pos:
+        if type(p) is not int or not 0 <= p < width:
+            raise ValueError(f"step position {p!r} is not a grid index "
+                             f"below {width}")
+    for v in flat_val:
+        if type(v) is not float and type(v) is not int:
+            raise ValueError(f"step value {v!r} is not a number")
+    counts = np.array([len(p) for p in positions], dtype=np.intp)
+    pos = np.asarray(flat_pos, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    leaf_start = np.zeros(pos.size, dtype=bool)
+    leaf_start[starts[starts < pos.size]] = True
+    if not np.all((pos[1:] > pos[:-1]) | leaf_start[1:]):
+        raise ValueError("leaf step positions do not rise strictly")
+    # each cell takes the value of the last step at or before it (0: none)
+    last = np.zeros((counts.size, width), dtype=np.intp)
+    last[np.repeat(np.arange(counts.size), counts), pos] = np.arange(
+        1, pos.size + 1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    return np.concatenate(([0.0], np.asarray(flat_val, dtype=float)))[last]
+
+
 @dataclass
 class RsfForest:
     """Forest artifact: trees whose leaf values index per-leaf CHF rows."""
@@ -135,43 +193,54 @@ class RsfForest:
     leaf_chf: list[np.ndarray]  # per tree: (n_leaves, len(grid))
     grid: np.ndarray            # distinct training event times
 
-    def ensemble_chf(self, X) -> np.ndarray:
-        total = np.zeros((X.shape[0], self.grid.size))
+    def ensemble_chf(self, X, columns=slice(None)) -> np.ndarray:
+        """The tree-averaged CHF of every row on the grid ``columns``.
+
+        Each tree's columns are taken before its rows are added, so every
+        element sees the same additions, in the same order, as it would in
+        the whole (n, len(grid)) matrix.
+        """
+        total = np.zeros(X.shape[:1] + self.grid[columns].shape)
         for tree, chf, leaf in zip(self.trees, self.leaf_chf,
                                    engine._route(self.trees, X)):
-            total += chf[tree.table.value[leaf].astype(int)]
+            total += chf[:, columns][tree.table.value[leaf].astype(int)]
         return total / len(self.trees)
 
     def survival(self, X, times) -> np.ndarray:
         idx = np.searchsorted(self.grid, np.asarray(times, dtype=float),
                               side="right") - 1
-        surv = np.exp(-np.take(self.ensemble_chf(X), np.clip(idx, 0, None),
-                               axis=1))
+        surv = np.exp(-self.ensemble_chf(X, np.clip(idx, 0, None)))
         surv[:, idx < 0] = 1.0
         return surv
 
     def to_fields(self) -> dict:
         return {"grid": [float(t) for t in self.grid],
                 "trees": [engine.tree_to_dict(t) for t in self.trees],
-                "leaf_chf": [chf.tolist() for chf in self.leaf_chf]}
+                "leaf_steps": [_chf_steps(chf) for chf in self.leaf_chf]}
 
     @classmethod
     def from_fields(cls, obj: dict) -> "RsfForest":
+        """Read a v1 file's dense ``leaf_chf`` or a v2 file's
+        ``leaf_steps``."""
+        grid = np.asarray(obj["grid"], dtype=float)
+        if obj["version"] == 1:
+            leaf_chf = [np.asarray(c, dtype=float) for c in obj["leaf_chf"]]
+        else:
+            leaf_chf = [_chf_from_steps(s, grid.size)
+                        for s in obj["leaf_steps"]]
         forest = cls(trees=[engine.tree_from_dict(t) for t in obj["trees"]],
-                     leaf_chf=[np.asarray(c, dtype=float)
-                               for c in obj["leaf_chf"]],
-                     grid=np.asarray(obj["grid"], dtype=float))
+                     leaf_chf=leaf_chf, grid=grid)
         if len(forest.trees) != len(forest.leaf_chf) or any(
                 chf.ndim != 2 or chf.shape[1] != forest.grid.size
                 for chf in forest.leaf_chf):
-            raise ValueError("leaf_chf does not match the trees and the grid")
+            raise ValueError("leaf hazards do not match the trees and the grid")
         engine._check_split_features(forest.trees, obj["n_features"])
         for tree, chf in zip(forest.trees, forest.leaf_chf):
             ids = tree.table.value[tree.table.feature < 0]
             ok = (ids >= 0) & (ids < chf.shape[0]) & (ids == np.floor(ids))
             if not ok.all():
                 raise ValueError(f"leaf id {float(ids[~ok][0])!r} is not a "
-                                 "row of leaf_chf")
+                                 "row of the leaf hazards")
         return forest
 
 
@@ -265,13 +334,6 @@ def _leaf_chf(leaf, n_leaves: int, time, event, grid: np.ndarray) -> np.ndarray:
     chf = np.zeros((n_leaves, grid.size))
     chf[dies // width, dies % width - 1] = deaths / at_risk
     return np.cumsum(chf, axis=1, out=chf)
-
-
-def _leaves(node: TreeNode) -> list[TreeNode]:
-    """The leaves of a tree in depth-first (left before right) order."""
-    if node.is_leaf:
-        return [node]
-    return _leaves(node.left) + _leaves(node.right)
 
 
 def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
@@ -703,14 +765,13 @@ def load_model(path) -> FittedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        if obj.get("version") != engine.MODEL_FILE_VERSION:
-            raise DataError(
-                f"unsupported model file version {obj.get('version')!r}")
+        engine.check_model_version(obj)
         artifact = _family(obj["family"]).from_fields(obj)
         return FittedModel(family=obj["family"], artifact=artifact,
                            params=obj["params"], n_features=obj["n_features"],
                            event_time_grid=np.asarray(obj["event_time_grid"],
                                                       dtype=float),
                            meta=obj.get("meta", {}))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {exc!r}") from None

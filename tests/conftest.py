@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from survkit import engine
+from survkit.engine import TreeNode, fit_regression_tree, predict_tree
+from survkit.errors import DataError, TrainingError
+
 
 def random_survival_instance(rng, n=None, max_n=500, tie_times=True,
                              tie_risks=True):
@@ -190,6 +194,23 @@ def apply_tree_oracle(root, X):
     return out
 
 
+def apply_tree(root, X):
+    """Route every row to its leaf through ``engine._route``; returns the
+    leaf node per row."""
+    leaf = engine._route([root], X)[0]
+    nodes = np.empty(root.table.feature.size, dtype=object)
+    for i in np.unique(leaf):
+        nodes[i] = TreeNode(root.table, i)
+    return nodes[leaf].tolist()
+
+
+def leaves(node):
+    """The leaves of a tree in depth-first (left before right) order."""
+    if node.is_leaf:
+        return [node]
+    return leaves(node.left) + leaves(node.right)
+
+
 def predict_tree_oracle(root, X):
     """Regression-tree output per row through the recursive routing."""
     return np.array([leaf.value for leaf in apply_tree_oracle(root, X)],
@@ -230,6 +251,56 @@ def regression_split_oracle(X, g, h, idx, params):
     if best_feat < 0:
         return None
     return best_gain, best_feat, best_thr
+
+
+def rsf_survival_oracle(forest, X, times):
+    """RSF survival through the whole (n, len(grid)) ensemble CHF (the
+    pre-column-gather code)."""
+    total = np.zeros((X.shape[0], forest.grid.size))
+    for tree, chf, leaf in zip(forest.trees, forest.leaf_chf,
+                               engine._route(forest.trees, X)):
+        total += chf[tree.table.value[leaf].astype(int)]
+    ensemble_chf = total / len(forest.trees)
+    idx = np.searchsorted(forest.grid, np.asarray(times, dtype=float),
+                          side="right") - 1
+    surv = np.exp(-np.take(ensemble_chf, np.clip(idx, 0, None), axis=1))
+    surv[:, idx < 0] = 1.0
+    return surv
+
+
+def boost_oracle(X, time, event, loss, params, weights=None):
+    """The boosting loop with two loss calls per round (the pre-shared-call
+    code). Returns (base, trees, loss_trace)."""
+    X = engine._check_matrix(X)
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=int)
+    n = X.shape[0]
+    if not 0.0 < params.subsample <= 1.0:
+        raise DataError("subsample must lie in (0, 1]")
+    rng = np.random.default_rng(params.seed)
+    base = float(loss.intercept(time, event, weights))
+    preds = np.full(n, base)
+    trees, trace = [], []
+    l0, _, _ = loss.value_grad_hess(time, event, preds, weights)
+    trace.append(float(l0))
+    for rnd in range(params.n_rounds):
+        if params.subsample < 1.0:
+            k = max(1, int(round(params.subsample * n)))
+            sub = np.sort(rng.choice(n, size=k, replace=False))
+        else:
+            sub = np.arange(n)
+        w_sub = None if weights is None else np.asarray(weights, float)[sub]
+        _, g, h = loss.value_grad_hess(time[sub], event[sub], preds[sub], w_sub)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            raise TrainingError(f"non-finite loss statistics at round {rnd}")
+        tree = fit_regression_tree(X[sub], g, h, params.tree)
+        trees.append(tree)
+        preds += params.learning_rate * predict_tree(tree, X)
+        lval, _, _ = loss.value_grad_hess(time, event, preds, weights)
+        if not np.isfinite(lval):
+            raise TrainingError(f"non-finite loss value at round {rnd}")
+        trace.append(float(lval))
+    return base, trees, trace
 
 
 @pytest.fixture(scope="session")

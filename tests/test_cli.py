@@ -7,6 +7,7 @@ from survkit.cli import RunConfig, _space_for, main
 from survkit.errors import ConfigError
 from survkit.hpo import ParamSpec
 from test_data import _row, write_csv
+from test_models import LEAF_STEP_DEFECTS
 
 
 def run(argv):
@@ -405,6 +406,26 @@ class TestExitCodes:
             "out": str(prepared_dir), "seed": "11", "explain.model": "rsf",
         })
         assert run(["explain", "--config", cfg2]) == 3
+
+    def test_malformed_rsf_leaf_steps_are_data_errors(self, prepared_dir,
+                                                      tmp_path):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "rsf",
+            "family.rsf.n_trees": "2",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        path = prepared_dir / "model_rsf.json"
+        text = path.read_text(encoding="utf-8")
+        cfg2 = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "rsf",
+            "explain.n_repeats": "1", "explain.sample_size": "5",
+        })
+        assert run(["explain", "--config", cfg2]) == 0
+        for name, defect in sorted(LEAF_STEP_DEFECTS.items()):
+            obj = json.loads(text)
+            defect(obj)
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            assert run(["explain", "--config", cfg2]) == 3, name
 
 
     def test_out_of_range_split_feature_is_data_error(self, prepared_dir,

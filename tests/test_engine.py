@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import apply_tree
 from survkit.data import synth_cohort
 from survkit.engine import (BoostedEnsemble, BoostParams, SurvivalTreeParams,
-                            TreeParams, apply_tree, boost, ensemble_from_dict,
+                            TreeParams, boost, ensemble_from_dict,
                             ensemble_to_dict, fit_regression_tree,
                             fit_survival_tree, predict_ensemble, predict_tree,
                             tree_from_dict, tree_to_dict)
@@ -297,14 +298,18 @@ class TestSerialization:
         model = boost(cohort.features, cohort.time, cohort.event, CoxLoss(),
                       BoostParams(n_rounds=5))
         payload = ensemble_to_dict(model)
-        assert payload["version"] == 1
-        clone = ensemble_from_dict(json.loads(json.dumps(payload)))
-        np.testing.assert_array_equal(model.predict(cohort.features),
-                                      clone.predict(cohort.features))
+        assert payload["version"] == 2
+        for version in (2, 1):  # version 1 ensembles are still read
+            payload["version"] = version
+            clone = ensemble_from_dict(json.loads(json.dumps(payload)))
+            np.testing.assert_array_equal(model.predict(cohort.features),
+                                          clone.predict(cohort.features))
 
     def test_bad_version_rejected(self):
-        with pytest.raises(DataError):
-            ensemble_from_dict({"version": 99})
+        for version in (99, 3, 0, True, 1.0, "1", None):
+            with pytest.raises(DataError,
+                               match="unsupported model file version"):
+                ensemble_from_dict({"version": version})
 
     def test_survival_tree_round_trip_keeps_members(self):
         rng = np.random.default_rng(16)

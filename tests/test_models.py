@@ -23,6 +23,69 @@ from survkit.models import (CURVE_FAMILIES, FAMILIES, FAMILY_TABLE,
                             save_model, survival_matrix)
 
 
+MODEL_FILES = Path(__file__).parent / "model_files"
+
+
+def _as_v1(obj: dict, model: FittedModel) -> dict:
+    """A saved rsf file in the v1 form: dense ``leaf_chf`` rows."""
+    obj = {k: v for k, v in obj.items() if k != "leaf_steps"}
+    return {**obj, "version": 1,
+            "leaf_chf": [chf.tolist() for chf in model.artifact.leaf_chf]}
+
+
+def _busiest_leaf(obj: dict) -> tuple[list, list]:
+    """Step positions and values of the first tree's leaf with the most
+    steps (at least two in the fitted forests used here)."""
+    steps = obj["leaf_steps"][0]
+    positions, values = steps["positions"], steps["values"]
+    k = max(range(len(positions)), key=lambda i: len(positions[i]))
+    assert len(positions[k]) >= 2
+    return positions[k], values[k]
+
+
+def _set(index: int, value, part: int = 0):
+    def mutate(obj):
+        _busiest_leaf(obj)[part][index] = value
+    return mutate
+
+
+def _drop_last_leaf(obj):
+    steps = obj["leaf_steps"][0]
+    del steps["positions"][-1], steps["values"][-1]
+
+
+def _swap_first_positions(obj):
+    positions = _busiest_leaf(obj)[0]
+    positions[0], positions[1] = positions[1], positions[0]
+
+
+# Each defect turns a valid saved rsf file into one the reader must refuse.
+LEAF_STEP_DEFECTS = {
+    "repeated_position": lambda obj: _set(1, _busiest_leaf(obj)[0][0])(obj),
+    "falling_positions": _swap_first_positions,
+    "position_below_grid": _set(0, -1),
+    "position_at_grid_end": lambda obj: _set(-1, len(obj["grid"]))(obj),
+    "bool_position": _set(0, True),
+    "float_position": _set(0, 1.5),
+    "null_position": _set(0, None),
+    "string_position": _set(0, "0"),
+    "short_values": lambda obj: _busiest_leaf(obj)[1].pop(),
+    "extra_values": lambda obj: _busiest_leaf(obj)[1].append(1.0),
+    "values_not_a_list": lambda obj: obj["leaf_steps"][0].update(
+        values=[0.5] * len(obj["leaf_steps"][0]["values"])),
+    "null_value": _set(0, None, part=1),
+    "string_value": _set(0, "0.1", part=1),
+    "bool_value": _set(0, True, part=1),
+    "list_value": _set(0, [0.1], part=1),
+    "huge_value": _set(0, 10 ** 400, part=1),
+    "leaf_count_short": _drop_last_leaf,
+    "tree_missing": lambda obj: obj["leaf_steps"].pop(),
+    "tree_not_an_object": lambda obj: obj["leaf_steps"].__setitem__(0, []),
+    "no_leaf_steps": lambda obj: obj.pop("leaf_steps"),
+    "version_3": lambda obj: obj.update(version=3),
+}
+
+
 @pytest.fixture(scope="module")
 def ph_cohorts():
     cohort = synth_cohort(800, 5, "ph", [1, 1, 0, 0, 0], censor_rate=0.3,
@@ -292,6 +355,24 @@ class TestSaveLoad:
             for fa, fb in zip(a, b):
                 np.testing.assert_allclose(fa.values, fb.values, rtol=1e-12)
 
+    def test_rsf_reload_is_bit_identical(self, tmp_path):
+        cohort = synth_cohort(150, 3, "ph", [1, 0.5, 0], censor_rate=0.25,
+                              seed=34)
+        model = fit_family("rsf", cohort, seed=35, n_trees=6)
+        save_model(model, tmp_path / "rsf.json")
+        obj = json.loads((tmp_path / "rsf.json").read_text(encoding="utf-8"))
+        assert obj["version"] == 2 and "leaf_chf" not in obj
+        clone = load_model(tmp_path / "rsf.json")
+        for a, b in zip(model.artifact.leaf_chf, clone.artifact.leaf_chf):
+            assert a.tobytes() == b.tobytes()
+        X = np.asarray(cohort.features, dtype=float)
+        grid = model.artifact.grid
+        times = np.concatenate([[grid[0] - 1.0], grid, [grid[-1] + 1.0]])
+        assert (predict_risk(clone, X).tobytes()
+                == predict_risk(model, X).tobytes())
+        assert (survival_matrix(clone, X, times).tobytes()
+                == survival_matrix(model, X, times).tobytes())
+
 
 class TestSameSeedReproducibility:
     @pytest.mark.parametrize("family,kw", [
@@ -428,7 +509,8 @@ class TestLoadModelErrors:
 
     def test_shape_mismatches(self, tmp_path, fitted_families):
         models = fitted_families[1]
-        rsf = self._saved(tmp_path, models["rsf"])
+        rsf = _as_v1(self._saved(tmp_path, models["rsf"]), models["rsf"])
+        self._load(tmp_path, rsf)  # the dense v1 form is read
         rsf["leaf_chf"][0] = [row[:-1] for row in rsf["leaf_chf"][0]]
         cox = self._saved(tmp_path, models["gb_cox"])
         cox["n_features"] = 4
@@ -475,12 +557,23 @@ class TestLoadModelErrors:
         with pytest.raises(DataError, match="malformed model file"):
             self._load(tmp_path, obj)
 
+    @pytest.mark.parametrize("defect", sorted(LEAF_STEP_DEFECTS))
+    def test_bad_leaf_steps(self, tmp_path, fitted_families, defect):
+        obj = self._saved(tmp_path, fitted_families[1]["rsf"])
+        self._load(tmp_path, obj)
+        LEAF_STEP_DEFECTS[defect](obj)
+        with pytest.raises(DataError, match="malformed model file|"
+                           "unsupported model file version"):
+            self._load(tmp_path, obj)
+
 
 class TestModelFileCompatibility:
-    """Model files written before trees became node tables.
+    """Model files written before trees became node tables, and the same
+    models in the current format.
 
-    ``tests/model_files`` holds files saved by that code, and ``risks.json``
-    the risks it predicted on 25 rows. The files come from
+    ``tests/model_files`` holds model file v1 as that code saved it, and
+    ``risks.json`` the risks it predicted on 25 rows; ``tests/model_files/v2``
+    holds the same models as this code writes them. The files come from
     ``synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3, seed=71)``
     with rsf (4 trees, depth 3, min_samples_leaf 5), gbsa and gb_cox (6
     rounds, depth 2), all seeded 73; the rows are the features of the
@@ -489,17 +582,21 @@ class TestModelFileCompatibility:
 
     @pytest.mark.parametrize("family", ["rsf", "gbsa", "gb_cox"])
     def test_load_predict_resave(self, tmp_path, family):
-        files = Path(__file__).parent / "model_files"
-        recorded = json.loads((files / "risks.json").read_text(encoding="utf-8"))
-        model = load_model(files / f"{family}.json")
-        risk = predict_risk(model, np.asarray(recorded["features"]))
-        assert risk.tobytes() == np.asarray(recorded["risk"][family]).tobytes()
-        save_model(model, tmp_path / "again.json")
-        assert ((tmp_path / "again.json").read_bytes()
-                == (files / f"{family}.json").read_bytes())
+        recorded = json.loads((MODEL_FILES / "risks.json").read_text(
+            encoding="utf-8"))
+        for version, path in ((1, MODEL_FILES / f"{family}.json"),
+                              (2, MODEL_FILES / "v2" / f"{family}.json")):
+            assert json.loads(path.read_text(encoding="utf-8"))["version"] \
+                == version
+            model = load_model(path)
+            risk = predict_risk(model, np.asarray(recorded["features"]))
+            assert (risk.tobytes()
+                    == np.asarray(recorded["risk"][family]).tobytes())
+            save_model(model, tmp_path / "again.json")
+            assert ((tmp_path / "again.json").read_bytes()
+                    == (MODEL_FILES / "v2" / f"{family}.json").read_bytes())
 
     def test_refit_writes_the_same_files(self, tmp_path):
-        files = Path(__file__).parent / "model_files"
         train = synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
                              seed=71)
         for family, kw in (("rsf", dict(n_trees=4, max_depth=3,
@@ -509,4 +606,5 @@ class TestModelFileCompatibility:
             save_model(fit_family(family, train, seed=73, **kw),
                        tmp_path / "m.json")
             assert ((tmp_path / "m.json").read_bytes()
-                    == (files / f"{family}.json").read_bytes()), family
+                    == (MODEL_FILES / "v2" / f"{family}.json").read_bytes()), \
+                family

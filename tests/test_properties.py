@@ -1,29 +1,32 @@
 """Property tests: metric invariances, survival-matrix consistency and the
-tree fast paths (RSF scan and leaf hazards, regression split search, tree
-and ensemble routing) against their oracles."""
+fast paths (RSF scan, leaf hazards and survival, leaf-step storage,
+regression split search, tree and ensemble routing, the boosting loop)
+against their oracles."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (apply_tree_oracle, chf_on_grid_oracle,
-                      logrank_scan_oracle, predict_tree_oracle,
-                      regression_split_oracle)
+from conftest import (apply_tree, apply_tree_oracle, boost_oracle,
+                      chf_on_grid_oracle, leaves, logrank_scan_oracle,
+                      predict_tree_oracle, regression_split_oracle,
+                      rsf_survival_oracle)
 from survkit import engine
 from survkit.data import synth_cohort
 from survkit.engine import (BoostParams, TreeParams, _best_regression_split,
-                            _node_logrank_scan, apply_tree, boost,
-                            fit_regression_tree, predict_ensemble,
-                            predict_tree)
-from survkit.losses import SquaredLoss
-from survkit.errors import DataError
+                            _node_logrank_scan, boost, fit_regression_tree,
+                            predict_ensemble, predict_tree, tree_to_dict)
+from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
+                            SquaredLoss)
+from survkit.errors import DataError, TrainingError
 from survkit.estimators import censoring_survival
 from survkit.metrics import TimeGrid, harrell_c, ipcw_c, td_auc
-from survkit.models import (_leaf_chf, _leaves, fit_family,
-                            predict_curves, survival_matrix)
+from survkit.models import (_chf_from_steps, _chf_steps, _leaf_chf,
+                            fit_family, predict_curves, survival_matrix)
 from survkit.preprocess import split
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -231,7 +234,7 @@ def test_forest_leaf_chf_equals_stacked_oracle_rows(msl):
         expected = np.vstack([
             chf_on_grid_oracle(cohort.time[leaf_of == k],
                                cohort.event[leaf_of == k], grid)
-            for k in range(len(_leaves(tree)))])
+            for k in range(len(leaves(tree)))])
         assert chf.tobytes() == expected.tobytes()
 
 
@@ -360,3 +363,121 @@ def test_blocked_routing_equals_oracle(monkeypatch, block):
         total += chf[predict_tree_oracle(tree, X).astype(int)]
     assert (forest.ensemble_chf(X).tobytes()
             == (total / len(forest.trees)).tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(n_trees=st.integers(1, 4), depth=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 16),
+       rows=st.lists(st.integers(0, 59), min_size=1, max_size=20),
+       times=st.lists(st.floats(-1.0, 5.0), min_size=1, max_size=12))
+def test_rsf_survival_equals_whole_matrix_oracle(n_trees, depth, seed, rows,
+                                                 times):
+    cohort = synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
+                          seed=seed)
+    forest = fit_family("rsf", cohort, n_trees=n_trees, max_depth=depth,
+                        min_samples_leaf=3, seed=seed).artifact
+    X = np.asarray(cohort.features, dtype=float)[rows]
+    # times before the first grid point, on grid points and between them
+    times = np.concatenate([times, forest.grid[:3], [forest.grid[0] - 1e-9]])
+    assert (forest.survival(X, times).tobytes()
+            == rsf_survival_oracle(forest, X, times).tobytes())
+
+
+@st.composite
+def leaf_hazards(draw):
+    """(n_leaves, width) nondecreasing hazard rows: leading zeros, flat
+    stretches and all-zero rows."""
+    n_leaves, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 1 / 3, 0.25, 2.0]),
+                          min_size=n_leaves * width,
+                          max_size=n_leaves * width))
+    return np.cumsum(np.reshape(steps, (n_leaves, width)), axis=1)
+
+
+@PROPERTY_SETTINGS
+@given(leaf_hazards())
+@example(np.zeros((3, 5)))
+@example(np.array([[0.0], [0.5], [0.0]]))
+@example(np.array([[0.0, 0.0, 0.2, 0.2], [0.0, 0.0, 0.0, 0.0],
+                   [0.1, 0.1, 0.1, 0.3]]))
+def test_leaf_steps_expand_bit_for_bit(chf):
+    steps = json.loads(json.dumps(_chf_steps(chf)))
+    assert len(steps["positions"]) == chf.shape[0]
+    # a step only where the row changes, so flat stretches cost nothing
+    assert (sum(map(len, steps["positions"]))
+            == int((np.diff(chf, axis=1, prepend=0.0) != 0).sum()))
+    assert _chf_from_steps(steps, chf.shape[1]).tobytes() == chf.tobytes()
+
+
+_LOSSES = [SquaredLoss(), LogisticLoss(), CoxLoss(), FirstOrder(CoxLoss()),
+           AftLoss()]
+
+
+@PROPERTY_SETTINGS
+@given(loss=st.integers(0, len(_LOSSES) - 1), n_rounds=st.integers(0, 6),
+       depth=st.integers(0, 3), subsample=st.sampled_from([0.5, 1.0]),
+       weighted=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_boost_equals_two_call_oracle(loss, n_rounds, depth, subsample,
+                                      weighted, seed):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((40, 3)), 1)
+    time = rng.exponential(1.0, 40) + 0.01
+    event = (rng.random(40) < 0.7).astype(int)
+    event[0] = 1
+    weights = rng.uniform(0.5, 2.0, 40) if weighted else None
+    params = BoostParams(n_rounds=n_rounds, learning_rate=0.3,
+                         subsample=subsample, seed=seed,
+                         tree=TreeParams(max_depth=depth, min_samples_leaf=2))
+    model = boost(X, time, event, _LOSSES[loss], params, weights=weights)
+    base, trees, trace = boost_oracle(X, time, event, _LOSSES[loss], params,
+                                      weights=weights)
+    assert model.base_score == base
+    assert [tree_to_dict(t) for t in model.trees] == [tree_to_dict(t)
+                                                      for t in trees]
+    assert np.asarray(model.loss_trace).tobytes() == np.asarray(trace).tobytes()
+
+
+class _BreakingLoss:
+    """Squared loss whose value or gradient turns non-finite once any
+    prediction passes ``limit``."""
+
+    name = "breaking"
+
+    def __init__(self, broken: str, limit: float):
+        self.broken, self.limit = broken, limit
+
+    def value_grad_hess(self, time, event, pred, weights=None):
+        value, g, h = SquaredLoss().value_grad_hess(time, event, pred, weights)
+        if np.any(np.asarray(pred) > self.limit):
+            if self.broken == "value":
+                value = float("nan")
+            else:
+                g = np.full_like(g, np.inf)
+        return value, g, h
+
+    def intercept(self, time, event, weights=None):
+        return 0.0
+
+
+def _trace_or_error(fit):
+    try:
+        return np.asarray(fit()).tobytes()
+    except TrainingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+@pytest.mark.parametrize("limit", [-1.0, 0.5, 1.5, 2.5, 100.0])
+@pytest.mark.parametrize("subsample", [0.5, 1.0])
+def test_boost_non_finite_loss_raises_like_oracle(broken, limit, subsample):
+    rng = np.random.default_rng(69)
+    X = rng.standard_normal((30, 2))
+    y, event = 3.0 + X[:, 0], np.zeros(30, int)
+    params = BoostParams(n_rounds=8, learning_rate=0.3, subsample=subsample,
+                         tree=TreeParams(max_depth=2, min_samples_leaf=2))
+    loss = _BreakingLoss(broken, limit)
+    new = _trace_or_error(lambda: boost(X, y, event, loss, params).loss_trace)
+    old = _trace_or_error(lambda: boost_oracle(X, y, event, loss, params)[2])
+    assert new == old
+    # the predictions climb from 0 towards 3, so every limit below 3 breaks
+    assert isinstance(old, str) == (limit < 3.0)
