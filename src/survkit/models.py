@@ -55,6 +55,9 @@ HORIZON = "horizon"
 
 FAMILIES = (RSF, GBSA, SSVM, GB_COX, GB_AFT, GB_REG)
 
+# (event, subject) comparisons per block when listing all comparable pairs
+_PAIR_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class RsfParams:
@@ -452,39 +455,34 @@ def fit_horizon_classifier(train: Cohort,
 
 
 def _comparable_pairs(time, event, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) with T_i < T_j and subject i an event (i is riskier)."""
+    """Pairs (i, j) with T_i < T_j and subject i an event (i is riskier).
+
+    ``"all"`` lists every such pair, by event i and then j, both ascending.
+    ``"nearest"`` pairs each subject j, in stable time order, with the last
+    event (in that order) among the subjects strictly before j's tied block.
+    """
     n = time.size
     if mode == "all":
-        ii, jj = [], []
         ev = np.flatnonzero(event == 1)
-        for i in ev:
-            later = np.flatnonzero(time > time[i])
-            ii.append(np.full(later.size, i))
-            jj.append(later)
+        ii, jj = [], []
+        step = max(1, _PAIR_BLOCK // max(n, 1))
+        for a in range(0, ev.size, step):
+            r, c = np.nonzero(time[ev[a:a + step], None] < time[None, :])
+            ii.append(ev[a:a + step][r])
+            jj.append(c)
         if not ii:
             return np.empty(0, int), np.empty(0, int)
         return np.concatenate(ii), np.concatenate(jj)
     if mode != "nearest":
         raise DataError(f"unknown pair_mode {mode!r}")
     order = np.argsort(time, kind="stable")
-    ii, jj = [], []
-    last_event = -1
-    k = 0
-    while k < n:
-        # process a block of tied times together so "strictly earlier" holds
-        block_end = k
-        while block_end < n and time[order[block_end]] == time[order[k]]:
-            block_end += 1
-        for p in range(k, block_end):
-            j = order[p]
-            if last_event >= 0:
-                ii.append(last_event)
-                jj.append(j)
-        for p in range(k, block_end):
-            if event[order[p]] == 1:
-                last_event = order[p]
-        k = block_end
-    return np.asarray(ii, int), np.asarray(jj, int)
+    ts = time[order]
+    # position of the last event before each tied block starts
+    last = np.maximum.accumulate(np.where(event[order] == 1, np.arange(n), -1))
+    block_start = np.searchsorted(ts, ts, side="left")
+    prior = np.where(block_start > 0, last[block_start - 1], -1)
+    has = prior >= 0
+    return order[prior[has]], order[has]
 
 
 def fit_ssvm(train: Cohort, params: SsvmParams = SsvmParams()) -> FittedModel:

@@ -253,6 +253,28 @@ def regression_split_oracle(X, g, h, idx, params):
     return best_gain, best_feat, best_thr
 
 
+def regression_tree_oracle(X, g, h, params):
+    """Exact-greedy regression tree grown by one-feature scans that sort
+    every node's rows (the pre-presort code), as ``tree_to_dict`` writes
+    it."""
+    lam = params.reg_lambda
+
+    def build(idx, depth):
+        found = None
+        if depth < params.max_depth and idx.size >= 2 * params.min_samples_leaf:
+            found = regression_split_oracle(X, g, h, idx, params)
+        if found is None or found[0] <= params.min_split_gain:
+            denom = h[idx].sum() + lam
+            return {"value": 0.0 if denom <= 0 else -g[idx].sum() / denom}
+        gain, feat, thr = found
+        mask = X[idx, feat] <= thr
+        return {"feature": feat, "threshold": thr, "gain": gain,
+                "left": build(idx[mask], depth + 1),
+                "right": build(idx[~mask], depth + 1)}
+
+    return build(np.arange(X.shape[0]), 0)
+
+
 def rsf_survival_oracle(forest, X, times):
     """RSF survival through the whole (n, len(grid)) ensemble CHF (the
     pre-column-gather code)."""
@@ -301,6 +323,43 @@ def boost_oracle(X, time, event, loss, params, weights=None):
             raise TrainingError(f"non-finite loss value at round {rnd}")
         trace.append(float(lval))
     return base, trees, trace
+
+
+def comparable_pairs_oracle(time, event, mode):
+    """Comparable SSVM pairs by Python loops over events and tied blocks
+    (the pre-vectorized code). Returns (ii, jj)."""
+    n = time.size
+    if mode == "all":
+        ii, jj = [], []
+        ev = np.flatnonzero(event == 1)
+        for i in ev:
+            later = np.flatnonzero(time > time[i])
+            ii.append(np.full(later.size, i))
+            jj.append(later)
+        if not ii:
+            return np.empty(0, int), np.empty(0, int)
+        return np.concatenate(ii), np.concatenate(jj)
+    if mode != "nearest":
+        raise DataError(f"unknown pair_mode {mode!r}")
+    order = np.argsort(time, kind="stable")
+    ii, jj = [], []
+    last_event = -1
+    k = 0
+    while k < n:
+        # process a block of tied times together so "strictly earlier" holds
+        block_end = k
+        while block_end < n and time[order[block_end]] == time[order[k]]:
+            block_end += 1
+        for p in range(k, block_end):
+            j = order[p]
+            if last_event >= 0:
+                ii.append(last_event)
+                jj.append(j)
+        for p in range(k, block_end):
+            if event[order[p]] == 1:
+                last_event = order[p]
+        k = block_end
+    return np.asarray(ii, int), np.asarray(jj, int)
 
 
 @pytest.fixture(scope="session")

@@ -445,6 +445,24 @@ class TestExitCodes:
         })
         assert run(["explain", "--config", cfg2]) == 3
 
+    @pytest.mark.parametrize("key", ["base_score", "learning_rate"])
+    def test_non_numeric_ensemble_scalar_is_data_error(self, prepared_dir,
+                                                       tmp_path, key):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        path = prepared_dir / "model_gb_cox.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["ensemble"][key] = "abc"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        cfg2 = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
+        })
+        assert run(["explain", "--config", cfg2]) == 3
+
+
 # The built-in search spaces, as the CLI defined them before they moved
 # into the family table; study files record them, so order and types
 # (int bounds stay ints) must not change.

@@ -535,6 +535,16 @@ class TestLoadModelErrors:
         with pytest.raises(DataError, match="malformed model file"):
             self._load(tmp_path, obj)
 
+    @pytest.mark.parametrize("family", ["gb_cox", "gbsa"])
+    @pytest.mark.parametrize("key", ["base_score", "learning_rate"])
+    @pytest.mark.parametrize("bad", ["abc", None, True])
+    def test_non_numeric_ensemble_scalar(self, tmp_path, fitted_families,
+                                         family, key, bad):
+        obj = self._saved(tmp_path, fitted_families[1][family])
+        obj["ensemble"][key] = bad
+        with pytest.raises(DataError, match="malformed model file"):
+            self._load(tmp_path, obj)
+
     @pytest.mark.parametrize("family", ["rsf", "gbsa"])
     @pytest.mark.parametrize("child", [None, 5, [], "leaf"])
     def test_split_child_not_an_object(self, tmp_path, fitted_families,

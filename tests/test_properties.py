@@ -1,7 +1,8 @@
-"""Property tests: metric invariances, survival-matrix consistency and the
-fast paths (RSF scan, leaf hazards and survival, leaf-step storage,
-regression split search, tree and ensemble routing, the boosting loop)
-against their oracles."""
+"""Property tests: metric invariances, survival-matrix consistency, the
+fast paths (RSF scan and screened split search, leaf hazards and
+survival, leaf-step storage, regression split search and presorted trees,
+tree and ensemble routing, the boosting loop, comparable SSVM pairs)
+against their oracles, and Cox derivatives against finite differences."""
 
 import json
 import warnings
@@ -12,20 +13,24 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (apply_tree, apply_tree_oracle, boost_oracle,
-                      chf_on_grid_oracle, leaves, logrank_scan_oracle,
-                      predict_tree_oracle, regression_split_oracle,
+                      chf_on_grid_oracle, comparable_pairs_oracle, leaves,
+                      logrank_scan_oracle, predict_tree_oracle,
+                      regression_split_oracle, regression_tree_oracle,
                       rsf_survival_oracle)
 from survkit import engine
 from survkit.data import synth_cohort
-from survkit.engine import (BoostParams, TreeParams, _best_regression_split,
-                            _node_logrank_scan, boost, fit_regression_tree,
-                            predict_ensemble, predict_tree, tree_to_dict)
+from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams, TreeParams,
+                            _best_regression_split, _node_logrank_scan,
+                            _node_logrank_screen, _scan_split, boost,
+                            fit_regression_tree, predict_ensemble,
+                            predict_tree, tree_to_dict)
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
-                            SquaredLoss)
+                            SquaredLoss, cox_loss)
 from survkit.errors import DataError, TrainingError
 from survkit.estimators import censoring_survival
 from survkit.metrics import TimeGrid, harrell_c, ipcw_c, td_auc
-from survkit.models import (_chf_from_steps, _chf_steps, _leaf_chf,
+from survkit.models import (_chf_from_steps, _chf_steps, _comparable_pairs,
+                            _leaf_chf,
                             fit_family, predict_curves, survival_matrix)
 from survkit.preprocess import split
 
@@ -193,6 +198,90 @@ def test_logrank_scan_equals_oracle_at_block_edges(chunk, m, msl):
 
 
 @st.composite
+def screen_nodes(draw):
+    """A node on either side of the screen's size cutoff: tied, discrete or
+    continuous features, tied or distinct times, light to heavy censoring."""
+    m = draw(st.one_of(st.integers(2, 60),
+                       st.integers(_SCREEN_MIN_ROWS, _SCREEN_MIN_ROWS + 200)))
+    msl = min(draw(st.sampled_from([1, 1, 2, 3, 5, 10])), m // 2)
+    chunk = draw(st.sampled_from([2, 3, 16, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_feat = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["levels", "binary", "rounded", "continuous"]))
+    if kind == "levels":
+        X = rng.integers(0, draw(st.integers(1, m)) + 1, (n_feat, m))
+    elif kind == "binary":
+        X = rng.integers(0, 2, (n_feat, m))
+    elif kind == "rounded":
+        X = np.round(rng.standard_normal((n_feat, m)), 1)
+    else:
+        X = rng.standard_normal((n_feat, m))
+    if draw(st.booleans()):
+        time = rng.integers(1, draw(st.integers(1, m)) + 1, m).astype(float)
+    else:
+        time = rng.exponential(1.0, m)
+    event = (rng.random(m) < draw(st.sampled_from([0.05, 0.3, 0.7, 1.0])))
+    event = event.astype(int)
+    event[rng.integers(m)] = 1
+    return np.asarray(X, dtype=float), time, event, msl, chunk
+
+
+def _found_bits(found):
+    if found is None:
+        return None
+    z, feat, thr = found
+    return np.float64(z).tobytes(), feat, np.float64(thr).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(screen_nodes())
+def test_logrank_screen_equals_scan_first_max(node):
+    X, time, event, msl, chunk = node
+    expected = _scan_split(*_node_logrank_scan(X, time, event, msl, chunk))
+    found = _node_logrank_screen(X, time, event, msl, chunk)
+    assert _found_bits(found) == _found_bits(expected)
+
+
+@pytest.mark.parametrize("chunk,m,events,seed", [
+    (2, 41, 1.0, 2043), (4, 22, 1.0, 2026), (16, 210, 1.0, 1226),
+    (16, 258, 0.7, 274), (8, 250, 1.0, 258), (8, 250, 0.7, 1258)])
+def test_logrank_screen_equals_scan_at_lone_position(chunk, m, events, seed):
+    # msl = 1 and m - 1 = 1 (mod chunk): the scan sums the last position
+    # pairwise. The last subject censored alone at the top of feature 1
+    # puts the maximum in that column, and at these seeds a pairwise sum
+    # there differs from the time-ordered one in the last bit.
+    rng = np.random.default_rng(seed)
+    time = rng.exponential(1.0, m)
+    event = (rng.random(m) < events).astype(int)
+    last = np.argmax(time)
+    event[last], event[np.argmin(time)] = 0, 1
+    X = np.round(rng.standard_normal((3, m)), 1)
+    X[1, last] = 10.0
+    z, thresholds = _node_logrank_scan(X, time, event, 1, chunk)
+    assert np.argmax(z) % (m - 1) == m - 2
+    assert _found_bits(_node_logrank_screen(X, time, event, 1, chunk)) \
+        == _found_bits(_scan_split(z, thresholds))
+
+
+@pytest.mark.parametrize("block", [1, 4000])
+def test_logrank_screen_in_small_blocks(monkeypatch, block):
+    # features and verified positions go through in several passes
+    monkeypatch.setattr(engine, "_SCREEN_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for m in (40, 250):
+        X = np.round(rng.standard_normal((4, m)), 1)
+        time = rng.integers(1, m // 2, m).astype(float)
+        event = (rng.random(m) < 0.6).astype(int)
+        # identical features tie at their best position: several are
+        # verified, and the first feature must win
+        for Xn, ev in ((X, event), (np.tile(np.arange(m, dtype=float), (4, 1)),
+                                    np.ones(m, int))):
+            expected = _scan_split(*_node_logrank_scan(Xn, time, ev, 3))
+            assert _found_bits(_node_logrank_screen(Xn, time, ev, 3)) \
+                == _found_bits(expected)
+
+
+@st.composite
 def leaf_partitions(draw):
     n = draw(st.integers(1, 60))
     n_leaves = draw(st.integers(1, 6))
@@ -278,6 +367,16 @@ def test_regression_split_equals_oracle(node, data):
         found = _best_regression_split(X, g, h, idx, params)
         expected = regression_split_oracle(X, g, h, idx, params)
     assert _split_bits(found) == _split_bits(expected)
+
+
+@PROPERTY_SETTINGS
+@given(split_nodes())
+def test_presorted_regression_tree_equals_per_node_sorts(node):
+    X, g, h, params = node
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = fit_regression_tree(X, g, h, params)
+        expected = regression_tree_oracle(X, g, h, params)
+    assert json.dumps(tree_to_dict(tree)) == json.dumps(expected)
 
 
 def test_regression_split_skips_nan_gains_like_oracle():
@@ -437,6 +536,30 @@ def test_boost_equals_two_call_oracle(loss, n_rounds, depth, subsample,
     assert np.asarray(model.loss_trace).tobytes() == np.asarray(trace).tobytes()
 
 
+@PROPERTY_SETTINGS
+@given(loss=st.integers(0, len(_LOSSES) - 1), n_rounds=st.integers(1, 5),
+       depth=st.integers(1, 4), subsample=st.sampled_from([0.3, 0.7, 1.0]),
+       levels=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_presorted_boost_equals_oracle_on_tied_features(loss, n_rounds, depth,
+                                                        subsample, levels,
+                                                        seed):
+    # integer features: long runs of tied values in every sorted column
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels + 1, (50, 4)).astype(float)
+    time = rng.integers(1, 12, 50).astype(float)
+    event = (rng.random(50) < 0.6).astype(int)
+    event[0] = 1
+    params = BoostParams(n_rounds=n_rounds, learning_rate=0.3,
+                         subsample=subsample, seed=seed,
+                         tree=TreeParams(max_depth=depth, min_samples_leaf=1))
+    model = boost(X, time, event, _LOSSES[loss], params)
+    base, trees, trace = boost_oracle(X, time, event, _LOSSES[loss], params)
+    assert model.base_score == base
+    assert [tree_to_dict(t) for t in model.trees] == [tree_to_dict(t)
+                                                      for t in trees]
+    assert np.asarray(model.loss_trace).tobytes() == np.asarray(trace).tobytes()
+
+
 class _BreakingLoss:
     """Squared loss whose value or gradient turns non-finite once any
     prediction passes ``limit``."""
@@ -481,3 +604,82 @@ def test_boost_non_finite_loss_raises_like_oracle(broken, limit, subsample):
     assert new == old
     # the predictions climb from 0 towards 3, so every limit below 3 breaks
     assert isinstance(old, str) == (limit < 3.0)
+
+
+@st.composite
+def pair_instances(draw):
+    """Tied times and event patterns: random, an all-censored prefix in
+    time order, a single event, or none."""
+    n = draw(st.integers(1, 40))
+    time = np.asarray(draw(st.lists(st.integers(1, 8), min_size=n,
+                                    max_size=n)), dtype=float)
+    event = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    pattern = draw(st.sampled_from(["random", "censored prefix", "single",
+                                    "none"]))
+    if pattern == "censored prefix":
+        event[time <= np.median(time)] = 0
+    elif pattern == "single":
+        event[:] = 0
+        event[draw(st.integers(0, n - 1))] = 1
+    elif pattern == "none":
+        event[:] = 0
+    return time, event
+
+
+@PROPERTY_SETTINGS
+@given(pair_instances(), st.sampled_from(["all", "nearest"]))
+def test_comparable_pairs_equal_loop_oracle(inst, mode):
+    time, event = inst
+    ii, jj = _comparable_pairs(time, event, mode)
+    old_ii, old_jj = comparable_pairs_oracle(time, event, mode)
+    assert ii.tolist() == old_ii.tolist()
+    assert jj.tolist() == old_jj.tolist()
+
+
+def test_all_comparable_pairs_span_row_blocks(monkeypatch):
+    rng = np.random.default_rng(70)
+    time = rng.integers(1, 30, 200).astype(float)
+    event = (rng.random(200) < 0.5).astype(int)
+    expected = [a.tolist() for a in comparable_pairs_oracle(time, event, "all")]
+    for block in (1, 199, 200, 401):
+        monkeypatch.setattr("survkit.models._PAIR_BLOCK", block)
+        assert [a.tolist() for a in _comparable_pairs(time, event, "all")] \
+            == expected
+
+
+@st.composite
+def cox_instances(draw):
+    n = draw(st.integers(1, 30))
+    time = np.asarray(draw(st.lists(st.integers(1, 6), min_size=n,
+                                    max_size=n)), dtype=float)
+    event = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    event[draw(st.integers(0, n - 1))] = 1
+    weights = np.asarray(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0,
+                                                        3.0]),
+                                       min_size=n, max_size=n)))
+    eta = np.asarray(draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                                   max_size=n)))
+    return time, event, eta, weights
+
+
+@PROPERTY_SETTINGS
+@given(cox_instances(), st.booleans())
+def test_cox_derivatives_match_central_differences(inst, weighted):
+    time, event, eta, weights = inst
+    w = weights if weighted else None
+    _, grad, hess = cox_loss(time, event, eta, w)
+    step = 1e-5
+    for j in range(eta.size):
+        up, down = eta.copy(), eta.copy()
+        up[j] += step
+        down[j] -= step
+        l_up, g_up, _ = cox_loss(time, event, up, w)
+        l_down, g_down, _ = cox_loss(time, event, down, w)
+        fd_grad = (l_up - l_down) / (2 * step)
+        fd_hess = (g_up[j] - g_down[j]) / (2 * step)
+        assert grad[j] == pytest.approx(fd_grad, rel=1e-6, abs=1e-7)
+        # the hessian is the diagonal second derivative, floored at 1e-16
+        assert hess[j] == pytest.approx(max(fd_hess, 1e-16), rel=1e-6,
+                                        abs=1e-7)
