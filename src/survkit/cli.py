@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 import time as _time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -153,17 +154,6 @@ def _out_dir(config: RunConfig) -> Path:
 
 def _master_seed(config: RunConfig) -> int:
     return config.get_int("seed", 0)
-
-
-def _coerce_param(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
 
 
 # ---------------------------------------------------------------- synth
@@ -338,16 +328,24 @@ def _load_prepared(out: Path) -> tuple[Cohort, Cohort]:
 # ------------------------------------------------------------------ hpo
 
 def _parse_space_entry(name: str, text: str) -> ParamSpec:
+    """One ``hpo.space`` entry: float:lo:hi[:log], int:lo:hi or
+    cat:a|b|c. Anything else, or a bound that is not a finite number of
+    its kind, is a ConfigError."""
     parts = [p.strip() for p in text.split(":")]
-    kind = parts[0]
-    if kind == "float":
-        return ParamSpec(name, "float", float(parts[1]), float(parts[2]),
-                         log=len(parts) > 3 and parts[3] == "log")
-    if kind == "int":
-        return ParamSpec(name, "int", int(parts[1]), int(parts[2]))
-    if kind == "cat":
-        return ParamSpec(name, "categorical",
-                         choices=tuple(c.strip() for c in parts[1].split("|")))
+    kind, args = parts[0], parts[1:]
+    try:
+        if kind == "float" and (len(args) == 2 or args[2:] == ["log"]):
+            low, high = float(args[0]), float(args[1])
+            if np.isfinite(low) and np.isfinite(high):
+                return ParamSpec(name, "float", low, high, log=len(args) == 3)
+        if kind == "int" and len(args) == 2:
+            return ParamSpec(name, "int", int(args[0]), int(args[1]))
+        if kind == "cat" and len(args) == 1:
+            choices = tuple(c.strip() for c in args[0].split("|"))
+            if all(choices):
+                return ParamSpec(name, "categorical", choices=choices)
+    except ValueError:
+        pass
     raise ConfigError(f"bad space entry for {name!r}: {text!r}")
 
 
@@ -408,12 +406,28 @@ def cmd_hpo(config: RunConfig) -> int:
 # ----------------------------------------------------------- train-eval
 
 def _family_params(config: RunConfig, out: Path, family: str) -> dict:
+    """The family's tuned parameters, if ``hpo`` wrote any, updated by its
+    ``family.<family>.<key>`` config values, each read as the type its
+    params field declares; an unknown key or a malformed value is a
+    ConfigError."""
     params: dict = {}
     best_file = out / f"best_params_{family}.json"
     if best_file.exists():
         params.update(json.loads(best_file.read_text(encoding="utf-8"))["params"])
-    for key, value in config.prefixed(f"family.{family}.").items():
-        params[key] = _coerce_param(value)
+    fields = typing.get_type_hints(M.PARAM_CLASSES[family])
+    for key in config.prefixed(f"family.{family}."):
+        name = f"family.{family}.{key}"
+        if key not in fields:
+            raise ConfigError(f"{name}: {family} has no parameter {key!r}")
+        kind = fields[key]
+        if type(None) in typing.get_args(kind):  # optional: "none" or a value
+            if config.require(name).lower() == "none":
+                params[key] = None
+                continue
+            kind, = (a for a in typing.get_args(kind) if a is not type(None))
+        read = {bool: config.get_bool, int: config.get_int,
+                float: config.get_float}.get(kind, config.require)
+        params[key] = read(name)
     return params
 
 

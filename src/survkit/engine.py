@@ -15,11 +15,15 @@ step per depth level.
 Both split searches are exact without repeating work at every node.
 Regression trees sort each column once (once per ``boost`` call, filtered
 to each round's subsample) and hand every child the stable partition of
-its parent's sorted rows. Large survival-tree nodes screen the log-rank
-statistic with a cheap variance whose distance from the exact
-time-ordered sum is bounded, and compute that exact sum only where the
-bound leaves the maximum undecided (``_node_logrank_screen``). Either way
-the trees are those of a per-node sort and a full scan, bit for bit.
+its parent's sorted rows. A survival forest grows all its trees in
+lockstep (``fit_survival_forest``): each tree pops its nodes in its own
+preorder, and one batched pass finds the splits of every tree's next
+node. Small nodes share one scan of all their split positions
+(``_scan``); large ones screen the log-rank statistic with a cheap
+variance whose distance from the exact time-ordered sum is bounded, and
+compute that exact sum only where the bound leaves the maximum undecided
+(``_screen``). Either way the trees are those of a per-node sort and a
+full scan of one node at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "BoostedEnsemble",
     "fit_regression_tree",
     "fit_survival_tree",
+    "fit_survival_forest",
     "boost",
     "predict_ensemble",
     "predict_tree",
@@ -51,8 +56,9 @@ READ_VERSIONS = (1, 2)  # v1 stores RSF leaf hazards densely, v2 as steps
 
 # (row, tree) pairs routed per block: bounds the per-level temporaries
 _ROUTE_BLOCK = 1 << 15
-# nodes this large take the screened log-rank search; below, the full scan
-# is faster (the crossover measured on forest nodes at n = 320 to 2400)
+# nodes this large take the screened log-rank search; below, the batched
+# scan is faster (re-measured on whole forest fits at n = 320, 667 and 2400,
+# where cutoffs from 128 to 256 rows came out within noise of each other)
 _SCREEN_MIN_ROWS = 192
 # elements per block of the screen's temporaries
 _SCREEN_BLOCK = 1 << 18
@@ -245,17 +251,17 @@ def _best_regression_split(X, g, h, idx, params: TreeParams, rows=None):
     return float(best[f]), f, 0.5 * (xs[f, k[f]] + xs[f, k[f] + 1])
 
 
-def _grow(X, split, leaf_value, record_rows: bool, rows=None) -> TreeNode:
+def _grow(X, split, leaf_value, rows=None):
     """Grow a tree depth first, appending each node to its table in preorder.
 
     ``split(idx, node_rows, depth)`` gives (gain, feature, threshold) for a
     split or None for a leaf, and ``leaf_value(idx)`` a leaf's value. Given
     ``rows``, each column's rows in (value, row) order, every node gets its
     own as ``node_rows``: the stable partition of its parent's (None
-    otherwise). With ``record_rows`` the table keeps each row's leaf.
+    otherwise). Returns the root's view and each row's leaf.
     """
     feature, threshold, right, value, gain = [], [], [], [], []
-    row_leaf = np.full(X.shape[0], -1, dtype=np.intp) if record_rows else None
+    row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
 
     def build(idx, node_rows, depth):
         i = len(feature)
@@ -266,8 +272,7 @@ def _grow(X, split, leaf_value, record_rows: bool, rows=None) -> TreeNode:
             right.append(-1)
             value.append(leaf_value(idx))
             gain.append(np.nan)
-            if row_leaf is not None:
-                row_leaf[idx] = i
+            row_leaf[idx] = i
             return
         node_gain, feat, thr = found
         feature.append(feat)
@@ -286,8 +291,8 @@ def _grow(X, split, leaf_value, record_rows: bool, rows=None) -> TreeNode:
         build(idx[~mask], right_rows, depth + 1)
 
     build(np.arange(X.shape[0]), rows, 0)
-    return TreeNode(NodeTable.from_lists(feature, threshold, right, value,
-                                         gain, row_leaf))
+    return (TreeNode(NodeTable.from_lists(feature, threshold, right, value,
+                                          gain)), row_leaf)
 
 
 def fit_regression_tree(X, gradients, hessians,
@@ -301,6 +306,11 @@ def fit_regression_tree(X, gradients, hessians,
     parent's sorted rows; ``presorted`` passes that root sort in, as
     ``_sorted_rows(X)`` gives it. Returns the root's view.
     """
+    return _regression_tree(X, gradients, hessians, params, presorted)[0]
+
+
+def _regression_tree(X, gradients, hessians, params: TreeParams, presorted):
+    """``fit_regression_tree``: the root's view and each row's leaf."""
     X = _check_matrix(X)
     g = np.asarray(gradients, dtype=float)
     h = np.asarray(hessians, dtype=float)
@@ -327,27 +337,297 @@ def fit_regression_tree(X, gradients, hessians,
             return None
         return found
 
-    return _grow(X, split, leaf_value, record_rows=False, rows=rows)
+    return _grow(X, split, leaf_value, rows)
 
 
-def _logrank_stats(time, event):
-    """One node's log-rank bookkeeping: its event times, the at-risk count
-    and variance coefficient at each, and each subject's score
-    delta_j - H(T_j), with H the node's Nelson-Aalen cumulative hazard."""
-    order = np.argsort(time, kind="stable")
-    t = time[order]
-    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    deaths = np.add.reduceat(event[order].astype(float), start)
+@dataclass(frozen=True)
+class _NodeStats:
+    """Log-rank bookkeeping of a batch of nodes (``_logrank_stats``).
+
+    Subjects are the nodes' subjects in (time, row) order, nodes one after
+    another: ``start``/``m`` give each node's first subject and size, and
+    ``times``, ``scores`` and ``level`` are per subject. ``coef`` and
+    ``n_risk`` hold each node's kept event times (those with a positive
+    variance coefficient) as zero-padded rows, ``K`` counting them.
+    ``grid``, ``at_risk`` and ``var_coef`` list every event time of every
+    node, node ``j``'s from ``ev_start[j]`` on.
+    """
+
+    start: np.ndarray
+    m: np.ndarray
+    times: np.ndarray
+    scores: np.ndarray
+    level: np.ndarray
+    coef: np.ndarray
+    n_risk: np.ndarray
+    K: np.ndarray
+    grid: np.ndarray
+    at_risk: np.ndarray
+    var_coef: np.ndarray
+    ev_start: np.ndarray
+
+    def events(self, j: int):
+        """Node ``j``'s event times: (grid, at-risk count, var_coef)."""
+        a = self.ev_start[j]
+        b = self.ev_start[j + 1] if j + 1 < self.m.size else self.grid.size
+        return self.grid[a:b], self.at_risk[a:b], self.var_coef[a:b]
+
+
+def _padded_rows(node, values, n_nodes, first: int = 0):
+    """``values`` (grouped by ``node``, ascending) as one zero-padded row
+    per node, each node's values from column ``first`` on in their order."""
+    count = np.bincount(node, minlength=n_nodes)
+    out = np.zeros((n_nodes, first + int(count.max(initial=0))))
+    out[node, first + np.arange(node.size)
+        - (np.cumsum(count) - count)[node]] = values
+    return out
+
+
+def _logrank_stats(m, times, event) -> _NodeStats:
+    """Log-rank bookkeeping of a batch of nodes in one pass.
+
+    ``m`` holds the node sizes and ``times``/``event`` their subjects in
+    (time, row) order, nodes one after another. Per node this gives its
+    event times, the at-risk count and variance coefficient at each, and
+    each subject's score delta_j - H(T_j), with H the node's Nelson-Aalen
+    cumulative hazard (a cumulative sum per zero-padded row, so each node's
+    is the one-node sum), and each subject's level: its count of kept
+    event times at or before its time.
+    """
+    m = np.asarray(m, dtype=np.intp)
+    start = np.cumsum(m) - m
+    node = np.repeat(np.arange(m.size), m)
+    new = np.ones(times.size, dtype=bool)  # first subject at each time
+    new[1:] = times[1:] != times[:-1]
+    new[start] = True
+    first = np.flatnonzero(new)
+    deaths = np.add.reduceat(event.astype(float), first)
     has_event = deaths > 0
-    start, deaths = start[has_event], deaths[has_event]
-    grid, at_risk = t[start], (time.size - start).astype(float)
+    ev, deaths = first[has_event], deaths[has_event]
+    ev_node = node[ev]
+    at_risk = (m[ev_node] - (ev - start[ev_node])).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         var_coef = np.where(at_risk > 1,
                             deaths * (at_risk - deaths) / (at_risk ** 2 * (at_risk - 1)),
                             0.0)
-    cumhaz = np.concatenate(([0.0], np.cumsum(deaths / at_risk)))
-    scores = event - cumhaz[np.searchsorted(grid, time, side="right")]
-    return grid, at_risk, var_coef, scores
+    cumhaz = np.cumsum(_padded_rows(ev_node, deaths / at_risk, m.size, 1),
+                       axis=1)
+    # event times (and kept ones) up to each subject's time, within its node
+    ev_start = np.searchsorted(ev_node, np.arange(m.size))
+    seen = np.cumsum(has_event)[np.cumsum(new) - 1] - ev_start[node]
+    scores = event - cumhaz[node, seen]
+    keep = var_coef > 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    level = kept[ev_start[node] + seen] - kept[ev_start[node]]
+    return _NodeStats(start=start, m=m, times=times, scores=scores,
+                      level=level,
+                      coef=_padded_rows(ev_node[keep], var_coef[keep], m.size),
+                      n_risk=_padded_rows(ev_node[keep], at_risk[keep], m.size),
+                      K=np.bincount(ev_node[keep], minlength=m.size),
+                      grid=times[ev], at_risk=at_risk, var_coef=var_coef,
+                      ev_start=ev_start)
+
+
+def _ragged(starts, lengths):
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    offset = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offset, lengths)
+
+
+def _segment_cumsum(values, lengths):
+    """Each segment's running sum, bit for bit a 1-d cumsum of the segment:
+    segments go row-wise into zero-padded 2-d blocks of about
+    ``_SCREEN_BLOCK // 8`` elements."""
+    out = np.empty_like(values, dtype=float)
+    if lengths.size == 0:
+        return out
+    width = int(lengths.max())
+    step = max(1, _SCREEN_BLOCK // 8 // max(width, 1))
+    ends = np.cumsum(lengths)
+    for a in range(0, lengths.size, step):
+        seg = lengths[a:a + step]
+        lo, hi = ends[a] - seg[0], ends[min(a + step, lengths.size) - 1]
+        mask = np.arange(width) < seg[:, None]
+        block = np.zeros(mask.shape)
+        block[mask] = values[lo:hi]
+        out[lo:hi] = np.cumsum(block, axis=1)[mask]
+    return out
+
+
+def _scan_variance(level, lm, lq, line_node, st: _NodeStats, msl: int):
+    """Exact log-rank variance at every admissible split position of every
+    line (one feature order of one node), zero elsewhere; the result is
+    laid out as ``_scan``'s z.
+
+    Position p of a line (its first p subjects on the left) is admissible
+    for msl <= p <= m - msl. There n1_k, the left group's count at risk at
+    the node's k-th kept event time, is a running count over the line of
+    the subjects whose level exceeds k, and the variance is
+    sum_k (c_k n1_k)(N_k - n1_k) in k order: a sum over axis 0 of a
+    (K, ...) block, which numpy adds in k order, as the one-node scan did.
+    Lines of up to 256 subjects count in uint8 lanes, longer ones in
+    uint16 lanes (``_lane_variance``).
+    """
+    variance = np.zeros(int((lm - 1).sum()))
+    first = max(msl, 1)  # positions run from 1 to m - 1
+    cols = np.minimum(lm - msl, lm - 1) - first + 1
+    todo = (cols > 0) & (st.K[line_node] > 0)
+    for lane_type, lines in ((np.uint8, todo & (lm <= 256)),
+                             (np.uint16, todo & (lm > 256))):
+        if lines.any():
+            _lane_variance(variance, np.flatnonzero(lines), lane_type, level,
+                           lq, line_node, st, first, cols)
+    return variance
+
+
+def _lane_variance(variance, todo, lane_type, level, lq, line_node,
+                   st: _NodeStats, first: int, cols):
+    """``_scan_variance`` for lines ``todo``, written into ``variance``:
+    line i's positions ``first`` .. ``first + cols[i] - 1``.
+
+    Lines share uint64 words as lanes, 8 // itemsize of ``lane_type`` per
+    word, so one uint64 cumsum counts for all of them at once; each lane
+    starts from its line's count over its first ``first`` subjects, and a
+    count never exceeds its lane. Lines are sorted by K and by length, so a
+    lane group wastes little padding. Lane groups share a block while it
+    stays within ``_SCREEN_BLOCK // 8`` elements, which keeps a block in
+    cache; a group above that goes in column chunks that carry their counts
+    over. Padded event times carry c = N = 0 and add +0.0, which is exact.
+    """
+    lanes = 8 // np.dtype(lane_type).itemsize
+    K = st.K[line_node]
+    todo = todo[np.lexsort((-cols[todo], -K[todo]))]
+    n_groups = -(-todo.size // lanes)
+    slot = np.full(n_groups * lanes, -1)
+    slot[:todo.size] = todo
+    slot_cols = np.where(slot >= 0, cols[slot], 0)
+    g_K = K[slot[::lanes]]  # each group's first line has its largest K
+    g_cols = slot_cols.reshape(n_groups, lanes).max(axis=1)
+    blocks, g = [], 0
+    while g < n_groups:
+        kb, width, h = int(g_K[g]), int(g_cols[g]), g + 1
+        while (h < n_groups and kb * (h + 1 - g) * lanes
+               * max(width, int(g_cols[h])) <= _SCREEN_BLOCK // 8):
+            width = max(width, int(g_cols[h]))
+            h += 1
+        step = min(width, max(1, _SCREEN_BLOCK // 8 // (kb * (h - g) * lanes)))
+        blocks.append((g, h, kb, width, step))
+        g = h
+    size = max(kb * (h - g) * lanes * step for g, h, kb, _, step in blocks)
+    counts_buf = np.empty(size, dtype=lane_type)
+    n1_buf, n2_buf = np.empty(size), np.empty(size)
+    z_start = lq - np.arange(lq.size)
+
+    for g, h, kb, width, step in blocks:
+        n_grp, rows = h - g, slice(g * lanes, h * lanes)
+        n_slots = n_grp * lanes
+        real = slot[rows] >= 0
+        line = np.where(real, slot[rows], 0)
+        c = np.arange(width)
+        valid = c < slot_cols[rows, None]
+        # per slot and column c: the level of the subject entering the left
+        # group at position first + c, and where that position's variance
+        # goes
+        enter = np.where(valid, lq[line][:, None] + first - 1 + c, 0)
+        enter_level = np.where(valid, level[enter], 0)
+        places = np.where(valid, z_start[line][:, None] + first - 1 + c, -1)
+        # each lane starts from its line's counts over its first subjects
+        head = _ragged(lq[line[real]], np.full(int(real.sum()), first))
+        hist = np.bincount(np.repeat(np.flatnonzero(real), first) * (kb + 1)
+                           + level[head], minlength=n_slots * (kb + 1))
+        start = np.cumsum(hist.reshape(-1, kb + 1)[:, :0:-1], axis=1)[:, ::-1]
+        start = start.T.reshape(kb, n_grp, lanes)
+        c_k = np.where(real, st.coef[line_node[line], :kb].T, 0.0)
+        n_k = np.where(real, st.n_risk[line_node[line], :kb].T, 0.0)
+        # numpy's inner loops run along the last axis, so the longer of
+        # columns and slots goes last; the lanes are last while packed
+        cols_last = width >= n_slots
+        c_k, n_k = ((c_k[:, :, None], n_k[:, :, None]) if cols_last
+                    else (c_k[:, None, :], n_k[:, None, :]))
+        levels = enter_level.reshape(n_grp, lanes, width)
+        levels = levels.transpose(0, 2, 1) if cols_last else levels.transpose(2, 0, 1)
+        col_axis = 2 if cols_last else 1
+        ks = np.arange(kb)[:, None]
+        v_block = np.empty((n_slots, width))
+        for a in range(0, width, step):
+            b = min(a + step, width)
+            n = kb * n_slots * (b - a)
+            chunk = levels[:, a:b] if cols_last else levels[a:b]
+            counts = counts_buf[:n].reshape(kb, *chunk.shape)
+            np.less(ks, chunk.ravel(), out=counts.reshape(kb, -1))
+            words = counts.view(np.uint64)[..., 0]
+            if a == 0:
+                np.moveaxis(counts, col_axis, 2)[:, :, 0] = start
+            else:  # carry the counts over from the last chunk
+                np.moveaxis(words, col_axis, 2)[:, :, 0] += carry
+            np.cumsum(words, axis=col_axis, out=words)
+            carry = np.moveaxis(words, col_axis, 2)[:, :, -1].copy()
+            if cols_last:
+                n1 = n1_buf[:n].reshape(kb, n_grp, lanes, b - a)
+                np.copyto(n1, counts.transpose(0, 1, 3, 2))
+                n1 = n1.reshape(kb, n_slots, b - a)
+            else:
+                n1 = n1_buf[:n].reshape(kb, b - a, n_slots)
+                np.copyto(n1, counts.reshape(n1.shape))
+            n2 = n2_buf[:n].reshape(n1.shape)
+            np.subtract(n_k, n1, out=n2)
+            n1 *= c_k  # (c * n1) * (N - n1), as the one-node scan multiplied
+            n1 *= n2
+            v = n1.sum(axis=0)
+            v_block[:, a:b] = v if cols_last else v.T
+        variance[places[places >= 0]] = v_block[places >= 0]
+
+
+def _scan(st: _NodeStats, line_node, line_start, pos, xs, msl: int,
+          chunk: int = 512):
+    """Standardized two-group log-rank statistic at every split position
+    of every line: a node's subjects in one feature's order.
+
+    Line i belongs to node ``line_node[i]`` and its subjects are
+    ``pos[line_start[i]:][:m]`` (indices into ``st``'s subjects) with
+    feature values ``xs`` at the same places. The numerator is a running
+    sum of the subjects' scores along the line (``_segment_cumsum``), the
+    variance ``_scan_variance``'s.
+
+    A column-at-a-time scan in ``chunk``-wide blocks sums the last position
+    of a column pairwise when m - 1 = 1 (mod chunk); that position is
+    admissible only for msl <= 1 and is summed the same way here
+    (``_lone_variance``), so the gains match it to the last bit.
+
+    Returns (z, thresholds), flat with m - 1 positions per line in line
+    order: |z| with -inf where inadmissible, and the midpoint thresholds.
+    """
+    lm = st.m[line_node]
+    lq = np.cumsum(lm) - lm  # line starts among the gathered subjects
+    q = _ragged(line_start, lm)
+    subject, x = pos[q], xs[q]
+    z_line = np.repeat(np.arange(lm.size), lm - 1)
+    left = np.arange(z_line.size) + z_line  # the last subject on the left
+    thresholds = 0.5 * (x[left] + x[left + 1])
+    p = left - lq[z_line] + 1
+    ok = (x[left] != x[left + 1]) & (p >= msl) & (lm[z_line] - p >= msl)
+    num = _segment_cumsum(st.scores[subject], lm)[left]
+    variance = _scan_variance(st.level[subject], lm, lq, line_node, st, msl)
+    if msl <= 1:  # the last position is admissible
+        for i in np.flatnonzero((lm - 1) % chunk == 1):
+            last = lq[i] + lm[i] - 1
+            variance[last - i - 1] = _lone_variance(
+                *st.events(line_node[i]), st.times[subject[last:last + 1]])[0]
+    ok &= variance > 0
+    z = np.full(z_line.size, -np.inf)
+    z[ok] = np.abs(num[ok]) / np.sqrt(variance[ok])
+    return z, thresholds
+
+
+def _one_node(Xb, time, event):
+    """One node's statistics and its (mtry, m) feature block in each row's
+    (value, row) order: (stats, subjects as time ranks, sorted values)."""
+    by_time = np.argsort(time, kind="stable")
+    st = _logrank_stats([time.size], time[by_time], event[by_time])
+    rank = np.empty(time.size, dtype=np.intp)
+    rank[by_time] = np.arange(time.size)
+    order = np.argsort(Xb, axis=1, kind="stable")
+    return st, rank[order], np.take_along_axis(Xb, order, axis=1)
 
 
 def _lone_variance(grid, at_risk, var_coef, last_time):
@@ -358,70 +638,6 @@ def _lone_variance(grid, at_risk, var_coef, last_time):
     n1 = at_risk - last_at_risk
     return np.sum(var_coef * n1 * (at_risk - n1), axis=1)
 
-
-def _node_logrank_scan(Xb, time, event, msl: int, chunk: int = 512):
-    """Standardized two-group log-rank statistic for every candidate split
-    of every column of one node's (mtry, m) feature block.
-
-    The node's event-time statistics are computed once. The numerator
-    decomposes into per-subject scores delta_j - H(T_j) (cumulative hazard
-    of the whole node), so it is a cumulative sum in each feature's order.
-    The variance sums var_coef * n1 * (N - n1) over event times in time
-    order, with n1 the left group's at-risk count; it is built only on the
-    admissible positions, in (mtry, K, width) blocks of about K * chunk
-    elements, skipping event times whose var_coef is 0 (adding +0.0 is
-    exact).
-
-    Every block is at least two positions wide, so numpy sums each position
-    in time order; a lone position would be summed pairwise. A column-at-a-
-    time scan in ``chunk``-wide blocks leaves the last position alone when
-    m - 1 = 1 (mod chunk), admissible only for msl = 1; that position is
-    summed pairwise here too, so the gains match it to the last bit.
-
-    Returns (z, thresholds), both (mtry, m - 1): |z| per feature and split
-    position with -inf where inadmissible, and the midpoint thresholds.
-    """
-    n_feat, m = Xb.shape
-    order = np.argsort(Xb, axis=1, kind="stable")
-    xs = np.take_along_axis(Xb, order, axis=1)
-    grid, at_risk, var_coef, scores = _logrank_stats(time, event)
-    num = np.cumsum(scores[order], axis=1)[:, :-1]
-
-    variance = np.zeros((n_feat, m - 1))
-    lo, hi = msl - 1, m - msl  # admissible columns: positions msl..m-msl
-    if msl == 1 and (m - 1) % chunk == 1:
-        hi -= 1
-        variance[:, hi] = _lone_variance(grid, at_risk, var_coef,
-                                         time[order[:, -1]])
-    if hi > lo:
-        keep = var_coef > 0
-        coef, n_risk = var_coef[keep][:, None], at_risk[keep][:, None]
-        # a subject is at risk at the k-th kept event time iff level > k
-        level = np.searchsorted(grid[keep], time, side="right")[order]
-        ks = np.arange(coef.shape[0])[None, :, None]
-        # a lone admissible column borrows its left neighbour's block
-        first = max(0, min(lo, hi - 2))
-        starts = list(range(first, hi, max(2, chunk // n_feat)))
-        if len(starts) > 1 and hi - starts[-1] == 1:
-            starts.pop()
-        base = (ks < level[:, None, :first]).sum(axis=2, dtype=float)
-        for a, b in zip(starts, starts[1:] + [hi]):
-            n1 = (ks < level[:, None, a:b]).astype(float)
-            n1[:, :, 0] += base
-            np.cumsum(n1, axis=2, out=n1)
-            base = n1[:, :, -1].copy()
-            n2 = n_risk - n1
-            n1 *= coef  # (coef * n1) * (N - n1), as products commute
-            n1 *= n2
-            variance[:, a:b] = n1.sum(axis=1)
-
-    positions = np.arange(1, m)
-    ok = (xs[:, :-1] != xs[:, 1:]) & (positions >= msl) & (m - positions >= msl)
-    ok &= variance > 0
-    z = np.full((n_feat, m - 1), -np.inf)
-    z[ok] = np.abs(num[ok]) / np.sqrt(variance[ok])
-    thresholds = 0.5 * (xs[:, :-1] + xs[:, 1:])
-    return z, thresholds
 
 
 def _scan_split(z, thresholds):
@@ -435,11 +651,12 @@ def _scan_split(z, thresholds):
 
 def _prefix_variance(levels, p, coef, n_risk):
     """Exact log-rank variance of each row's first p[i] subjects, as
-    ``_node_logrank_scan`` sums it: (coef * n1) * (N - n1) over the kept
-    event times in time order. ``levels`` holds each subject's count of
-    kept event times at or before its time."""
+    ``_scan`` sums it: (coef * n1) * (N - n1) over the kept event times in
+    time order. ``levels`` holds each subject's count of kept event times
+    at or before its time, and row i of ``coef``/``n_risk`` its node's kept
+    event times (zero-padded, which adds +0.0)."""
     rows, m = levels.shape
-    width = coef.size + 1
+    width = coef.shape[1] + 1
     out = np.empty(rows)
     step = max(1, _SCREEN_BLOCK // (m + width))
     for a in range(0, rows, step):
@@ -449,83 +666,98 @@ def _prefix_variance(levels, p, coef, n_risk):
                            minlength=lv.shape[0] * width).reshape(-1, width)
         # n1[:, k]: subjects at risk at kept time k, i.e. with level > k
         n1 = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1].astype(float)
-        n2 = n_risk - n1
-        n1 *= coef
+        n2 = n_risk[a:a + step] - n1
+        n1 *= coef[a:a + step]
         n1 *= n2
         out[a:a + step] = np.cumsum(n1, axis=1)[:, -1]
     return out
 
 
-def _pair_sums(order, level, cum_coef):
-    """For each position of each feature order, the sum of
-    C(min(L_i, L_j)) = min(C(L_i), C(L_j)) over the subjects i placed
-    before subject j there, where L is a subject's level and C(l) the sum
-    of the first l kept variance coefficients (nondecreasing in l).
+def _pair_sums(order, C):
+    """For each position of each row, the sum of C(min(L_i, L_j)) =
+    min(C_i, C_j) over the subjects i placed before subject j there, where
+    L is a subject's level and C(l) the sum of the first l kept variance
+    coefficients. Row r of ``order`` places subjects 0..m-1, numbered in
+    level order, and row r of ``C`` holds their C (nondecreasing).
 
     Positions fall into chunks and subjects, by level rank, into blocks,
     both of about m^(1/3). Pairs within one chunk are summed directly, and
     so are pairs within one block across chunks. Any other pair takes C of
     the subject in the lower block, read from per-chunk, per-block sums
     and counts accumulated over the earlier chunks. That is O(m^(4/3)) per
-    feature, and every step adds nonnegative terms.
+    row, and every step adds nonnegative terms.
     """
-    n_feat, m = order.shape
+    n_rows, m = order.shape
     span = max(2, int(np.ceil(m ** (1 / 3))))  # subjects per block
     size = 2 * span  # positions per chunk (the measured best ratio)
-    step = max(1, _SCREEN_BLOCK // (m * size))  # features per pass
-    if n_feat > step:
-        return np.vstack([_pair_sums(order[a:a + step], level, cum_coef)
-                          for a in range(0, n_feat, step)])
+    step = max(1, _SCREEN_BLOCK // 4 // (m * size))  # rows per pass
+    if n_rows > step:
+        return np.vstack([_pair_sums(order[a:a + step], C[a:a + step])
+                          for a in range(0, n_rows, step)])
     n_chunks, n_blocks = -(-m // size), -(-m // span)
     pad, bpad = n_chunks * size, n_blocks * span  # padding comes last
-    rows = np.arange(n_feat)[:, None]
-    by_rank = np.argsort(level, kind="stable")
-    block = np.empty(m, dtype=np.intp)
-    block[by_rank] = np.arange(m) // span
-    lv = np.zeros((n_feat, pad), dtype=np.intp)
-    lv[:, :m] = level[order]
-    cl = cum_coef[lv]
-    bo = np.full((n_feat, pad), n_blocks - 1)
-    bo[:, :m] = block[order]
+    rows = np.arange(n_rows)[:, None]
+    cl = np.zeros((n_rows, pad))
+    cl[:, :m] = np.take_along_axis(C, order, axis=1)
+    bo = np.full((n_rows, pad), n_blocks - 1)
+    bo[:, :m] = order // span  # subject s is in block s // span
     chunk = np.arange(pad) // size
 
     # within a chunk: the earlier position of each pair
-    cc = cl.reshape(n_feat, n_chunks, size)
+    cc = cl.reshape(n_rows, n_chunks, size)
     earlier = np.arange(size)[:, None] < np.arange(size)
-    out = np.zeros((n_feat, pad + 1))  # column pad collects the padding
+    out = np.zeros((n_rows, pad + 1))  # column pad collects the padding
     out[:, :pad] = (np.minimum(cc[:, :, :, None], cc[:, :, None, :])
-                    * earlier).sum(axis=2).reshape(n_feat, pad)
+                    * earlier).sum(axis=2).reshape(n_rows, pad)
 
-    # within a block, across chunks: members in level-rank order
-    members = np.full(bpad, m)
-    members[:m] = by_rank
-    members = members.reshape(n_blocks, span)
-    cm = np.append(cum_coef[level], 0.0)[members]
-    pos = np.empty((n_feat, m + 1), dtype=np.intp)
+    # within a block, across chunks (subject m pads the last block)
+    members = np.minimum(np.arange(bpad), m).reshape(n_blocks, span)
+    cm = np.concatenate([C, np.zeros((n_rows, 1))], axis=1)[:, members]
+    pos = np.empty((n_rows, m + 1), dtype=np.intp)
     pos[rows, order] = np.arange(m)
     pos[:, m] = pad  # in no earlier chunk than anyone
     cp = pos[:, members] // size
     before = cp[:, :, :, None] < cp[:, :, None, :]
-    pair = (before * np.minimum(cm[:, :, None], cm[:, None, :])).sum(axis=2)
+    pair = (before * np.minimum(cm[:, :, :, None], cm[:, :, None, :])
+            ).sum(axis=2)
     out[rows[:, :, None], pos[:, members]] += pair
 
     # across chunks and blocks: C sums over (earlier chunk, lower block)
     # and counts over (earlier chunk, same or lower block)
     cell = ((rows * n_chunks + chunk) * n_blocks + bo).ravel()
-    n_cells = n_feat * n_chunks * n_blocks
-    prefix = np.zeros((2, n_feat, n_chunks + 1, n_blocks + 1))
+    n_cells = n_rows * n_chunks * n_blocks
+    prefix = np.zeros((2, n_rows, n_chunks + 1, n_blocks + 1))
     prefix[:, :, 1:, 1:] = np.cumsum(np.cumsum(np.stack([
         np.bincount(cell, cl.ravel(), n_cells),
-        np.bincount(cell, None, n_cells)]).reshape(2, n_feat, n_chunks, n_blocks),
+        np.bincount(cell, None, n_cells)]).reshape(2, n_rows, n_chunks, n_blocks),
         axis=2), axis=3)
     higher = chunk * size - prefix[1][rows, chunk, bo + 1]
     out[:, :pad] += prefix[0][rows, chunk, bo] + cl * higher
     return out[:, :m]
 
 
-def _node_logrank_screen(Xb, time, event, msl: int, chunk: int = 512):
-    """The split ``_node_logrank_scan`` picks, (|z|, feature row,
-    threshold) or None, found without its (mtry, K, m) at-risk block.
+def _node_logrank_scan(Xb, time, event, msl: int, chunk: int = 512):
+    """Standardized two-group log-rank statistic for every candidate split
+    of every column of one node's (mtry, m) feature block: ``_scan`` on one
+    node, its rows as lines.
+
+    Returns (z, thresholds), both (mtry, m - 1): |z| per feature and split
+    position with -inf where inadmissible, and the midpoint thresholds.
+    """
+    n_feat, m = Xb.shape
+    st, order, xs = _one_node(Xb, time, event)
+    z, thresholds = _scan(st, np.zeros(n_feat, dtype=np.intp),
+                          np.arange(n_feat) * m, order.ravel(), xs.ravel(),
+                          msl, chunk)
+    return z.reshape(n_feat, m - 1), thresholds.reshape(n_feat, m - 1)
+
+
+def _screen(st: _NodeStats, nodes, order, xs, msl: int, chunk: int = 512):
+    """The split ``_scan`` picks for each of ``nodes`` (of ``st``), as
+    (|z|, feature row, threshold) or None, found without its (mtry, K, m)
+    at-risk block. ``order`` (nodes, mtry, M) lists each node's subjects
+    (its time ranks) in each feature's order and ``xs`` their values; a
+    node of m < M subjects has dummies m..M-1 at the end of every row.
 
     With L a subject's count of kept event times at or before its time, the
     variance at a position is V = sum_k c_k N_k n1_k - sum_k c_k n1_k^2:
@@ -534,96 +766,313 @@ def _node_logrank_screen(Xb, time, event, msl: int, chunk: int = 512):
     terms, so they differ from the scan's time-ordered float sum by at most
     8 (K + m + 64) u times the two terms' sum. That bounds |z| at every
     position from both sides; only the positions whose upper bound reaches
-    the largest lower bound get the scan's exact sum, and the row-major
-    first maximum among them is the scan's. V > 0 holds exactly iff both
-    sides hold a subject at risk at the first kept event time. The lone
-    position ``_node_logrank_scan`` sums pairwise is summed the same way.
+    the node's largest lower bound get the scan's exact sum, and the
+    row-major first maximum among them is the scan's. V > 0 holds exactly
+    iff both sides hold a subject at risk at the first kept event time. The
+    lone position the scan sums pairwise is summed the same way. Dummies
+    have level 0 and score 0 and come last, so they change no real
+    position's sums.
     """
-    n_feat, m = Xb.shape
-    order = np.argsort(Xb, axis=1, kind="stable")
-    xs = np.take_along_axis(Xb, order, axis=1)
-    grid, at_risk, var_coef, scores = _logrank_stats(time, event)
-    num = np.abs(np.cumsum(scores[order], axis=1)[:, :-1])
-    keep = var_coef > 0
-    coef, n_risk = var_coef[keep], at_risk[keep]
-    level = np.searchsorted(grid[keep], time, side="right")
-    lv = level[order]
+    n_nodes, n_feat, M = order.shape
+    m, K = st.m[nodes], st.K[nodes]
+    subject = np.arange(M)
+    real = subject < m[:, None]
+    at = np.where(real, st.start[nodes][:, None] + subject, 0)
+    level = np.where(real, st.level[at], 0)
+    scores = np.where(real, st.scores[at], 0.0)
+    k_max = int(K.max())
+    coef, n_risk = st.coef[nodes, :k_max], st.n_risk[nodes, :k_max]
+    # C(l) and the running sum of c * N over the first l kept event times
+    cum_coef, per_level = np.zeros((2, n_nodes, k_max + 1))
+    np.cumsum(coef, axis=1, out=cum_coef[:, 1:])
+    np.cumsum(coef * n_risk, axis=1, out=per_level[:, 1:])
+    num = np.abs(np.cumsum(np.take_along_axis(scores[:, None, :], order, axis=2),
+                           axis=2)[:, :, :-1])
+    lv = np.take_along_axis(level[:, None, :], order, axis=2)
 
-    positions = np.arange(1, m)
-    ok = (xs[:, :-1] != xs[:, 1:]) & (positions >= msl) & (m - positions >= msl)
-    ok &= np.maximum.accumulate(lv, axis=1)[:, :-1] > 0
-    ok &= np.maximum.accumulate(lv[:, ::-1], axis=1)[:, -2::-1] > 0
+    positions = np.arange(1, M)
+    ok = ((xs[:, :, :-1] != xs[:, :, 1:]) & (positions >= msl)
+          & (m[:, None, None] - positions >= msl))
+    ok &= np.maximum.accumulate(lv, axis=2)[:, :, :-1] > 0
+    ok &= np.maximum.accumulate(lv[:, :, ::-1], axis=2)[:, :, -2::-1] > 0
+    found: list = [None] * n_nodes
     if not ok.any():
-        return None
+        return found
 
-    cum_coef = np.concatenate(([0.0], np.cumsum(coef)))
-    per_subject = np.concatenate(([0.0], np.cumsum(coef * n_risk)))[lv]
-    first = np.cumsum(per_subject, axis=1)[:, :-1]
-    pairs = _pair_sums(order, level, cum_coef)
-    second = np.cumsum(cum_coef[lv] + 2.0 * pairs, axis=1)[:, :-1]
+    first = np.cumsum(np.take_along_axis(per_level[:, None, :], lv, axis=2),
+                      axis=2)[:, :, :-1]
+    C = np.take_along_axis(cum_coef, level, axis=1)  # per subject
+    pairs = _pair_sums(order.reshape(-1, M), np.repeat(C, n_feat, axis=0))
+    second = np.cumsum(np.take_along_axis(cum_coef[:, None, :], lv, axis=2)
+                       + 2.0 * pairs.reshape(lv.shape), axis=2)[:, :, :-1]
     approx = first - second
-    slack = 8.0 * (coef.size + m + 64) * 2.0 ** -53 * (first + second)
+    slack = (8.0 * (K + m + 64) * 2.0 ** -53)[:, None, None] * (first + second)
     # the factors cover the rounding of these bounds and of the exact z
     with np.errstate(divide="ignore", invalid="ignore"):
         z_lo = num / np.sqrt(approx + slack) * (1.0 - 2.0 ** -50)
         z_hi = np.where(approx > slack, num / np.sqrt(approx - slack),
                         np.inf) * (1.0 + 2.0 ** -50)
     z_lo[~ok] = -np.inf
-    z_hi[~ok] = -np.inf
-    lone = msl == 1 and (m - 1) % chunk == 1
-    if lone:
-        last = ok[:, -1]
-        v = _lone_variance(grid, at_risk, var_coef, time[order[last, -1]])
-        z_lo[last, -1] = z_hi[last, -1] = num[last, -1] / np.sqrt(v)
+    lone = np.zeros(n_nodes, dtype=bool)
+    if msl <= 1:  # the last position is admissible
+        lone = (m - 1) % chunk == 1
+        for j in np.flatnonzero(lone):
+            k, last = m[j] - 2, ok[j, :, m[j] - 2]
+            times = st.times[st.start[nodes[j]] + order[j, last, k + 1]]
+            v = _lone_variance(*st.events(nodes[j]), times)
+            z_lo[j, last, k] = z_hi[j, last, k] = num[j, last, k] / np.sqrt(v)
 
-    cand = np.flatnonzero(z_hi >= z_lo.max())
-    f, k = np.divmod(cand, m - 1)
-    z = z_lo[f, k]  # exact at the lone position
-    exact = ~(lone & (k == m - 2))
-    z[exact] = num[f[exact], k[exact]] / np.sqrt(
-        _prefix_variance(lv[f[exact]], k[exact] + 1, coef, n_risk))
-    j = int(np.argmax(z))
-    f, k = int(f[j]), int(k[j])
-    return float(z[j]), f, float(0.5 * (xs[f, k] + xs[f, k + 1]))
+    best = z_lo.reshape(n_nodes, -1).max(axis=1)
+    cand = np.flatnonzero(ok & (z_hi >= best[:, None, None]))
+    j, rest = np.divmod(cand, n_feat * (M - 1))
+    f, k = np.divmod(rest, M - 1)
+    z = z_lo[j, f, k]  # exact at the lone position
+    exact = ~(lone[j] & (k == m[j] - 2))
+    z[exact] = num[j, f, k][exact] / np.sqrt(_prefix_variance(
+        lv[j, f][exact], k[exact] + 1, coef[j[exact]], n_risk[j[exact]]))
+    # each node's row-major first maximum among its candidates
+    seg = np.flatnonzero(np.diff(j, prepend=-1))
+    top = np.maximum.reduceat(z, seg)
+    hit = np.flatnonzero(z == np.repeat(top, np.diff(np.append(seg, z.size))))
+    for r in hit[np.searchsorted(hit, seg)].tolist():
+        node, row, pos = int(j[r]), int(f[r]), int(k[r])
+        found[node] = (float(z[r]), row, float(
+            0.5 * (xs[node, row, pos] + xs[node, row, pos + 1])))
+    return found
 
 
-def fit_survival_tree(X, time, event,
-                      params: SurvivalTreeParams = SurvivalTreeParams()) -> TreeNode:
-    """Grow a survival tree by maximizing the standardized log-rank statistic.
+def _node_logrank_screen(Xb, time, event, msl: int, chunk: int = 512):
+    """``_screen`` on one node's (mtry, m) feature block."""
+    st, order, xs = _one_node(Xb, time, event)
+    return _screen(st, np.zeros(1, dtype=np.intp), order[None], xs[None], msl,
+                   chunk)[0]
 
-    At each node a random subset of ``mtry`` features is searched in one
-    pass: nodes of at least ``_SCREEN_MIN_ROWS`` rows by the screened search,
-    smaller ones by the full scan, which costs less there; both pick the same
-    split. The table records each row's leaf so callers can attach
-    nonparametric estimates. Nodes without events or without an admissible
-    split become leaves. Returns the root's view.
+
+def _best_survival_splits(st: _NodeStats, feats, line_pos, line_x, msl: int):
+    """Each node's split as (|z|, feature row, threshold), or None.
+
+    Node j's ``feats.shape[1]`` lines follow each other in ``line_pos`` and
+    ``line_x``. Nodes of at least ``_SCREEN_MIN_ROWS`` subjects share the
+    screened search, in parts of about ``_SCREEN_BLOCK // 32`` positions;
+    all others share one ``_scan``. Each node takes the row-major first
+    maximum over its own positions.
+    """
+    mtry = feats.shape[1]
+    m = st.m
+    line_node = np.repeat(np.arange(m.size), mtry)
+    line_start = np.cumsum(np.repeat(m, mtry)) - np.repeat(m, mtry)
+    found: list = [None] * m.size
+    big = m >= _SCREEN_MIN_ROWS
+    # largest first, so each part pads its rows to similar sizes
+    screened = np.flatnonzero(big)
+    screened = screened[np.argsort(-m[screened], kind="stable")]
+    a = 0
+    while a < screened.size:
+        # each node's lines as rows of width M, dummies last
+        M = int(m[screened[a]])
+        nodes = screened[a:a + max(1, _SCREEN_BLOCK // 32 // (mtry * M))]
+        a += nodes.size
+        rows = np.arange(M)
+        real = rows < np.repeat(m[nodes], mtry)[:, None]
+        at = np.where(real, rows + line_start[
+            (nodes[:, None] * mtry + np.arange(mtry)).ravel()][:, None], 0)
+        order = np.where(real, line_pos[at]
+                         - np.repeat(st.start[nodes], mtry)[:, None], rows)
+        xs = np.where(real, line_x[at], np.inf)
+        shape = (nodes.size, mtry, M)
+        for j, split in zip(nodes.tolist(), _screen(
+                st, nodes, order.reshape(shape), xs.reshape(shape), msl)):
+            found[j] = split
+    scanned = np.flatnonzero(~big)
+    if scanned.size:
+        lines = line_node[~big[line_node]]
+        z, thresholds = _scan(st, lines, line_start[~big[line_node]], line_pos,
+                              line_x, msl)
+        size = mtry * (m[scanned] - 1)
+        seg = np.cumsum(size) - size
+        best = np.maximum.reduceat(z, seg)
+        hit = np.flatnonzero(z == np.repeat(best, size))
+        at = hit[np.searchsorted(hit, seg)]  # each node's first maximum
+        for j, zj, r, s in zip(scanned.tolist(), best.tolist(), at.tolist(),
+                               seg.tolist()):
+            if zj > -np.inf:
+                found[j] = (zj, (r - s) // (m[j] - 1), float(thresholds[r]))
+    return found
+
+
+class _Grower:
+    """One survival tree grown depth first: its node lists in preorder,
+    its stack of pending nodes and its own feature draws."""
+
+    __slots__ = ("rng", "stack", "feature", "threshold", "right", "gain",
+                 "row_leaf", "offset")
+
+    def __init__(self, seed, offset, n_rows):
+        self.rng = np.random.default_rng(seed)
+        self.stack = []
+        self.feature, self.threshold, self.right, self.gain = [], [], [], []
+        self.row_leaf = np.zeros(n_rows, dtype=np.intp)
+        self.offset = offset
+
+    def leaf(self, rows) -> int:
+        """Append a leaf holding ``rows`` (forest-wide ids); its id."""
+        i = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(np.nan)
+        self.right.append(-1)
+        self.gain.append(np.nan)
+        self.row_leaf[rows - self.offset] = i
+        return i
+
+    def table(self) -> NodeTable:
+        return NodeTable.from_lists(self.feature, self.threshold, self.right,
+                                    np.full(len(self.feature), np.nan),
+                                    self.gain, self.row_leaf)
+
+
+def fit_survival_forest(X, samples, time, event,
+                        params: SurvivalTreeParams, seeds) -> list[NodeTable]:
+    """Grow one survival tree per row sample, all trees in lockstep; each
+    maximizes the standardized log-rank statistic at every node.
+
+    Tree t is grown on rows ``samples[t]`` of ``X`` (repeats allowed; its
+    table's ``row_leaf`` follows that sample) and draws each node's
+    ``mtry`` features from ``default_rng(seeds[t])`` in preorder;
+    ``params.seed`` is not used. Every tree keeps its own depth-first stack.
+    At each step every unfinished tree pops nodes until one needs a split
+    search (the others become leaves: depth, size, no events), so each tree
+    draws in its own preorder; then one pass finds the splits of all those
+    nodes (``_best_survival_splits``), in parts of about
+    ``_SCREEN_BLOCK / (d + 1 + mtry)`` subjects. Each tree ranks its rows
+    once per feature and by time; every child takes the stable partition
+    of its parent's ranked rows, for all the part's splits at once. A
+    sample without events gives a single leaf, and a node of one row is a
+    leaf. The trees are those of a per-node sort and a full scan of every
+    node, one tree at a time, bit for bit.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=int)
-    if event.sum() == 0:
-        raise DataError("survival tree needs at least one event")
-    d = X.shape[1]
+    n, d = X.shape
+    if time.shape != (n,) or event.shape != (n,):
+        raise DataError("time and event must have one entry per row")
     mtry = d if params.mtry is None else min(params.mtry, d)
-    rng = np.random.default_rng(params.seed)
-    XT = np.ascontiguousarray(X.T)
     msl = params.min_samples_leaf
+    XT = np.ascontiguousarray(X.T)
+    samples = [np.asarray(s, dtype=np.intp) for s in samples]
+    sizes = np.array([s.size for s in samples], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    rows = np.concatenate(samples) if samples else np.empty(0, np.intp)
+    t_all, e_all = time[rows], event[rows]
+    where = np.empty(rows.size, dtype=np.intp)  # id -> place in a step
 
-    def split(idx, _rows, depth):
-        if (depth >= params.max_depth or idx.size < 2 * msl
-                or event[idx].sum() == 0):
-            return None
-        feats = np.sort(rng.choice(d, size=mtry, replace=False))
-        node = (XT[np.ix_(feats, idx)], time[idx], event[idx], msl)
-        if idx.size >= _SCREEN_MIN_ROWS:
-            found = _node_logrank_screen(*node)
-        else:
-            found = _scan_split(*_node_logrank_scan(*node))
-        if found is None:
-            return None
-        return found[0], int(feats[found[1]]), found[2]
+    growers = []
+    for s, seed, off in zip(samples, seeds, offsets):
+        grower = _Grower(seed, off, s.size)
+        # each feature's rows, then the rows by time, as forest-wide ids
+        ranked = (np.argsort(np.vstack([XT[:, s], time[s]]), axis=1,
+                             kind="stable") + off).astype(np.int32)
+        grower.stack.append((ranked, 0, s.size, 0, -1, int(event[s].sum())))
+        growers.append(grower)
 
-    return _grow(X, split, lambda idx: np.nan, record_rows=True)
+    def search(ranked, m, feats):
+        """Each node's split, (|z|, feature row, threshold) or None."""
+        start = np.cumsum(m) - m
+        by_time = ranked[d]
+        st = _logrank_stats(m, t_all[by_time], e_all[by_time])
+        where[by_time] = np.arange(by_time.size)
+        lm = np.repeat(m, mtry)
+        line_feat = np.repeat(feats.ravel(), lm)
+        line_ids = ranked[line_feat, _ragged(np.repeat(start, mtry), lm)]
+        line_x = XT[line_feat, rows[line_ids]]
+        line_pos = where[line_ids]
+        del line_feat, line_ids
+        return _best_survival_splits(st, feats, line_pos, line_x, msl)
+
+    def split_nodes(batch, feats, ranked):
+        """Search the splits of ``batch`` (grower, node id, depth, events),
+        whose ranked rows follow each other in ``ranked``, and push the
+        children of those that split."""
+        m = np.array([node[2] for node in batch], dtype=np.intp)
+        start = np.cumsum(m) - m
+        feats = np.array(feats, dtype=np.intp).reshape(len(batch), mtry)
+        found = search(ranked, m, feats)
+        by_time = ranked[d]
+
+        # partition the split nodes' ranked rows, all at once
+        split = np.array([f is not None for f in found])
+        col_feat = np.repeat(np.array([feats[j, f[1]] if f else 0
+                                       for j, f in enumerate(found)]), m)
+        col_thr = np.repeat(np.array([f[2] if f else np.nan for f in found]), m)
+        goes = XT[col_feat, rows[ranked]] <= col_thr
+        to_left = goes & np.repeat(split, m)
+        to_right = ~goes & np.repeat(split, m)
+        n_left = np.add.reduceat(to_left[d].astype(np.intp), start)
+        n_right = np.add.reduceat(to_right[d].astype(np.intp), start)
+        ev_left = np.add.reduceat(to_left[d] * e_all[by_time], start)
+        left = ranked[to_left].reshape(d + 1, -1)
+        right = ranked[to_right].reshape(d + 1, -1)
+        left_at = np.cumsum(n_left) - n_left
+        right_at = np.cumsum(n_right) - n_right
+        for j, (grower, i, _, depth, events) in enumerate(batch):
+            if found[j] is None:
+                continue
+            z, f, thr = found[j]
+            grower.feature[i] = int(feats[j, f])
+            grower.threshold[i] = thr
+            grower.gain[i] = z
+            el = int(ev_left[j])
+            # a right child waits for its sibling's subtree: its own copy
+            # lets the step's arrays go
+            a, b = right_at[j], right_at[j] + n_right[j]
+            grower.stack.append((right[:, a:b].copy(), 0, b - a, depth + 1, i,
+                                 events - el))
+            grower.stack.append((left, left_at[j], left_at[j] + n_left[j],
+                                 depth + 1, -1, el))
+
+    active = growers
+    while active:
+        batch, feats, views = [], [], []
+        for grower in active:
+            while grower.stack:
+                ranked, a, b, depth, parent, events = grower.stack.pop()
+                i = grower.leaf(ranked[d, a:b])
+                if parent >= 0:
+                    grower.right[parent] = i
+                if (depth < params.max_depth and b - a >= max(2, 2 * msl)
+                        and events > 0):
+                    feats.append(np.sort(grower.rng.choice(d, size=mtry,
+                                                           replace=False)))
+                    batch.append((grower, i, b - a, depth, events))
+                    views.append(ranked[:, a:b])
+                    break
+        if not batch:
+            break
+        # the step's nodes in parts of a bounded number of subjects
+        part = np.cumsum([node[2] for node in batch]) - 1
+        part //= max(1, _SCREEN_BLOCK // (d + 1 + mtry))
+        edges = [0, *(np.flatnonzero(np.diff(part)) + 1), len(batch)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ranked = np.concatenate(views[lo:hi], axis=1)
+            views[lo:hi] = [None] * (hi - lo)  # the popped rows may go
+            split_nodes(batch[lo:hi], feats[lo:hi], ranked)
+        active = [g for g in active if g.stack]
+    return [g.table() for g in growers]
+
+
+def fit_survival_tree(X, time, event,
+                      params: SurvivalTreeParams = SurvivalTreeParams()) -> TreeNode:
+    """Grow a survival tree by maximizing the standardized log-rank
+    statistic: ``fit_survival_forest`` with one tree on all rows, seeded by
+    ``params.seed``. The table records each row's leaf so callers can attach
+    nonparametric estimates. Nodes without events or without an admissible
+    split become leaves. Returns the root's view.
+    """
+    X = _check_matrix(X)
+    if np.asarray(event, dtype=int).sum() == 0:
+        raise DataError("survival tree needs at least one event")
+    return TreeNode(fit_survival_forest(X, [np.arange(X.shape[0])], time,
+                                        event, params, [params.seed])[0])
 
 
 def _route(trees: list[TreeNode], X) -> np.ndarray:
@@ -689,7 +1138,8 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
     recorded per round. Without subsampling, one loss call per round gives
     both the gradients and the previous round's trace value. The columns
     are sorted once per call; each round's tree takes those sorted rows,
-    filtered to its subsample.
+    filtered to its subsample. The rows a tree was fitted on take their
+    leaf from its grower; only rows outside the subsample are routed.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
@@ -732,9 +1182,17 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
             rows_fit = rows_fit[rows_fit >= 0].reshape(rows.shape[0], k)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
             raise TrainingError(f"non-finite loss statistics at round {rnd}")
-        tree = fit_regression_tree(X_fit, g, h, params.tree, presorted=rows_fit)
+        tree, leaf = _regression_tree(X_fit, g, h, params.tree, rows_fit)
         trees.append(tree)
-        preds += params.learning_rate * predict_tree(tree, X)
+        # the grower placed the fitted rows; route only the others
+        step = params.learning_rate * tree.table.value[leaf]
+        if full:
+            preds += step
+        else:
+            preds[sub] += step
+            rest = np.ones(n, dtype=bool)
+            rest[sub] = False
+            preds[rest] += params.learning_rate * predict_tree(tree, X[rest])
         if not full:
             record(loss.value_grad_hess(time, event, preds, weights)[0], rnd)
     if full:

@@ -207,7 +207,13 @@ def brier(t: float, predicted_survival, time, event,
     contribute nothing. The mean is over all n subjects.
     """
     time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=int)
+    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
+    return _brier(t, predicted_survival, time, np.asarray(event, dtype=int),
+                  censor_dist, g_left)
+
+
+def _brier(t, predicted_survival, time, event, censor_dist, g_left):
+    """``brier`` with G(T_i-) of every subject given as ``g_left``."""
     s_hat = np.asarray(predicted_survival, dtype=float)
     if s_hat.shape != time.shape:
         raise DataError("predictions must match the evaluation set")
@@ -220,7 +226,7 @@ def brier(t: float, predicted_survival, time, event,
     alive = time > t
     total = 0.0
     if dead.any():
-        g_dead = np.asarray(censor_dist.left_limit(time[dead]), dtype=float)
+        g_dead = g_left[dead]
         if np.any(g_dead <= 0):
             raise DataError("zero censoring survival at an event time")
         total += np.sum(s_hat[dead] ** 2 / g_dead)
@@ -245,12 +251,16 @@ def _curves_on_grid(curves, grid_times, n) -> np.ndarray:
 def ibs(grid: TimeGrid, curves, time, event,
         censor_dist: StepFunction) -> float:
     """Integrated Brier score: trapezoidal integral of brier(t) over the
-    grid, normalized by the grid span."""
+    grid, normalized by the grid span. G(T_i-) is evaluated once per call
+    and shared by every grid time."""
     if grid.times.size < 2:
         raise DataError("IBS needs a grid with at least 2 points")
     time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=int)
     mat = _curves_on_grid(curves, grid.times, time.size)
-    scores = np.array([brier(t, mat[:, k], time, event, censor_dist)
+    # G(T_i-) once for every subject, not once per grid time
+    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
+    scores = np.array([_brier(t, mat[:, k], time, event, censor_dist, g_left)
                        for k, t in enumerate(grid.times)])
     span = grid.times[-1] - grid.times[0]
     return float(np.trapezoid(scores, grid.times) / span)

@@ -20,8 +20,8 @@ from scipy import special
 
 from . import engine
 from .data import Cohort, atomic_write
-from .engine import (BoostParams, NodeTable, SurvivalTreeParams, TreeNode,
-                     TreeParams, boost)
+from .engine import (BoostParams, SurvivalTreeParams, TreeNode, TreeParams,
+                     boost)
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
 from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
@@ -351,33 +351,30 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
     n, d = X.shape
     grid = np.unique(train.time[train.event == 1])
     mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(d)))
-    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees, leaf_chfs = [], []
-    for ss in seeds:
+    samples, seeds = [], []
+    for ss in np.random.SeedSequence(params.seed).spawn(params.n_trees):
         rng = np.random.default_rng(ss)
         if params.bootstrap:
             m = max(1, int(round(params.bootstrap_fraction * n)))
-            sample = rng.integers(0, n, size=m)
+            samples.append(rng.integers(0, n, size=m))
         else:
-            sample = np.arange(n)
-        t_s, e_s = train.time[sample], train.event[sample]
-        if e_s.sum() == 0:
-            table = NodeTable.from_lists([-1], [np.nan], [-1], [np.nan],
-                                         [np.nan], np.zeros(sample.size, np.intp))
-        else:
-            stp = SurvivalTreeParams(max_depth=params.max_depth,
-                                     min_samples_leaf=params.min_samples_leaf,
-                                     mtry=mtry,
-                                     seed=int(rng.integers(2 ** 31)))
-            table = engine.fit_survival_tree(X[sample], t_s, e_s, stp).table
+            samples.append(np.arange(n))
+        seeds.append(int(rng.integers(2 ** 31)))
+    tables = engine.fit_survival_forest(
+        X, samples, train.time, train.event,
+        SurvivalTreeParams(max_depth=params.max_depth,
+                           min_samples_leaf=params.min_samples_leaf,
+                           mtry=mtry), seeds)
+    trees, leaf_chfs = [], []
+    for table, sample in zip(tables, samples):
         # a leaf's id is its rank among the leaves in preorder; the value
-        # slot holds it, and the bootstrap-local row_leaf is dropped
+        # slot holds it, and the sample-local row_leaf is dropped
         is_leaf = table.feature < 0
         rank = np.cumsum(is_leaf) - 1
         trees.append(TreeNode(replace(
             table, value=np.where(is_leaf, rank, np.nan), row_leaf=None)))
         leaf_chfs.append(_leaf_chf(rank[table.row_leaf], int(is_leaf.sum()),
-                                   t_s, e_s, grid))
+                                   train.time[sample], train.event[sample], grid))
     return _fitted(RSF, train, X,
                    RsfForest(trees=trees, leaf_chf=leaf_chfs, grid=grid), params)
 

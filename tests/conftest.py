@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -365,3 +367,35 @@ def comparable_pairs_oracle(time, event, mode):
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: np.random.default_rng(seed)
+
+
+def survival_tree_oracle(X, time, event, params):
+    """Survival tree grown by recursion, one node's split search at a time
+    (the pre-lockstep code): ``engine._grow`` with a screen or a scan per
+    node; a node of one row is a leaf. Returns its NodeTable, with each
+    row's leaf."""
+    X = np.asarray(X, dtype=float)
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=int)
+    d = X.shape[1]
+    mtry = d if params.mtry is None else min(params.mtry, d)
+    rng = np.random.default_rng(params.seed)
+    XT = np.ascontiguousarray(X.T)
+    msl = params.min_samples_leaf
+
+    def split(idx, _rows, depth):
+        if (depth >= params.max_depth or idx.size < max(2, 2 * msl)
+                or event[idx].sum() == 0):
+            return None
+        feats = np.sort(rng.choice(d, size=mtry, replace=False))
+        node = (XT[np.ix_(feats, idx)], time[idx], event[idx], msl)
+        if idx.size >= engine._SCREEN_MIN_ROWS:
+            found = engine._node_logrank_screen(*node)
+        else:
+            found = engine._scan_split(*engine._node_logrank_scan(*node))
+        if found is None:
+            return None
+        return found[0], int(feats[found[1]]), found[2]
+
+    root, row_leaf = engine._grow(X, split, lambda idx: np.nan)
+    return replace(root.table, row_leaf=row_leaf)

@@ -494,3 +494,68 @@ class TestDefaultSpaces:
     def test_horizon_has_no_default_space(self):
         with pytest.raises(ConfigError, match="no default search space"):
             _space_for(RunConfig({}), "horizon")
+
+
+class TestMalformedConfigValues:
+    @pytest.mark.parametrize("text", [
+        "float:abc:10:log", "float:0.1:abc", "float:1", "float:0.1:1:lin",
+        "float:0.1:1:log:x", "float:0.1:inf", "int:1.5:4", "int:1:4:6",
+        "int:3", "cat", "cat:a|b:c", "cat:a||b", "uniform:0:1"])
+    def test_bad_space_entry_is_config_error(self, text):
+        config = RunConfig({"hpo.space.ssvm.gamma": text})
+        with pytest.raises(ConfigError, match="bad space entry"):
+            _space_for(config, "ssvm")
+
+    def test_good_space_entries_parse(self):
+        config = RunConfig({"hpo.space.ssvm.gamma": "float:0.001:10:log",
+                            "hpo.space.ssvm.epochs": "int: 50 : 300",
+                            "hpo.space.ssvm.pair_mode": "cat:all|nearest"})
+        assert [repr(s) for s in _space_for(config, "ssvm")] == [repr(s) for s in [
+            ParamSpec("epochs", "int", 50, 300),
+            ParamSpec("gamma", "float", 0.001, 10.0, log=True),
+            ParamSpec("pair_mode", "categorical",
+                      choices=("all", "nearest"))]]
+
+    def test_bad_space_entry_exits_2(self, prepared_dir, tmp_path):
+        cfg = write_config(tmp_path / "hpo.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "ssvm",
+            "sampler": "random", "trials": "1", "folds": "2",
+            "hpo.space.ssvm.gamma": "float:abc:10:log",
+        })
+        assert run(["hpo", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("family,key,value", [
+        ("gbsa", "n_rounds", "abc"), ("rsf", "n_trees", "2.5"),
+        ("rsf", "bootstrap", "maybe"), ("rsf", "mtry", "two"),
+        ("gb_cox", "learning_rate", "fast"), ("gb_cox", "no_such_key", "1")])
+    def test_bad_family_value_exits_2(self, prepared_dir, tmp_path, family,
+                                      key, value):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": family,
+            f"family.{family}.{key}": value,
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert not (prepared_dir / "metrics.json").exists()
+
+    def test_bad_horizon_value_exits_2(self, prepared_dir, tmp_path):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3", "horizons": "1.0",
+            "family.horizon.n_rounds": "3.5",
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+
+    def test_family_values_take_their_field_types(self, prepared_dir,
+                                                  tmp_path):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "rsf",
+            "family.rsf.n_trees": "2", "family.rsf.mtry": "none",
+            "family.rsf.bootstrap": "false",
+            "family.rsf.bootstrap_fraction": "1",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        params = json.loads(
+            (prepared_dir / "model_rsf.json").read_text())["params"]
+        assert params["n_trees"] == 2 and params["mtry"] is None
+        assert params["bootstrap"] is False
+        assert type(params["bootstrap_fraction"]) is float

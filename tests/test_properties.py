@@ -1,11 +1,13 @@
 """Property tests: metric invariances, survival-matrix consistency, the
-fast paths (RSF scan and screened split search, leaf hazards and
-survival, leaf-step storage, regression split search and presorted trees,
-tree and ensemble routing, the boosting loop, comparable SSVM pairs)
-against their oracles, and Cox derivatives against finite differences."""
+fast paths (RSF scan and screened split search, the lockstep forest, leaf
+hazards and survival, leaf-step storage, IBS, regression split search and
+presorted trees, tree and ensemble routing, the boosting loop, comparable
+SSVM pairs) against their oracles, and Cox derivatives against finite
+differences."""
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,19 +18,20 @@ from conftest import (apply_tree, apply_tree_oracle, boost_oracle,
                       chf_on_grid_oracle, comparable_pairs_oracle, leaves,
                       logrank_scan_oracle, predict_tree_oracle,
                       regression_split_oracle, regression_tree_oracle,
-                      rsf_survival_oracle)
+                      rsf_survival_oracle, survival_tree_oracle)
 from survkit import engine
 from survkit.data import synth_cohort
-from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams, TreeParams,
+from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
+                            SurvivalTreeParams, TreeParams,
                             _best_regression_split, _node_logrank_scan,
                             _node_logrank_screen, _scan_split, boost,
-                            fit_regression_tree, predict_ensemble,
-                            predict_tree, tree_to_dict)
+                            fit_regression_tree, fit_survival_forest,
+                            predict_ensemble, predict_tree, tree_to_dict)
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
                             SquaredLoss, cox_loss)
 from survkit.errors import DataError, TrainingError
 from survkit.estimators import censoring_survival
-from survkit.metrics import TimeGrid, harrell_c, ipcw_c, td_auc
+from survkit.metrics import TimeGrid, brier, harrell_c, ibs, ipcw_c, td_auc
 from survkit.models import (_chf_from_steps, _chf_steps, _comparable_pairs,
                             _leaf_chf,
                             fit_family, predict_curves, survival_matrix)
@@ -279,6 +282,178 @@ def test_logrank_screen_in_small_blocks(monkeypatch, block):
             expected = _scan_split(*_node_logrank_scan(Xn, time, ev, 3))
             assert _found_bits(_node_logrank_screen(Xn, time, ev, 3)) \
                 == _found_bits(expected)
+
+
+def _assert_same_table(table, expected):
+    for name in ("feature", "threshold", "left", "right", "value", "gain",
+                 "row_leaf"):
+        assert getattr(table, name).dtype == getattr(expected, name).dtype
+        assert (getattr(table, name).tobytes()
+                == getattr(expected, name).tobytes()), name
+
+
+def _assert_forest_equals_oracle(X, samples, time, event, params, seeds):
+    """Every tree of the lockstep forest == the recursive one-tree grower."""
+    tables = fit_survival_forest(X, samples, time, event, params, seeds)
+    assert len(tables) == len(samples)
+    for table, sample, seed in zip(tables, samples, seeds):
+        expected = survival_tree_oracle(X[sample], time[sample], event[sample],
+                                        replace(params, seed=int(seed)))
+        _assert_same_table(table, expected)
+    return tables
+
+
+@st.composite
+def forests(draw):
+    """Small forests on either side of the screen's size cutoff: tied,
+    discrete or continuous features, tied or distinct times, light to full
+    censoring, bootstrap samples with repeats, 1 to 10 rows per leaf."""
+    n = draw(st.one_of(st.integers(2, 60),
+                       st.integers(_SCREEN_MIN_ROWS - 10, _SCREEN_MIN_ROWS + 60)))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["levels", "binary", "rounded", "continuous"]))
+    if kind == "levels":
+        X = rng.integers(0, draw(st.integers(1, n)) + 1, (n, d))
+    elif kind == "binary":
+        X = rng.integers(0, 2, (n, d))
+    elif kind == "rounded":
+        X = np.round(rng.standard_normal((n, d)), 1)
+    else:
+        X = rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        time = rng.integers(1, draw(st.integers(1, n)) + 1, n).astype(float)
+    else:
+        time = rng.exponential(1.0, n)
+    event = (rng.random(n) < draw(st.sampled_from([0.05, 0.3, 0.7, 1.0])))
+    event = event.astype(int)
+    event[rng.integers(n)] = 1
+    n_trees = draw(st.sampled_from([1, 2, 7]))
+    if draw(st.booleans()):
+        samples = [rng.integers(0, n, n) for _ in range(n_trees)]
+    else:
+        samples = [np.arange(n)] * n_trees
+    params = SurvivalTreeParams(
+        max_depth=draw(st.integers(0, 8)),
+        min_samples_leaf=draw(st.integers(1, 10)),
+        mtry=draw(st.one_of(st.none(), st.integers(1, d))))
+    seeds = rng.integers(0, 2 ** 31, n_trees)
+    return np.asarray(X, dtype=float), samples, time, event, params, seeds
+
+
+@PROPERTY_SETTINGS
+@given(forests())
+def test_survival_forest_equals_recursive_oracle(forest):
+    _assert_forest_equals_oracle(*forest)
+
+
+@pytest.mark.parametrize("block", [1, 300, 4000])
+def test_survival_forest_in_small_blocks(monkeypatch, block):
+    # every batched temporary goes through in many small blocks and chunks,
+    # including the lone position (msl = 1, m - 1 = 1 mod 512)
+    monkeypatch.setattr(engine, "_SCREEN_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n, msl in ((40, 3), (250, 5), (514, 1)):
+        X = np.round(rng.standard_normal((n, 4)), 1)
+        time = rng.integers(1, n // 2, n).astype(float)
+        event = (rng.random(n) < 0.6).astype(int)
+        samples = [np.arange(n), rng.integers(0, n, n)]
+        _assert_forest_equals_oracle(
+            X, samples, time, event,
+            SurvivalTreeParams(max_depth=3, min_samples_leaf=msl, mtry=2),
+            [block, block + 1])
+
+
+def test_survival_forest_screens_nodes_together():
+    # roots of different bootstraps share one screened search, and so do
+    # their large children, padded to a common width
+    rng = np.random.default_rng(31)
+    n = 3 * _SCREEN_MIN_ROWS
+    X = np.round(rng.standard_normal((n, 4)), 2)
+    time = rng.exponential(1.0, n)
+    event = (rng.random(n) < 0.7).astype(int)
+    samples = [rng.integers(0, n, n) for _ in range(6)]
+    tables = _assert_forest_equals_oracle(
+        X, samples, time, event,
+        SurvivalTreeParams(max_depth=3, min_samples_leaf=5, mtry=2),
+        np.arange(6))
+    assert len({t.threshold[0] for t in tables}) > 1
+
+
+def test_survival_forest_of_two_rows():
+    # m = 2 with msl = 1: one split position, summed as a lone column
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    tables = _assert_forest_equals_oracle(
+        X, [np.arange(2), np.array([1, 0]), np.array([0, 0])],
+        np.array([1.0, 2.0]), np.array([1, 1]),
+        SurvivalTreeParams(max_depth=2, min_samples_leaf=1), [3, 4, 5])
+    assert tables[0].feature[0] >= 0 and tables[2].feature[0] < 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_samples_leaf_zero(seed):
+    # msl = 0 admits every position 1..m-1, as msl = 1 does, including the
+    # lone last position (m = 514); a node of one row is a leaf
+    rng = np.random.default_rng(seed)
+    m = (40, 250, 514, 3)[seed]
+    X = np.round(rng.standard_normal((3, m)), 1)
+    time = rng.exponential(1.0, m)
+    event = (rng.random(m) < 0.7).astype(int)
+    event[0] = 1
+    _assert_scan_equals_oracle(X, time, event, 0, 512)
+    expected = _scan_split(*_node_logrank_scan(X, time, event, 0))
+    assert _found_bits(_node_logrank_screen(X, time, event, 0)) \
+        == _found_bits(expected)
+    _assert_forest_equals_oracle(
+        X.T, [np.arange(m), rng.integers(0, m, m)], time, event,
+        SurvivalTreeParams(max_depth=8, min_samples_leaf=0, mtry=2), [1, 2])
+
+
+def test_survival_forest_bootstraps_without_events():
+    rng = np.random.default_rng(12)
+    n = 30
+    X = rng.standard_normal((n, 3))
+    time = rng.exponential(1.0, n)
+    event = np.zeros(n, int)
+    event[[4, 17]] = 1
+    samples = [rng.integers(0, n, n) for _ in range(7)]
+    samples[2] = np.setdiff1d(np.arange(n), [4, 17])
+    tables = _assert_forest_equals_oracle(
+        X, samples, time, event,
+        SurvivalTreeParams(max_depth=4, min_samples_leaf=2), np.arange(7))
+    empty = [event[s].sum() == 0 for s in samples]
+    assert any(empty) and not all(empty)
+    for table, sample, none in zip(tables, samples, empty):
+        if none:  # a single leaf holding every sampled row
+            assert table.feature.tolist() == [-1]
+            assert table.row_leaf.tolist() == [0] * sample.size
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(2, 12), st.integers(0, 2 ** 32 - 1))
+def test_ibs_equals_per_time_brier_sum(inst, n_times, seed):
+    # ibs evaluates G(T_i-) once; the per-time brier calls evaluate it
+    # afresh, and the scores must not move a bit
+    time, event, _ = inst
+    rng = np.random.default_rng(seed)
+    censor = censoring_survival(time, event)
+    times = np.unique(rng.uniform(0.5, time.max(), n_times))
+    if times.size < 2:
+        return
+    mat = rng.random((time.size, times.size))
+    grid = TimeGrid(times, times.size)
+
+    def outcome(fn):
+        try:
+            return np.float64(fn()).tobytes()
+        except DataError as exc:
+            return str(exc)
+
+    per_time = lambda: np.trapezoid(
+        [brier(t, mat[:, k], time, event, censor) for k, t in enumerate(times)],
+        times) / (times[-1] - times[0])
+    assert outcome(lambda: ibs(grid, mat, time, event, censor)) \
+        == outcome(per_time)
 
 
 @st.composite
