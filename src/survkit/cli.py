@@ -408,14 +408,16 @@ def cmd_hpo(config: RunConfig) -> int:
 def _family_params(config: RunConfig, out: Path, family: str) -> dict:
     """The family's tuned parameters, if ``hpo`` wrote any, updated by its
     ``family.<family>.<key>`` config values, each read as the type its
-    params field declares; an unknown key or a malformed value is a
-    ConfigError."""
+    params field declares; an unknown key or a malformed value (one its
+    params class refuses, too) is a ConfigError."""
     params: dict = {}
     best_file = out / f"best_params_{family}.json"
     if best_file.exists():
         params.update(json.loads(best_file.read_text(encoding="utf-8"))["params"])
-    fields = typing.get_type_hints(M.PARAM_CLASSES[family])
-    for key in config.prefixed(f"family.{family}."):
+    param_class = M.PARAM_CLASSES[family]
+    fields = typing.get_type_hints(param_class)
+    keys = config.prefixed(f"family.{family}.")
+    for key in keys:
         name = f"family.{family}.{key}"
         if key not in fields:
             raise ConfigError(f"{name}: {family} has no parameter {key!r}")
@@ -428,6 +430,10 @@ def _family_params(config: RunConfig, out: Path, family: str) -> dict:
         read = {bool: config.get_bool, int: config.get_int,
                 float: config.get_float}.get(kind, config.require)
         params[key] = read(name)
+    try:
+        param_class(**{key: params[key] for key in keys})
+    except ConfigError as exc:
+        raise ConfigError(f"family.{family}: {exc}") from None
     return params
 
 

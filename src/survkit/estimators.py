@@ -175,16 +175,28 @@ def breslow_baseline(time, event, eta) -> StepFunction:
     if not np.all(np.isfinite(eta)):
         raise DataError("eta must be finite")
 
+    order, uniq, start = _time_blocks(time)
+    return _breslow_sorted(event[order], uniq, start, eta[order])
+
+
+def _time_blocks(time):
+    """Stable time order, the distinct times and where each one's block of
+    tied subjects starts in that order."""
     order = np.argsort(time, kind="stable")
-    t, e = time[order], event[order]
-    shift = eta[order] - eta.max()
+    uniq, start = np.unique(time[order], return_index=True)
+    return order, uniq, start
+
+
+def _breslow_sorted(e, uniq, start, eta) -> StepFunction:
+    """``breslow_baseline`` with events and eta in stable time order."""
+    eta_max = eta.max()
+    shift = eta - eta_max
     # suffix sums of exp(eta - max) give the risk-set denominators
     rev_cumsum = np.cumsum(np.exp(shift)[::-1])[::-1]
-    uniq, start = np.unique(t, return_index=True)
     deaths = np.add.reduceat(e.astype(float), start)
     s0_scaled = rev_cumsum[start]
     has_event = deaths > 0
-    increments = deaths[has_event] / s0_scaled[has_event] * np.exp(-eta.max())
+    increments = deaths[has_event] / s0_scaled[has_event] * np.exp(-eta_max)
     return StepFunction(uniq[has_event], np.cumsum(increments), 0.0)
 
 
@@ -202,22 +214,20 @@ def breslow_survival(baseline: StepFunction, eta, times) -> np.ndarray:
     return surv
 
 
-def _cox_profile(scores, time, event, beta):
-    """Log partial likelihood, score and information for eta = beta*score."""
-    order = np.argsort(time, kind="stable")
-    t, e, s = time[order], event[order], scores[order]
+def _cox_profile(s, ev, rs, beta):
+    """Log partial likelihood, score and information for eta = beta*score.
+
+    ``s`` holds the scores in stable time order, ``ev`` marks its events
+    and ``rs`` gives each event's risk-set start in that order.
+    """
     eta = beta * s
-    shift = eta - eta.max()
+    eta_max = eta.max()
+    shift = eta - eta_max
     w = np.exp(shift)
     s0 = np.cumsum(w[::-1])[::-1]
     s1 = np.cumsum((w * s)[::-1])[::-1]
     s2 = np.cumsum((w * s * s)[::-1])[::-1]
-    uniq, start = np.unique(t, return_index=True)
-    # Breslow ties: every event at a tied time shares the full risk set
-    risk_start = start[np.searchsorted(uniq, t)]
-    ev = e == 1
-    rs = risk_start[ev]
-    loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta.max())))
+    loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta_max)))
     mean1 = s1[rs] / s0[rs]
     score = float(np.sum(s[ev] - mean1))
     info = float(np.sum(s2[rs] / s0[rs] - mean1 ** 2))
@@ -241,11 +251,17 @@ def cox_calibrate(scores, time, event, tol: float = 1e-8,
     if int(event.sum()) < 2:
         raise DataError("cox_calibrate needs at least 2 events")
 
+    # one sort for every profile evaluation and the baseline
+    order, uniq, start = _time_blocks(time)
+    s, e = scores[order], event[order]
+    ev = e == 1
+    # Breslow ties: every event at a tied time shares the full risk set
+    rs = start[np.searchsorted(uniq, time[order])][ev]
     if np.ptp(scores) == 0.0:
         beta = 0.0
     else:
         beta = 0.0
-        loglik, score, info = _cox_profile(scores, time, event, beta)
+        loglik, score, info = _cox_profile(s, ev, rs, beta)
         converged = score == 0.0
         for _ in range(max_iter):
             if converged:
@@ -254,12 +270,12 @@ def cox_calibrate(scores, time, event, tol: float = 1e-8,
                 raise ConvergenceError("Cox information is not positive")
             step = score / info
             new_beta = beta + step
-            new_ll, new_score, new_info = _cox_profile(scores, time, event, new_beta)
+            new_ll, new_score, new_info = _cox_profile(s, ev, rs, new_beta)
             halvings = 0
             while (not np.isfinite(new_ll) or new_ll < loglik) and halvings < 30:
                 step *= 0.5
                 new_beta = beta + step
-                new_ll, new_score, new_info = _cox_profile(scores, time, event, new_beta)
+                new_ll, new_score, new_info = _cox_profile(s, ev, rs, new_beta)
                 halvings += 1
             if not np.isfinite(new_ll):
                 raise ConvergenceError("Cox partial likelihood became non-finite")
@@ -272,5 +288,5 @@ def cox_calibrate(scores, time, event, tol: float = 1e-8,
             raise ConvergenceError(
                 f"Cox calibration did not converge in {max_iter} iterations")
 
-    baseline = breslow_baseline(time, event, beta * scores)
+    baseline = _breslow_sorted(e, uniq, start, beta * s)
     return CoxCalibration(beta=float(beta), baseline=baseline)

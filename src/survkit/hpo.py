@@ -10,6 +10,7 @@ maximizes the fold-averaged concordance index.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
@@ -359,20 +360,47 @@ class _CmaState:
         self.mean = new_mean
 
 
+# (numeric space, config, the (params, value) records of the longest
+# history prefix replayed so far, the state reached after it). A pure
+# cache: it is read once per call, replaced whole and never updated in
+# place, so any caller, thread or test sees the state of a full replay.
+_cma_resume: tuple | None = None
+
+
 def _cma_replay(space: list[ParamSpec], history: list[Trial],
                 config: CmaesConfig) -> tuple[_CmaState, int, list[ParamSpec]]:
+    """The state after every completed generation of ``history``.
+
+    A history that extends the last replayed prefix resumes from the state
+    cached after it, so a study's T calls cost O(T) updates in all; any
+    other history replays from the start. The updates run in the same
+    order either way, so the state is the same bit for bit.
+    """
+    global _cma_resume
     numeric = [s for s in space if s.is_numeric]
     if not numeric:
         raise ConfigError("CMA-ES needs at least one numeric parameter")
     d = len(numeric)
     lam = config.population or (4 + int(3 * math.log(d)))
-    state = _CmaState(d, config.sigma0)
-    for start in range(0, len(history) - lam + 1, lam):
-        gen = history[start:start + lam]
-        xs = np.array([[s.to_unit(t.params[s.name]) for s in numeric]
-                       for t in gen])
-        fitness = np.array([np.nan if t.failed else t.value for t in gen])
-        state.update(xs, fitness, lam)
+    end = len(history) - len(history) % lam
+    state, done = _CmaState(d, config.sigma0), []
+    if _cma_resume is not None:
+        cached_space, cached_config, records, cached = _cma_resume
+        if (cached_space == tuple(numeric) and cached_config == config
+                and records == [(t.params, t.value)
+                                for t in history[:len(records)]]):
+            state, done = cached, records
+    if len(done) < end:
+        state = copy.deepcopy(state)  # a caller may hold the cached state
+        for start in range(len(done), end, lam):
+            gen = history[start:start + lam]
+            xs = np.array([[s.to_unit(t.params[s.name]) for s in numeric]
+                           for t in gen])
+            fitness = np.array([np.nan if t.failed else t.value for t in gen])
+            state.update(xs, fitness, lam)
+        done = done + [(dict(t.params), t.value)
+                       for t in history[len(done):end]]
+        _cma_resume = (tuple(numeric), config, done, state)
     return state, lam, numeric
 
 
@@ -413,8 +441,9 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
     """Cross-validated search maximizing the mean held-out concordance index.
 
     Per trial: sample a configuration, fit the family on each fold's
-    training portion with a derived seed, score the held-out portion, and
-    average. Failed fits record a failure marker and the study continues.
+    training portion with a derived seed (a risk-only fit: no curve work),
+    score the held-out portion, and average. Failed fits record a failure
+    marker and the study continues.
     Fully deterministic given the seed; passing an existing ``study``
     resumes it at the recorded trial count.
     """
@@ -456,6 +485,7 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
             fit_seed = derive_seed(seed, f"hpo/trial/{t}/fold/{f}")
             try:
                 model = fit_family(family, train.subset(np.flatnonzero(mask)),
+                                   curves=False,
                                    **{**base_params, **params, "seed": fit_seed})
                 risks = predict_risk(model, np.asarray(
                     train.features[test_idx], dtype=float))

@@ -9,8 +9,9 @@ event times (deaths-before-censorings convention), and at the evaluation
 time itself for still-at-risk subjects.
 
 Cost: harrell_c and ipcw_c count risk ranks over time-sorted prefixes in
-O(n log^2 n); td_auc sorts the risks once and costs O(n log n) per
-evaluation time; brier and ibs are O(n) per grid time.
+O(n log^2 n), and compare every pair directly below a few hundred
+subjects; td_auc sorts the risks once and costs O(n log n) per evaluation
+time; brier and ibs are O(n) per grid time.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ def _check_inputs(time, event, risk):
     return time, event, risk
 
 
+# Subjects below which _later_risk_counts compares every query with every
+# subject instead of counting ranks over sorted prefixes. harrell_c with 70%
+# events took as long either way between 300 and 400 rows (2-CPU x86 host).
+_DIRECT_COUNT_ROWS = 320
+
+
 def _prefix_rank_counts(rank, prefix_len, query_rank):
     """Count, for each query q, the entries of ``rank[:prefix_len[q]]``
     below and equal to ``query_rank[q]``.
@@ -122,8 +129,21 @@ def _later_risk_counts(time, event, risk, query, censored_ties: bool):
     ``censored_ties``, when T_j == T_i and j is censored. Sorting by time
     descending with censorings before events at a tied time makes each
     comparable set a prefix of that order. Results follow the original
-    order of the subjects selected by ``query``.
+    order of the subjects selected by ``query``. Below
+    ``_DIRECT_COUNT_ROWS`` subjects every count comes from comparing each
+    query with every subject, which is cheaper there and gives the same
+    integers.
     """
+    if time.size < _DIRECT_COUNT_ROWS:
+        queried = np.flatnonzero(query)
+        t_q = time[queried, None]
+        later = time > t_q
+        if censored_ties:
+            later |= (time == t_q) & (event < event[queried, None])
+        r_q = risk[queried, None]
+        return (np.count_nonzero(later, axis=1),
+                np.count_nonzero(later & (risk < r_q), axis=1),
+                np.count_nonzero(later & (risk == r_q), axis=1))
     order = np.lexsort((event, -time))
     t_sorted = time[order]
     changes = np.empty(time.size, dtype=bool)

@@ -10,8 +10,10 @@ curves raises NoSurvivalFunctionError.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import chain
 from typing import Callable
 
@@ -68,6 +70,10 @@ class RsfParams:
     bootstrap: bool = True
     bootstrap_fraction: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ConfigError(f"n_trees must be at least 1, got {self.n_trees}")
 
 
 @dataclass(frozen=True)
@@ -482,13 +488,15 @@ def _comparable_pairs(time, event, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return order[prior[has]], order[has]
 
 
-def fit_ssvm(train: Cohort, params: SsvmParams = SsvmParams()) -> FittedModel:
+def fit_ssvm(train: Cohort, params: SsvmParams = SsvmParams(),
+             calibrate: bool = True) -> FittedModel:
     """Ranking survival SVM with squared hinge on comparable pairs.
 
     Minimizes 1/2 ||w||^2 + gamma * sum max(0, 1 - w.(x_i - x_j))^2 over
     pairs where subject i dies strictly before subject j is last seen, so
     w.x is a risk utility. Deterministic full-batch gradient descent with
     step halving; curves come from a Cox calibration of the training scores.
+    With ``calibrate=False`` the model is risk-only (no calibration).
     """
     _check_events(train)
     X = _float_features(train)
@@ -500,17 +508,23 @@ def fit_ssvm(train: Cohort, params: SsvmParams = SsvmParams()) -> FittedModel:
         pick = np.sort(rng.choice(ii.size, size=params.max_pairs, replace=False))
         ii, jj = ii[pick], jj[pick]
     D = X[ii] - X[jj]
+    DT = D.T
+    gamma = params.gamma
+    twice_gamma = 2.0 * gamma
 
     def objective(w):
-        slack = np.maximum(0.0, 1.0 - D @ w)
-        return 0.5 * w @ w + params.gamma * np.sum(slack ** 2), slack
+        # max(0, 1 - D @ w), built in place
+        slack = D @ w
+        np.subtract(1.0, slack, out=slack)
+        np.maximum(0.0, slack, out=slack)
+        return 0.5 * w @ w + gamma * np.add.reduce(slack * slack), slack
 
     w = np.zeros(X.shape[1])
     fval, slack = objective(w)
     step = params.step_size
     for _ in range(params.epochs):
-        grad = w - 2.0 * params.gamma * (D.T @ slack)
-        gnorm = float(np.linalg.norm(grad))
+        grad = w - twice_gamma * (DT @ slack)
+        gnorm = math.sqrt(grad.dot(grad))  # what np.linalg.norm computes
         if gnorm <= params.tol:
             break
         new_w = w - step * grad
@@ -531,7 +545,7 @@ def fit_ssvm(train: Cohort, params: SsvmParams = SsvmParams()) -> FittedModel:
     scores = X @ w
     calibration = None
     meta = {"n_pairs": int(ii.size)}
-    if train.event.sum() >= 2:
+    if calibrate and train.event.sum() >= 2:
         try:
             calibration = cox_calibrate(scores, train.time, train.event)
         except ConvergenceError as exc:
@@ -568,6 +582,9 @@ class Family:
     model-file keys (by default, one boosted ensemble); the readers raise
     ValueError on a malformed file. ``space`` is the default HPO space as
     (name, kind, low, high[, log]) tuples; empty means the family has none.
+    ``fit_risk_only`` fits a model whose risks equal ``fit``'s while
+    skipping work that only its curves need; None means ``fit`` does no
+    such work.
     """
 
     params: type
@@ -579,6 +596,7 @@ class Family:
     support: Callable[[object], np.ndarray] | None = None
     td_auc: bool = False
     space: tuple = ()
+    fit_risk_only: Callable[[Cohort, object], FittedModel] | None = None
 
 
 _BOOST_SPACE = (("n_rounds", "int", 50, 300),
@@ -617,7 +635,8 @@ FAMILY_TABLE: dict[str, Family] = {
         support=lambda svm: svm.calibrated().baseline.times,
         fields=SsvmModel.to_fields, from_fields=SsvmModel.from_fields,
         td_auc=True,
-        space=(("gamma", "float", 1e-3, 10.0, True),)),
+        space=(("gamma", "float", 1e-3, 10.0, True),),
+        fit_risk_only=partial(fit_ssvm, calibrate=False)),
     GB_COX: Family(
         GbParams, fit_gb_cox,
         risk=lambda ensemble, X: ensemble.predict(X),
@@ -654,8 +673,14 @@ def _curve_family(model: FittedModel) -> Family:
     return fam
 
 
-def fit_family(family: str, train: Cohort, params=None, **overrides) -> FittedModel:
-    """Train one family by name; ``overrides`` update the default params."""
+def fit_family(family: str, train: Cohort, params=None, *, curves: bool = True,
+               **overrides) -> FittedModel:
+    """Train one family by name; ``overrides`` update the default params.
+
+    ``curves=False`` asks for a model that is only scored by its risks: a
+    family with a ``fit_risk_only`` then skips its curve work, so asking
+    the model for curves may raise NoSurvivalFunctionError.
+    """
     fam = _family(family, ConfigError)
     try:
         if params is None:
@@ -664,6 +689,8 @@ def fit_family(family: str, train: Cohort, params=None, **overrides) -> FittedMo
             params = fam.params(**{**asdict(params), **overrides})
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {family}: {exc}") from None
+    if not curves and fam.fit_risk_only is not None:
+        return fam.fit_risk_only(train, params)
     return fam.fit(train, params)
 
 

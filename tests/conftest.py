@@ -364,6 +364,141 @@ def comparable_pairs_oracle(time, event, mode):
     return np.asarray(ii, int), np.asarray(jj, int)
 
 
+def ssvm_fit_oracle(X, time, event, params):
+    """SSVM weights from the descent with a fresh slack array per objective
+    call, ``np.sum(slack ** 2)`` and ``np.linalg.norm`` (the pre-lean code);
+    the pairs come from ``models._comparable_pairs``."""
+    from survkit.models import _comparable_pairs
+    X = np.asarray(X, dtype=float)
+    ii, jj = _comparable_pairs(time, event, params.pair_mode)
+    if params.max_pairs and ii.size > params.max_pairs:
+        rng = np.random.default_rng(params.seed)
+        pick = np.sort(rng.choice(ii.size, size=params.max_pairs, replace=False))
+        ii, jj = ii[pick], jj[pick]
+    D = X[ii] - X[jj]
+
+    def objective(w):
+        slack = np.maximum(0.0, 1.0 - D @ w)
+        return 0.5 * w @ w + params.gamma * np.sum(slack ** 2), slack
+
+    w = np.zeros(X.shape[1])
+    fval, slack = objective(w)
+    step = params.step_size
+    for _ in range(params.epochs):
+        grad = w - 2.0 * params.gamma * (D.T @ slack)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= params.tol:
+            break
+        new_w = w - step * grad
+        new_f, new_slack = objective(new_w)
+        halved = 0
+        while new_f >= fval and halved < 40:
+            step *= 0.5
+            new_w = w - step * grad
+            new_f, new_slack = objective(new_w)
+            halved += 1
+        if new_f >= fval:
+            break
+        w, fval, slack = new_w, new_f, new_slack
+        step *= 2.0
+    return w
+
+
+def cox_profile_oracle(scores, time, event, beta):
+    """Cox log partial likelihood, score and information with one sort and
+    one ``np.unique`` per call (the pre-presorted code)."""
+    order = np.argsort(time, kind="stable")
+    t, e, s = time[order], event[order], scores[order]
+    eta = beta * s
+    shift = eta - eta.max()
+    w = np.exp(shift)
+    s0 = np.cumsum(w[::-1])[::-1]
+    s1 = np.cumsum((w * s)[::-1])[::-1]
+    s2 = np.cumsum((w * s * s)[::-1])[::-1]
+    uniq, start = np.unique(t, return_index=True)
+    risk_start = start[np.searchsorted(uniq, t)]
+    ev = e == 1
+    rs = risk_start[ev]
+    loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta.max())))
+    mean1 = s1[rs] / s0[rs]
+    score = float(np.sum(s[ev] - mean1))
+    info = float(np.sum(s2[rs] / s0[rs] - mean1 ** 2))
+    return loglik, score, info
+
+
+def breslow_oracle(time, event, eta):
+    """Breslow cumulative baseline hazard with its own sort (the code
+    before the sort was shared with the Cox calibration). Returns (times,
+    values)."""
+    order = np.argsort(time, kind="stable")
+    t, e = time[order], event[order]
+    shift = eta[order] - eta.max()
+    rev_cumsum = np.cumsum(np.exp(shift)[::-1])[::-1]
+    uniq, start = np.unique(t, return_index=True)
+    deaths = np.add.reduceat(e.astype(float), start)
+    s0_scaled = rev_cumsum[start]
+    has_event = deaths > 0
+    increments = deaths[has_event] / s0_scaled[has_event] * np.exp(-eta.max())
+    return uniq[has_event], np.cumsum(increments)
+
+
+def cox_calibrate_oracle(scores, time, event, tol=1e-8, max_iter=100):
+    """``cox_calibrate``'s Newton iteration on ``cox_profile_oracle``, for
+    valid inputs with at least 2 events. Returns (beta, baseline times,
+    baseline values); raises ConvergenceError where it does."""
+    from survkit.errors import ConvergenceError
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event).astype(int)
+    scores = np.asarray(scores, dtype=float)
+    beta = 0.0
+    if np.ptp(scores) != 0.0:
+        loglik, score, info = cox_profile_oracle(scores, time, event, beta)
+        converged = score == 0.0
+        for _ in range(max_iter):
+            if converged:
+                break
+            if info <= 0:
+                raise ConvergenceError("Cox information is not positive")
+            step = score / info
+            new_beta = beta + step
+            new_ll, new_score, new_info = cox_profile_oracle(
+                scores, time, event, new_beta)
+            halvings = 0
+            while (not np.isfinite(new_ll) or new_ll < loglik) and halvings < 30:
+                step *= 0.5
+                new_beta = beta + step
+                new_ll, new_score, new_info = cox_profile_oracle(
+                    scores, time, event, new_beta)
+                halvings += 1
+            if not np.isfinite(new_ll):
+                raise ConvergenceError("Cox partial likelihood became non-finite")
+            if abs(new_beta) * np.ptp(scores) > 500.0:
+                raise ConvergenceError("Cox calibration diverged")
+            converged = abs(new_beta - beta) <= tol
+            beta, loglik, score, info = new_beta, new_ll, new_score, new_info
+        else:
+            raise ConvergenceError("Cox calibration did not converge")
+    return (float(beta),) + breslow_oracle(time, event, beta * scores)
+
+
+def cma_replay_oracle(space, history, config):
+    """CMA-ES state replayed from the start of ``history`` on every call
+    (the pre-cache code). Returns (state, lam, numeric)."""
+    import math
+    from survkit.hpo import _CmaState
+    numeric = [s for s in space if s.is_numeric]
+    d = len(numeric)
+    lam = config.population or (4 + int(3 * math.log(d)))
+    state = _CmaState(d, config.sigma0)
+    for start in range(0, len(history) - lam + 1, lam):
+        gen = history[start:start + lam]
+        xs = np.array([[s.to_unit(t.params[s.name]) for s in numeric]
+                       for t in gen])
+        fitness = np.array([np.nan if t.failed else t.value for t in gen])
+        state.update(xs, fitness, lam)
+    return state, lam, numeric
+
+
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: np.random.default_rng(seed)

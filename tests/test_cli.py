@@ -527,7 +527,8 @@ class TestMalformedConfigValues:
     @pytest.mark.parametrize("family,key,value", [
         ("gbsa", "n_rounds", "abc"), ("rsf", "n_trees", "2.5"),
         ("rsf", "bootstrap", "maybe"), ("rsf", "mtry", "two"),
-        ("gb_cox", "learning_rate", "fast"), ("gb_cox", "no_such_key", "1")])
+        ("gb_cox", "learning_rate", "fast"), ("gb_cox", "no_such_key", "1"),
+        ("rsf", "n_trees", "0")])
     def test_bad_family_value_exits_2(self, prepared_dir, tmp_path, family,
                                       key, value):
         cfg = write_config(tmp_path / "te.cfg", **{
@@ -536,6 +537,14 @@ class TestMalformedConfigValues:
         })
         assert run(["train-eval", "--config", cfg]) == 2
         assert not (prepared_dir / "metrics.json").exists()
+
+    def test_zero_trees_message(self, prepared_dir, tmp_path, caplog):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "rsf",
+            "family.rsf.n_trees": "0",
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert "family.rsf: n_trees must be at least 1" in caplog.text
 
     def test_bad_horizon_value_exits_2(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "te.cfg", **{

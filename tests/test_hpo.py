@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 import survkit.hpo as hpo
+from conftest import cma_replay_oracle
 from survkit.data import synth_cohort
 from survkit.errors import ConfigError, DataError, TrainingError
 from survkit.hpo import (CmaesConfig, ParamSpec, Study, TpeConfig, Trial,
@@ -201,6 +204,62 @@ class TestCmaesSampler:
         p = sample_cmaes(space, [], np.random.default_rng(10))
         assert p["c"] in ("a", "b") and 0.0 <= p["x"] <= 1.0
 
+    @staticmethod
+    def _state_bits(state):
+        return (state.mean.tobytes(), state.cov.tobytes(),
+                state.p_sigma.tobytes(), state.p_c.tobytes(),
+                np.float64(state.sigma).tobytes(), state.gen)
+
+    def test_resumed_replay_equals_full_replay(self):
+        space = [ParamSpec("x", "float", 0.0, 1.0),
+                 ParamSpec("lr", "float", 1e-3, 1.0, log=True),
+                 ParamSpec("n", "int", 1, 9),
+                 ParamSpec("c", "categorical", choices=("a", "b"))]
+        config = CmaesConfig()
+
+        def objective(p, t):
+            if t % 11 == 5:
+                return None  # a failed trial
+            return -((p["x"] - 0.3) ** 2 + (np.log10(p["lr"]) + 2) ** 2
+                     + 0.01 * p["n"])
+
+        def step(hist, seed, t):
+            # every proposal against the state replayed from the start
+            proposal = sample_cmaes(space, hist, np.random.default_rng((seed, t)))
+            state, _, numeric = cma_replay_oracle(space, hist, config)
+            rng = np.random.default_rng((seed, t))
+            x = np.clip(state.sample(rng), 0.0, 1.0)
+            expected = {s.name: s.from_unit(float(u)) for s, u in zip(numeric, x)}
+            expected["c"] = sample_random([space[3]], hist, rng)["c"]
+            assert repr(proposal) == repr(expected)
+            cached = _cma_replay(space, hist, config)[0]
+            assert self._state_bits(cached) == self._state_bits(state)
+            value = objective(proposal, t)
+            hist.append(Trial(index=t, params=proposal, value=value,
+                              fold_values=None if value is None else [value],
+                              error="boom" if value is None else None))
+
+        a, b = [], []
+        for t in range(40):  # two studies interleaved: each call misses
+            step(a, 1, t)
+            step(b, 2, t)
+        held = _cma_replay(space, a, config)[0]
+        held_bits = self._state_bits(held)
+        for t in range(40, 80):  # one study: each call resumes
+            step(a, 1, t)
+        assert self._state_bits(held) == held_bits  # never updated in place
+        step(a[:25], 3, 25)  # a shorter history replays from the start
+        a[30].value += 1e-9  # a changed prefix replays from the start
+        step(a, 4, len(a))
+        # another space or config replays from the start
+        for other_space, other_config in ((space[:2], config),
+                                          (space, CmaesConfig(sigma0=0.3))):
+            _cma_replay(space, a, config)
+            assert (self._state_bits(_cma_replay(other_space, a,
+                                                 other_config)[0])
+                    == self._state_bits(cma_replay_oracle(
+                        other_space, a, other_config)[0]))
+
     def test_failures_ranked_last(self):
         space = [ParamSpec("x", "float", 0.0, 1.0)]
         lam = 4  # population for d=1
@@ -339,6 +398,25 @@ class TestRunStudy:
             for trial in study.trials:
                 assert 0.05 <= trial.params["learning_rate"] <= 0.3
                 assert 1 <= trial.params["max_depth"] <= 3
+
+    @pytest.mark.parametrize("sampler", ["random", "tpe", "cmaes"])
+    def test_risk_only_fits_write_the_same_study(self, small_cohort,
+                                                 monkeypatch, sampler):
+        space = [ParamSpec("gamma", "float", 1e-3, 10.0, log=True),
+                 ParamSpec("epochs", "int", 20, 80)]
+
+        def study_json():
+            return run_study(small_cohort, "ssvm", space, sampler=sampler,
+                             n_trials=12, k_folds=3, seed=8).to_json()
+
+        risk_only = study_json()
+        real = hpo.fit_family
+        monkeypatch.setattr(hpo, "fit_family", lambda *a, curves, **kw:
+                            real(*a, curves=True, **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # calibration unavailable
+            full = study_json()
+        assert risk_only == full
 
     def test_ipcw_objective(self, small_cohort):
         study = run_study(small_cohort, "gb_cox", SMALL_SPACE, sampler="random",

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,14 @@ def ph_cohorts():
 
 
 class TestRsf:
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_is_config_error(self, n_trees):
+        cohort = synth_cohort(40, 2, "ph", [1, 0], censor_rate=0.3, seed=1)
+        with pytest.raises(ConfigError, match="n_trees must be at least 1"):
+            fit_family("rsf", cohort, n_trees=n_trees)
+        with pytest.raises(ConfigError, match="n_trees must be at least 1"):
+            RsfParams(n_trees=n_trees)
+
     def test_single_leaf_forest_reproduces_nelson_aalen(self):
         cohort = synth_cohort(150, 2, "ph", [1, 0], censor_rate=0.3, seed=1)
         model = fit_rsf(cohort, RsfParams(n_trees=1, bootstrap=False,
@@ -262,6 +271,41 @@ class TestSsvm:
         cohort = synth_cohort(80, 2, "ph", [1, 0], censor_rate=0.2, seed=23)
         model = fit_ssvm(cohort, SsvmParams(pair_mode="all", max_pairs=500))
         assert model.meta["n_pairs"] <= 500
+
+    def test_risk_only_fit(self):
+        cohort = synth_cohort(150, 3, "ph", [1, 0.5, 0], censor_rate=0.3,
+                              seed=24)
+        full = fit_family("ssvm", cohort, seed=25)
+        risk_only = fit_family("ssvm", cohort, seed=25, curves=False)
+        assert risk_only.artifact.calibration is None
+        assert (risk_only.artifact.weights.tobytes()
+                == full.artifact.weights.tobytes())
+        assert (predict_risk(risk_only, cohort.features).tobytes()
+                == predict_risk(full, cohort.features).tobytes())
+        with pytest.raises(NoSurvivalFunctionError):
+            predict_curves(risk_only, cohort.features[:2])
+        with pytest.raises(NoSurvivalFunctionError):
+            survival_matrix(risk_only, cohort.features[:2], [1.0])
+
+    def test_separable_risk_only_fit_is_silent(self):
+        rng = np.random.default_rng(20)
+        x = rng.uniform(0, 1, 60)
+        cohort = Cohort(features=x[:, None],
+                        columns=[ColumnSpec("x", "numeric")],
+                        time=10.0 - 9.0 * x, event=np.ones(60, dtype=int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_family("ssvm", cohort, gamma=2.0, epochs=300,
+                               curves=False)
+        assert "calibration_error" not in model.meta
+
+    def test_curves_flag_leaves_other_families_alone(self):
+        cohort = synth_cohort(120, 2, "ph", [1, 0], censor_rate=0.2, seed=26)
+        for family, kw in [("rsf", {"n_trees": 3}), ("gbsa", {"n_rounds": 3})]:
+            a = fit_family(family, cohort, seed=27, **kw)
+            b = fit_family(family, cohort, seed=27, curves=False, **kw)
+            assert (survival_matrix(a, cohort.features, [1.0]).tobytes()
+                    == survival_matrix(b, cohort.features, [1.0]).tobytes())
 
     def test_no_comparable_pairs_errors(self):
         cohort = Cohort(features=np.ones((3, 1)),

@@ -2,8 +2,9 @@
 fast paths (RSF scan and screened split search, the lockstep forest, leaf
 hazards and survival, leaf-step storage, IBS, regression split search and
 presorted trees, tree and ensemble routing, the boosting loop, comparable
-SSVM pairs) against their oracles, and Cox derivatives against finite
-differences."""
+SSVM pairs, the SSVM descent, the presorted Cox calibration, direct
+concordance counts) against their oracles, and Cox derivatives against
+finite differences."""
 
 import json
 import warnings
@@ -15,12 +16,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (apply_tree, apply_tree_oracle, boost_oracle,
-                      chf_on_grid_oracle, comparable_pairs_oracle, leaves,
+                      breslow_oracle, chf_on_grid_oracle,
+                      comparable_pairs_oracle, cox_calibrate_oracle,
+                      cox_profile_oracle, harrell_oracle, leaves,
                       logrank_scan_oracle, predict_tree_oracle,
                       regression_split_oracle, regression_tree_oracle,
-                      rsf_survival_oracle, survival_tree_oracle)
+                      rsf_survival_oracle, ssvm_fit_oracle,
+                      survival_tree_oracle)
+from survkit import metrics
 from survkit import engine
-from survkit.data import synth_cohort
+from survkit.data import Cohort, ColumnSpec, synth_cohort
 from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
                             SurvivalTreeParams, TreeParams,
                             _best_regression_split, _node_logrank_scan,
@@ -29,12 +34,14 @@ from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
                             predict_ensemble, predict_tree, tree_to_dict)
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
                             SquaredLoss, cox_loss)
-from survkit.errors import DataError, TrainingError
-from survkit.estimators import censoring_survival
+from survkit.errors import ConvergenceError, DataError, TrainingError
+from survkit.estimators import (_cox_profile, _time_blocks,
+                                breslow_baseline, censoring_survival,
+                                cox_calibrate)
 from survkit.metrics import TimeGrid, brier, harrell_c, ibs, ipcw_c, td_auc
-from survkit.models import (_chf_from_steps, _chf_steps, _comparable_pairs,
-                            _leaf_chf,
-                            fit_family, predict_curves, survival_matrix)
+from survkit.models import (SsvmParams, _chf_from_steps, _chf_steps,
+                            _comparable_pairs, _leaf_chf, fit_family,
+                            fit_ssvm, predict_curves, survival_matrix)
 from survkit.preprocess import split
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -858,3 +865,164 @@ def test_cox_derivatives_match_central_differences(inst, weighted):
         # the hessian is the diagonal second derivative, floored at 1e-16
         assert hess[j] == pytest.approx(max(fd_hess, 1e-16), rel=1e-6,
                                         abs=1e-7)
+
+
+@st.composite
+def ssvm_instances(draw):
+    """Tied times and tied or continuous features, with at least one event."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    time = np.asarray(draw(st.lists(st.integers(1, 10), min_size=n,
+                                    max_size=n)), dtype=float)
+    event = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    event[draw(st.integers(0, n - 1))] = 1
+    value = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-3.0, 3.0, allow_nan=False))
+    X = np.asarray(draw(st.lists(value, min_size=n * d, max_size=n * d)))
+    return X.reshape(n, d), time, event
+
+
+@PROPERTY_SETTINGS
+@given(ssvm_instances(),
+       st.sampled_from([1e-3, 0.1, 1.0, 10.0]) | st.floats(1e-3, 10.0),
+       st.floats(1e-3, 0.5), st.integers(0, 80),
+       st.sampled_from(["all", "nearest"]), st.sampled_from([0, 3, 25, 200_000]),
+       st.integers(0, 2 ** 31 - 1))
+def test_ssvm_weights_equal_descent_oracle(inst, gamma, step_size, epochs,
+                                           mode, max_pairs, seed):
+    X, time, event = inst
+    cohort = Cohort(X, [ColumnSpec(f"x{j}", "numeric")
+                        for j in range(X.shape[1])], time, event)
+    params = SsvmParams(gamma=gamma, pair_mode=mode, max_pairs=max_pairs,
+                        epochs=epochs, step_size=step_size, seed=seed)
+    if _comparable_pairs(time, event, mode)[0].size == 0:
+        with pytest.raises(DataError, match="no comparable pairs"):
+            fit_ssvm(cohort, params, calibrate=False)
+        return
+    expected = ssvm_fit_oracle(X, time, event, params).tobytes()
+    risk_only = fit_ssvm(cohort, params, calibrate=False)
+    assert risk_only.artifact.weights.tobytes() == expected
+    assert risk_only.artifact.calibration is None
+    assert "calibration_error" not in risk_only.meta
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # calibration unavailable
+        full = fit_ssvm(cohort, params)
+    assert full.artifact.weights.tobytes() == expected
+
+
+@st.composite
+def calibration_instances(draw):
+    """Tied times, at least two events, and tied, continuous or constant
+    scores."""
+    n = draw(st.integers(2, 40))
+    time = np.asarray(draw(st.lists(st.integers(1, 10), min_size=n,
+                                    max_size=n)), dtype=float)
+    event = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    event[:2] = 1
+    kind = draw(st.sampled_from(["tied", "continuous", "constant"]))
+    if kind == "tied":
+        scores = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    elif kind == "continuous":
+        scores = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False),
+                               min_size=n, max_size=n))
+    else:
+        scores = [draw(st.floats(-3.0, 3.0, allow_nan=False))] * n
+    order = draw(st.permutations(range(n)))
+    return (np.asarray(scores, dtype=float)[order], time[order],
+            event[order])
+
+
+def _bits(*values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(calibration_instances(), st.floats(-5.0, 5.0))
+def test_cox_profile_equals_sort_per_call_oracle(inst, beta):
+    scores, time, event = inst
+    order, uniq, start = _time_blocks(time)
+    ev = event[order] == 1
+    rs = start[np.searchsorted(uniq, time[order])][ev]
+    assert (_bits(*_cox_profile(scores[order], ev, rs, beta))
+            == _bits(*cox_profile_oracle(scores, time, event, beta)))
+    times, values = breslow_oracle(time, event, beta * scores)
+    baseline = breslow_baseline(time, event, beta * scores)
+    assert baseline.times.tobytes() == times.tobytes()
+    assert baseline.values.tobytes() == values.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(calibration_instances())
+def test_cox_calibrate_equals_sort_per_call_oracle(inst):
+    scores, time, event = inst
+    try:
+        beta, times, values = cox_calibrate_oracle(scores, time, event)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            cox_calibrate(scores, time, event)
+        return
+    calib = cox_calibrate(scores, time, event)
+    assert _bits(calib.beta) == _bits(beta)
+    assert calib.baseline.times.tobytes() == times.tobytes()
+    assert calib.baseline.values.tobytes() == values.tobytes()
+
+
+def _concordance_by_path(cutoff, time, event, risk, censor_dist):
+    """harrell_c and ipcw_c with ``_DIRECT_COUNT_ROWS`` set to ``cutoff``
+    (0: always the sorted prefixes; above n: always direct counts)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_DIRECT_COUNT_ROWS", cutoff)
+        out = []
+        for fn, args in ((harrell_c, ()), (ipcw_c, (censor_dist,))):
+            try:
+                out.append(fn(time, event, risk, *args))
+            except DataError as exc:
+                out.append(str(exc))
+        return out
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 7, 60, "cut-1", "cut", "cut+1", 700]),
+       st.sampled_from(["random", "censored tail", "all censored",
+                        "all events"]),
+       st.booleans(), st.booleans())
+def test_direct_counts_equal_prefix_counts(seed, n, pattern, tie_times,
+                                           tie_risks):
+    cut = metrics._DIRECT_COUNT_ROWS
+    n = {"cut-1": cut - 1, "cut": cut, "cut+1": cut + 1}.get(n, n)
+    rng = np.random.default_rng(seed)
+    time = (rng.integers(1, max(2, n // 3) + 1, n).astype(float) if tie_times
+            else rng.exponential(1.0, n))
+    risk = (rng.integers(0, max(2, n // 4) + 1, n).astype(float) if tie_risks
+            else rng.standard_normal(n))
+    event = (rng.random(n) < 0.7).astype(int)
+    if pattern == "censored tail":  # the latest times are all censored
+        event[time >= np.quantile(time, 0.6)] = 0
+    elif pattern == "all censored":
+        event[:] = 0
+    elif pattern == "all events":
+        event[:] = 1
+    g = censoring_survival(time, event)
+    prefix = _concordance_by_path(0, time, event, risk, g)
+    direct = _concordance_by_path(n + 1, time, event, risk, g)
+    default = _concordance_by_path(cut, time, event, risk, g)
+    assert prefix == direct == default
+    for query, censored_ties in ((event == 1, True), (rng.random(n) < 0.5,
+                                                      False)):
+        counts = []
+        for cutoff in (0, n + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "_DIRECT_COUNT_ROWS", cutoff)
+                counts.append(metrics._later_risk_counts(
+                    time, event, risk, query, censored_ties))
+        for a, b in zip(*counts):
+            assert a.dtype == b.dtype == np.int64
+            assert a.tolist() == b.tolist()
+    if n <= 60 and not isinstance(prefix[0], str):
+        concordant, tied, comparable = harrell_oracle(time, event, risk)
+        assert (direct[0].concordant, direct[0].tied_risk,
+                direct[0].comparable) == (concordant, tied, comparable)
