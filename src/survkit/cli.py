@@ -350,14 +350,26 @@ def _parse_space_entry(name: str, text: str) -> ParamSpec:
 
 
 def _space_for(config: RunConfig, family: str) -> list[ParamSpec]:
+    """The family's ``hpo.space.<family>.*`` entries, else its default
+    space. A numeric bound that the family's params class refuses is a
+    ConfigError, so a bad space stops ``hpo`` before any trial is fitted."""
     entries = config.prefixed(f"hpo.space.{family}.")
-    if entries:
-        return [_parse_space_entry(name, text)
-                for name, text in sorted(entries.items())]
     fam = M.FAMILY_TABLE.get(family)
-    if fam is None or not fam.space:
+    if not entries and (fam is None or not fam.space):
         raise ConfigError(f"no default search space for family {family!r}")
-    return [ParamSpec(*entry) for entry in fam.space]
+    if fam is None:
+        raise ConfigError(f"unknown model family {family!r}")
+    space = ([_parse_space_entry(name, text)
+              for name, text in sorted(entries.items())] if entries
+             else [ParamSpec(*entry) for entry in fam.space])
+    for spec in space:
+        for bound in (spec.low, spec.high) if spec.is_numeric else ():
+            try:
+                fam.params(**{spec.name: bound})
+            except (ConfigError, TypeError) as exc:
+                raise ConfigError(f"hpo.space.{family}.{spec.name}: bound "
+                                  f"{bound!r} refused: {exc}") from None
+    return space
 
 
 def cmd_hpo(config: RunConfig) -> int:
@@ -405,17 +417,49 @@ def cmd_hpo(config: RunConfig) -> int:
 
 # ----------------------------------------------------------- train-eval
 
+def _fits_type(value, kind) -> bool:
+    """Whether a JSON value is one of a params field's declared type: an
+    int (not a bool) for int, any number for float, None where optional."""
+    options = typing.get_args(kind) or (kind,)
+    if value is None:
+        return type(None) in options
+    return any(type(value) is k or (k is float and type(value) is int)
+               for k in options)
+
+
+def _best_params(path: Path, param_class, fields: dict) -> dict:
+    """The ``params`` object of a ``best_params_<family>.json`` file. A
+    file that is not JSON, has no ``params`` object, or names a key, a
+    value type or a value that ``param_class`` refuses is a DataError."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"malformed {path}: {exc}") from None
+    params = obj.get("params") if isinstance(obj, dict) else None
+    if not isinstance(params, dict):
+        raise DataError(f"malformed {path}: no 'params' object")
+    for key, value in params.items():
+        if key not in fields or not _fits_type(value, fields[key]):
+            raise DataError(f"malformed {path}: bad parameter "
+                            f"{key!r} = {value!r}")
+    try:
+        param_class(**params)
+    except ConfigError as exc:
+        raise DataError(f"malformed {path}: {exc}") from None
+    return params
+
+
 def _family_params(config: RunConfig, out: Path, family: str) -> dict:
-    """The family's tuned parameters, if ``hpo`` wrote any, updated by its
-    ``family.<family>.<key>`` config values, each read as the type its
-    params field declares; an unknown key or a malformed value (one its
-    params class refuses, too) is a ConfigError."""
+    """The family's tuned parameters, if ``hpo`` wrote any (``_best_params``),
+    updated by its ``family.<family>.<key>`` config values, each read as
+    the type its params field declares; an unknown key or a malformed value
+    (one its params class refuses, too) is a ConfigError."""
+    param_class = M.PARAM_CLASSES[family]
+    fields = typing.get_type_hints(param_class)
     params: dict = {}
     best_file = out / f"best_params_{family}.json"
     if best_file.exists():
-        params.update(json.loads(best_file.read_text(encoding="utf-8"))["params"])
-    param_class = M.PARAM_CLASSES[family]
-    fields = typing.get_type_hints(param_class)
+        params.update(_best_params(best_file, param_class, fields))
     keys = config.prefixed(f"family.{family}.")
     for key in keys:
         name = f"family.{family}.{key}"

@@ -1,6 +1,6 @@
 """Shared tree and boosting machinery.
 
-One exact-greedy tree grower serves the whole model zoo: regression trees
+Exact-greedy trees serve the whole model zoo: regression trees
 on gradient/hessian statistics for the boosted families, and survival
 trees with log-rank splitting for the forest. Exact splits (midpoints of
 consecutive distinct values) keep fits affordable at the cohort sizes in
@@ -13,17 +13,14 @@ append to it, ``TreeNode`` is a read-only view of one of its nodes, and
 step per depth level.
 
 Both split searches are exact without repeating work at every node.
-Regression trees sort each column once (once per ``boost`` call, filtered
-to each round's subsample) and hand every child the stable partition of
-its parent's sorted rows. A survival forest grows all its trees in
-lockstep (``fit_survival_forest``): each tree pops its nodes in its own
-preorder, and one batched pass finds the splits of every tree's next
-node. Small nodes share one scan of all their split positions
-(``_scan``); large ones screen the log-rank statistic with a cheap
-variance whose distance from the exact time-ordered sum is bounded, and
-compute that exact sum only where the bound leaves the maximum undecided
-(``_screen``). Either way the trees are those of a per-node sort and a
-full scan of one node at a time, bit for bit.
+Regression trees sort each column once and hand every child the stable
+partition of its parent's sorted rows. A survival forest grows all its
+trees in lockstep (``fit_survival_forest``), and one batched search finds
+the splits of every tree's next node: each node's subjects in each
+feature's order, padded to a common width (``_survival_z``). Small nodes
+count the log-rank variance exactly; large ones screen it with a bound
+and compute the exact sum only where the maximum is undecided. Either way
+the trees are those of a per-node sort and a full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -207,15 +204,14 @@ def _sorted_rows(X) -> np.ndarray:
     return np.argsort(np.ascontiguousarray(X.T), axis=1, kind="stable")
 
 
-def _best_regression_split(X, g, h, idx, params: TreeParams, rows=None):
+def _best_regression_split(X, g, h, idx, params: TreeParams, rows):
     """Exact greedy split search over one node's rows, all features at once.
 
     Gain = 1/2 [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)].
-    ``rows`` lists the node's rows in each column's (value, row) order, a
-    (d, m) array; without it the node's block is sorted here with one
-    stable argsort, which gives the same order since ``idx`` ascends. The
-    left gradient and hessian sums are row-wise cumulative sums in that
-    order, so each feature's gains equal a one-feature scan's bit for bit.
+    ``idx`` lists the node's rows in ascending order and ``rows`` the same
+    rows in each column's (value, row) order, a (d, m) array. The left
+    gradient and hessian sums are row-wise cumulative sums in that order,
+    so each feature's gains equal a one-feature scan's bit for bit.
     Per feature the first maximum wins (lowest threshold); a feature whose
     first maximum is NaN is skipped; the lowest feature wins ties.
     Returns (gain, feature, threshold) or None.
@@ -227,8 +223,6 @@ def _best_regression_split(X, g, h, idx, params: TreeParams, rows=None):
     m = idx.size
     if m < 2 or X.shape[1] == 0:
         return None
-    if rows is None:
-        rows = idx[_sorted_rows(X[idx])]
     xs = X[rows, np.arange(X.shape[1])[:, None]]
     gl = np.cumsum(g[rows], axis=1)[:, :-1]
     hl = np.cumsum(h[rows], axis=1)[:, :-1]
@@ -251,50 +245,6 @@ def _best_regression_split(X, g, h, idx, params: TreeParams, rows=None):
     return float(best[f]), f, 0.5 * (xs[f, k[f]] + xs[f, k[f] + 1])
 
 
-def _grow(X, split, leaf_value, rows=None):
-    """Grow a tree depth first, appending each node to its table in preorder.
-
-    ``split(idx, node_rows, depth)`` gives (gain, feature, threshold) for a
-    split or None for a leaf, and ``leaf_value(idx)`` a leaf's value. Given
-    ``rows``, each column's rows in (value, row) order, every node gets its
-    own as ``node_rows``: the stable partition of its parent's (None
-    otherwise). Returns the root's view and each row's leaf.
-    """
-    feature, threshold, right, value, gain = [], [], [], [], []
-    row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
-
-    def build(idx, node_rows, depth):
-        i = len(feature)
-        found = split(idx, node_rows, depth)
-        if found is None:
-            feature.append(-1)
-            threshold.append(np.nan)
-            right.append(-1)
-            value.append(leaf_value(idx))
-            gain.append(np.nan)
-            row_leaf[idx] = i
-            return
-        node_gain, feat, thr = found
-        feature.append(feat)
-        threshold.append(thr)
-        right.append(-1)
-        value.append(np.nan)
-        gain.append(node_gain)
-        mask = X[idx, feat] <= thr
-        left_rows = right_rows = None
-        if node_rows is not None:
-            go = X[node_rows, feat] <= thr
-            left_rows = node_rows[go].reshape(node_rows.shape[0], -1)
-            right_rows = node_rows[~go].reshape(node_rows.shape[0], -1)
-        build(idx[mask], left_rows, depth + 1)
-        right[i] = len(feature)
-        build(idx[~mask], right_rows, depth + 1)
-
-    build(np.arange(X.shape[0]), rows, 0)
-    return (TreeNode(NodeTable.from_lists(feature, threshold, right, value,
-                                          gain)), row_leaf)
-
-
 def fit_regression_tree(X, gradients, hessians,
                         params: TreeParams = TreeParams(),
                         presorted=None) -> TreeNode:
@@ -310,7 +260,8 @@ def fit_regression_tree(X, gradients, hessians,
 
 
 def _regression_tree(X, gradients, hessians, params: TreeParams, presorted):
-    """``fit_regression_tree``: the root's view and each row's leaf."""
+    """``fit_regression_tree``, grown depth first with each node appended
+    to its table in preorder: the root's view and each row's leaf."""
     X = _check_matrix(X)
     g = np.asarray(gradients, dtype=float)
     h = np.asarray(hessians, dtype=float)
@@ -324,20 +275,37 @@ def _regression_tree(X, gradients, hessians, params: TreeParams, presorted):
     if rows.shape != X.shape[::-1]:
         raise DataError("presorted rows must be a (features, rows) array")
     lam = params.reg_lambda
+    feature, threshold, right, value, gain = [], [], [], [], []
+    row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
 
-    def leaf_value(idx):
-        denom = h[idx].sum() + lam
-        return 0.0 if denom <= 0 else -g[idx].sum() / denom
-
-    def split(idx, node_rows, depth):
-        if depth >= params.max_depth or idx.size < 2 * params.min_samples_leaf:
-            return None
-        found = _best_regression_split(X, g, h, idx, params, node_rows)
+    def build(idx, node_rows, depth):
+        i = len(feature)
+        found = None
+        if depth < params.max_depth and idx.size >= 2 * params.min_samples_leaf:
+            found = _best_regression_split(X, g, h, idx, params, node_rows)
+        right.append(-1)
         if found is None or found[0] <= params.min_split_gain:
-            return None
-        return found
+            denom = h[idx].sum() + lam
+            feature.append(-1)
+            threshold.append(np.nan)
+            value.append(0.0 if denom <= 0 else -g[idx].sum() / denom)
+            gain.append(np.nan)
+            row_leaf[idx] = i
+            return
+        node_gain, feat, thr = found
+        feature.append(feat)
+        threshold.append(thr)
+        value.append(np.nan)
+        gain.append(node_gain)
+        mask = X[idx, feat] <= thr
+        go = X[node_rows, feat] <= thr
+        build(idx[mask], node_rows[go].reshape(X.shape[1], -1), depth + 1)
+        right[i] = len(feature)
+        build(idx[~mask], node_rows[~go].reshape(X.shape[1], -1), depth + 1)
 
-    return _grow(X, split, leaf_value, rows)
+    build(np.arange(X.shape[0]), rows, 0)
+    return (TreeNode(NodeTable.from_lists(feature, threshold, right, value,
+                                          gain)), row_leaf)
 
 
 @dataclass(frozen=True)
@@ -428,80 +396,56 @@ def _logrank_stats(m, times, event) -> _NodeStats:
                       ev_start=ev_start)
 
 
-def _ragged(starts, lengths):
-    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
-    offset = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - offset, lengths)
-
-
-def _segment_cumsum(values, lengths):
-    """Each segment's running sum, bit for bit a 1-d cumsum of the segment:
-    segments go row-wise into zero-padded 2-d blocks of about
-    ``_SCREEN_BLOCK // 8`` elements."""
-    out = np.empty_like(values, dtype=float)
-    if lengths.size == 0:
-        return out
-    width = int(lengths.max())
-    step = max(1, _SCREEN_BLOCK // 8 // max(width, 1))
-    ends = np.cumsum(lengths)
-    for a in range(0, lengths.size, step):
-        seg = lengths[a:a + step]
-        lo, hi = ends[a] - seg[0], ends[min(a + step, lengths.size) - 1]
-        mask = np.arange(width) < seg[:, None]
-        block = np.zeros(mask.shape)
-        block[mask] = values[lo:hi]
-        out[lo:hi] = np.cumsum(block, axis=1)[mask]
-    return out
-
-
-def _scan_variance(level, lm, lq, line_node, st: _NodeStats, msl: int):
+def _scan_variance(lv, m, nodes, st: _NodeStats, msl: int):
     """Exact log-rank variance at every admissible split position of every
-    line (one feature order of one node), zero elsewhere; the result is
-    laid out as ``_scan``'s z.
+    row of ``lv`` (nodes, mtry, M): node j's subjects' levels in one
+    feature's order, dummies last. Zero elsewhere; (nodes, mtry, M - 1).
 
-    Position p of a line (its first p subjects on the left) is admissible
+    Position p of a row (its first p subjects on the left) is admissible
     for msl <= p <= m - msl. There n1_k, the left group's count at risk at
-    the node's k-th kept event time, is a running count over the line of
+    the node's k-th kept event time, is a running count over the row of
     the subjects whose level exceeds k, and the variance is
     sum_k (c_k n1_k)(N_k - n1_k) in k order: a sum over axis 0 of a
     (K, ...) block, which numpy adds in k order, as the one-node scan did.
-    Lines of up to 256 subjects count in uint8 lanes, longer ones in
-    uint16 lanes (``_lane_variance``).
+    Rows of up to 256 subjects count in uint8 lanes, longer ones in uint16
+    lanes (``_lane_variance``).
     """
-    variance = np.zeros(int((lm - 1).sum()))
+    n_nodes, n_feat, M = lv.shape
+    variance = np.zeros((n_nodes * n_feat, M - 1))
+    lm, row_node = np.repeat(m, n_feat), np.repeat(nodes, n_feat)
     first = max(msl, 1)  # positions run from 1 to m - 1
     cols = np.minimum(lm - msl, lm - 1) - first + 1
-    todo = (cols > 0) & (st.K[line_node] > 0)
-    for lane_type, lines in ((np.uint8, todo & (lm <= 256)),
-                             (np.uint16, todo & (lm > 256))):
-        if lines.any():
-            _lane_variance(variance, np.flatnonzero(lines), lane_type, level,
-                           lq, line_node, st, first, cols)
-    return variance
+    todo = (cols > 0) & (st.K[row_node] > 0)
+    for lane_type, rows in ((np.uint8, todo & (lm <= 256)),
+                            (np.uint16, todo & (lm > 256))):
+        if rows.any():
+            _lane_variance(variance, np.flatnonzero(rows), lane_type,
+                           lv.reshape(-1, M), row_node, st, first, cols)
+    return variance.reshape(n_nodes, n_feat, M - 1)
 
 
-def _lane_variance(variance, todo, lane_type, level, lq, line_node,
+def _lane_variance(variance, todo, lane_type, level, row_node,
                    st: _NodeStats, first: int, cols):
-    """``_scan_variance`` for lines ``todo``, written into ``variance``:
-    line i's positions ``first`` .. ``first + cols[i] - 1``.
+    """``_scan_variance`` for rows ``todo`` of ``level``, written into
+    ``variance``: row i's positions ``first`` .. ``first + cols[i] - 1``.
 
-    Lines share uint64 words as lanes, 8 // itemsize of ``lane_type`` per
+    Rows share uint64 words as lanes, 8 // itemsize of ``lane_type`` per
     word, so one uint64 cumsum counts for all of them at once; each lane
-    starts from its line's count over its first ``first`` subjects, and a
-    count never exceeds its lane. Lines are sorted by K and by length, so a
+    starts from its row's count over its first ``first`` subjects, and a
+    count never exceeds its lane. Rows are sorted by K and by length, so a
     lane group wastes little padding. Lane groups share a block while it
     stays within ``_SCREEN_BLOCK // 8`` elements, which keeps a block in
     cache; a group above that goes in column chunks that carry their counts
     over. Padded event times carry c = N = 0 and add +0.0, which is exact.
     """
     lanes = 8 // np.dtype(lane_type).itemsize
-    K = st.K[line_node]
+    K = st.K[row_node]
     todo = todo[np.lexsort((-cols[todo], -K[todo]))]
     n_groups = -(-todo.size // lanes)
     slot = np.full(n_groups * lanes, -1)
     slot[:todo.size] = todo
     slot_cols = np.where(slot >= 0, cols[slot], 0)
-    g_K = K[slot[::lanes]]  # each group's first line has its largest K
+    g_K = K[slot[::lanes]]  # each group's first row has its largest K
     g_cols = slot_cols.reshape(n_groups, lanes).max(axis=1)
     blocks, g = [], 0
     while g < n_groups:
@@ -516,29 +460,25 @@ def _lane_variance(variance, todo, lane_type, level, lq, line_node,
     size = max(kb * (h - g) * lanes * step for g, h, kb, _, step in blocks)
     counts_buf = np.empty(size, dtype=lane_type)
     n1_buf, n2_buf = np.empty(size), np.empty(size)
-    z_start = lq - np.arange(lq.size)
 
     for g, h, kb, width, step in blocks:
         n_grp, rows = h - g, slice(g * lanes, h * lanes)
         n_slots = n_grp * lanes
         real = slot[rows] >= 0
-        line = np.where(real, slot[rows], 0)
-        c = np.arange(width)
-        valid = c < slot_cols[rows, None]
+        row = np.where(real, slot[rows], 0)
         # per slot and column c: the level of the subject entering the left
-        # group at position first + c, and where that position's variance
-        # goes
-        enter = np.where(valid, lq[line][:, None] + first - 1 + c, 0)
-        enter_level = np.where(valid, level[enter], 0)
-        places = np.where(valid, z_start[line][:, None] + first - 1 + c, -1)
-        # each lane starts from its line's counts over its first subjects
-        head = _ragged(lq[line[real]], np.full(int(real.sum()), first))
+        # group at position first + c
+        valid = np.arange(width) < slot_cols[rows, None]
+        enter_level = np.where(valid, level[row[:, None],
+                                            first - 1 + np.arange(width)], 0)
+        # each lane starts from its row's counts over its first subjects
         hist = np.bincount(np.repeat(np.flatnonzero(real), first) * (kb + 1)
-                           + level[head], minlength=n_slots * (kb + 1))
+                           + level[row[real], :first].ravel(),
+                           minlength=n_slots * (kb + 1))
         start = np.cumsum(hist.reshape(-1, kb + 1)[:, :0:-1], axis=1)[:, ::-1]
         start = start.T.reshape(kb, n_grp, lanes)
-        c_k = np.where(real, st.coef[line_node[line], :kb].T, 0.0)
-        n_k = np.where(real, st.n_risk[line_node[line], :kb].T, 0.0)
+        c_k = np.where(real, st.coef[row_node[row], :kb].T, 0.0)
+        n_k = np.where(real, st.n_risk[row_node[row], :kb].T, 0.0)
         # numpy's inner loops run along the last axis, so the longer of
         # columns and slots goes last; the lanes are last while packed
         cols_last = width >= n_slots
@@ -575,63 +515,12 @@ def _lane_variance(variance, todo, lane_type, level, lq, line_node,
             n1 *= n2
             v = n1.sum(axis=0)
             v_block[:, a:b] = v if cols_last else v.T
-        variance[places[places >= 0]] = v_block[places >= 0]
-
-
-def _scan(st: _NodeStats, line_node, line_start, pos, xs, msl: int,
-          chunk: int = 512):
-    """Standardized two-group log-rank statistic at every split position
-    of every line: a node's subjects in one feature's order.
-
-    Line i belongs to node ``line_node[i]`` and its subjects are
-    ``pos[line_start[i]:][:m]`` (indices into ``st``'s subjects) with
-    feature values ``xs`` at the same places. The numerator is a running
-    sum of the subjects' scores along the line (``_segment_cumsum``), the
-    variance ``_scan_variance``'s.
-
-    A column-at-a-time scan in ``chunk``-wide blocks sums the last position
-    of a column pairwise when m - 1 = 1 (mod chunk); that position is
-    admissible only for msl <= 1 and is summed the same way here
-    (``_lone_variance``), so the gains match it to the last bit.
-
-    Returns (z, thresholds), flat with m - 1 positions per line in line
-    order: |z| with -inf where inadmissible, and the midpoint thresholds.
-    """
-    lm = st.m[line_node]
-    lq = np.cumsum(lm) - lm  # line starts among the gathered subjects
-    q = _ragged(line_start, lm)
-    subject, x = pos[q], xs[q]
-    z_line = np.repeat(np.arange(lm.size), lm - 1)
-    left = np.arange(z_line.size) + z_line  # the last subject on the left
-    thresholds = 0.5 * (x[left] + x[left + 1])
-    p = left - lq[z_line] + 1
-    ok = (x[left] != x[left + 1]) & (p >= msl) & (lm[z_line] - p >= msl)
-    num = _segment_cumsum(st.scores[subject], lm)[left]
-    variance = _scan_variance(st.level[subject], lm, lq, line_node, st, msl)
-    if msl <= 1:  # the last position is admissible
-        for i in np.flatnonzero((lm - 1) % chunk == 1):
-            last = lq[i] + lm[i] - 1
-            variance[last - i - 1] = _lone_variance(
-                *st.events(line_node[i]), st.times[subject[last:last + 1]])[0]
-    ok &= variance > 0
-    z = np.full(z_line.size, -np.inf)
-    z[ok] = np.abs(num[ok]) / np.sqrt(variance[ok])
-    return z, thresholds
-
-
-def _one_node(Xb, time, event):
-    """One node's statistics and its (mtry, m) feature block in each row's
-    (value, row) order: (stats, subjects as time ranks, sorted values)."""
-    by_time = np.argsort(time, kind="stable")
-    st = _logrank_stats([time.size], time[by_time], event[by_time])
-    rank = np.empty(time.size, dtype=np.intp)
-    rank[by_time] = np.arange(time.size)
-    order = np.argsort(Xb, axis=1, kind="stable")
-    return st, rank[order], np.take_along_axis(Xb, order, axis=1)
+        at, c = np.nonzero(valid)
+        variance[row[at], first - 1 + c] = v_block[valid]
 
 
 def _lone_variance(grid, at_risk, var_coef, last_time):
-    """Variance at the last split position of each column (every subject
+    """Variance at the last split position of each row (every subject
     left but the one at ``last_time``), summed pairwise over all event
     times as numpy sums a lone column."""
     last_at_risk = grid[None, :] <= last_time[:, None]
@@ -639,22 +528,12 @@ def _lone_variance(grid, at_risk, var_coef, last_time):
     return np.sum(var_coef * n1 * (at_risk - n1), axis=1)
 
 
-
-def _scan_split(z, thresholds):
-    """The row-major first maximum of a scan (lowest feature, then lowest
-    threshold, wins ties) as (|z|, feature row, threshold), or None."""
-    f, k = np.unravel_index(int(np.argmax(z)), z.shape)
-    if z[f, k] == -np.inf:
-        return None
-    return float(z[f, k]), int(f), float(thresholds[f, k])
-
-
 def _prefix_variance(levels, p, coef, n_risk):
     """Exact log-rank variance of each row's first p[i] subjects, as
-    ``_scan`` sums it: (coef * n1) * (N - n1) over the kept event times in
-    time order. ``levels`` holds each subject's count of kept event times
-    at or before its time, and row i of ``coef``/``n_risk`` its node's kept
-    event times (zero-padded, which adds +0.0)."""
+    ``_scan_variance`` sums it: (coef * n1) * (N - n1) over the kept event
+    times in time order. ``levels`` holds each subject's count of kept
+    event times at or before its time, and row i of ``coef``/``n_risk`` its
+    node's kept event times (zero-padded, which adds +0.0)."""
     rows, m = levels.shape
     width = coef.shape[1] + 1
     out = np.empty(rows)
@@ -736,42 +615,35 @@ def _pair_sums(order, C):
     return out[:, :m]
 
 
-def _node_logrank_scan(Xb, time, event, msl: int, chunk: int = 512):
-    """Standardized two-group log-rank statistic for every candidate split
-    of every column of one node's (mtry, m) feature block: ``_scan`` on one
-    node, its rows as lines.
+def _survival_z(st: _NodeStats, nodes, order, xs, msl: int, screen: bool,
+                chunk: int = 512):
+    """Standardized two-group log-rank statistic |z| at the split positions
+    of ``nodes`` (of ``st``), a (nodes, mtry, M - 1) array with -inf where a
+    position is inadmissible or, screened, cannot hold its node's maximum.
 
-    Returns (z, thresholds), both (mtry, m - 1): |z| per feature and split
-    position with -inf where inadmissible, and the midpoint thresholds.
-    """
-    n_feat, m = Xb.shape
-    st, order, xs = _one_node(Xb, time, event)
-    z, thresholds = _scan(st, np.zeros(n_feat, dtype=np.intp),
-                          np.arange(n_feat) * m, order.ravel(), xs.ravel(),
-                          msl, chunk)
-    return z.reshape(n_feat, m - 1), thresholds.reshape(n_feat, m - 1)
+    ``order`` (nodes, mtry, M) lists each node's subjects (its time ranks)
+    in each feature's order and ``xs`` their values; a node of m < M
+    subjects has dummies m..M-1 (level 0, score 0, value +inf) at the end of
+    every row, so they change no real position's sums. The numerator is a
+    running sum of scores along a row. The variance V > 0 holds exactly iff
+    both sides hold a subject at risk at the first kept event time, and V
+    comes either exactly from lane-packed counts (``_scan_variance``) or,
+    with ``screen``, from the bound-and-verify screen below.
 
+    A column-at-a-time scan in ``chunk``-wide blocks sums the last position
+    of a column pairwise when m - 1 = 1 (mod chunk); that position is
+    admissible only for msl <= 1 and is summed the same way here
+    (``_lone_variance``), so the statistics match it to the last bit.
 
-def _screen(st: _NodeStats, nodes, order, xs, msl: int, chunk: int = 512):
-    """The split ``_scan`` picks for each of ``nodes`` (of ``st``), as
-    (|z|, feature row, threshold) or None, found without its (mtry, K, m)
-    at-risk block. ``order`` (nodes, mtry, M) lists each node's subjects
-    (its time ranks) in each feature's order and ``xs`` their values; a
-    node of m < M subjects has dummies m..M-1 at the end of every row.
-
-    With L a subject's count of kept event times at or before its time, the
-    variance at a position is V = sum_k c_k N_k n1_k - sum_k c_k n1_k^2:
-    a running sum of per-subject terms plus a running sum over pairs of
-    C(min(L_i, L_j)) (``_pair_sums``). Both forms are sums of nonnegative
-    terms, so they differ from the scan's time-ordered float sum by at most
+    The screen: with L a subject's count of kept event times at or before
+    its time, V = sum_k c_k N_k n1_k - sum_k c_k n1_k^2, a running sum of
+    per-subject terms plus a running sum over pairs of C(min(L_i, L_j))
+    (``_pair_sums``). Both forms are sums of nonnegative terms, so they
+    differ from the exact time-ordered float sum by at most
     8 (K + m + 64) u times the two terms' sum. That bounds |z| at every
     position from both sides; only the positions whose upper bound reaches
-    the node's largest lower bound get the scan's exact sum, and the
-    row-major first maximum among them is the scan's. V > 0 holds exactly
-    iff both sides hold a subject at risk at the first kept event time. The
-    lone position the scan sums pairwise is summed the same way. Dummies
-    have level 0 and score 0 and come last, so they change no real
-    position's sums.
+    the node's largest lower bound get the exact sum (``_prefix_variance``),
+    so each node's row-major first maximum is the exact one's.
     """
     n_nodes, n_feat, M = order.shape
     m, K = st.m[nodes], st.K[nodes]
@@ -780,25 +652,41 @@ def _screen(st: _NodeStats, nodes, order, xs, msl: int, chunk: int = 512):
     at = np.where(real, st.start[nodes][:, None] + subject, 0)
     level = np.where(real, st.level[at], 0)
     scores = np.where(real, st.scores[at], 0.0)
+    num = np.take_along_axis(scores[:, None, :], order, axis=2)
+    num = np.abs(np.cumsum(num, axis=2, out=num)[:, :, :-1])
+    lv = np.take_along_axis(level[:, None, :], order, axis=2)
+    # admissible: distinct values across the position, msl <= p <= m - msl,
+    # and V > 0, i.e. a subject of level > 0 on each side
+    risky = lv > 0
+    lo = np.maximum(np.argmax(risky, axis=2) + 1, msl)
+    hi = np.minimum(M - 1 - np.argmax(risky[:, :, ::-1], axis=2),
+                    (m - msl)[:, None])
+    hi[K == 0] = 0
+    positions = np.arange(1, M)
+    ok = ((xs[:, :, :-1] != xs[:, :, 1:]) & (positions >= lo[:, :, None])
+          & (positions <= hi[:, :, None]))
+    z = np.full(ok.shape, -np.inf)
+    if not ok.any():
+        return z
+    lone = (m - 1) % chunk == 1 if msl <= 1 else np.zeros(n_nodes, dtype=bool)
+    rest = ok.copy() if lone.any() else ok  # positions not summed pairwise
+    for j in np.flatnonzero(lone):
+        k, last = m[j] - 2, ok[j, :, m[j] - 2]
+        times = st.times[st.start[nodes[j]] + order[j, last, k + 1]]
+        v = _lone_variance(*st.events(nodes[j]), times)
+        z[j, last, k] = num[j, last, k] / np.sqrt(v)
+        rest[j, :, k] = False
+    if not screen:
+        variance = _scan_variance(lv, m, nodes, st, msl)
+        np.divide(num, np.sqrt(variance, out=variance), out=z, where=rest)
+        return z
+
     k_max = int(K.max())
     coef, n_risk = st.coef[nodes, :k_max], st.n_risk[nodes, :k_max]
     # C(l) and the running sum of c * N over the first l kept event times
     cum_coef, per_level = np.zeros((2, n_nodes, k_max + 1))
     np.cumsum(coef, axis=1, out=cum_coef[:, 1:])
     np.cumsum(coef * n_risk, axis=1, out=per_level[:, 1:])
-    num = np.abs(np.cumsum(np.take_along_axis(scores[:, None, :], order, axis=2),
-                           axis=2)[:, :, :-1])
-    lv = np.take_along_axis(level[:, None, :], order, axis=2)
-
-    positions = np.arange(1, M)
-    ok = ((xs[:, :, :-1] != xs[:, :, 1:]) & (positions >= msl)
-          & (m[:, None, None] - positions >= msl))
-    ok &= np.maximum.accumulate(lv, axis=2)[:, :, :-1] > 0
-    ok &= np.maximum.accumulate(lv[:, :, ::-1], axis=2)[:, :, -2::-1] > 0
-    found: list = [None] * n_nodes
-    if not ok.any():
-        return found
-
     first = np.cumsum(np.take_along_axis(per_level[:, None, :], lv, axis=2),
                       axis=2)[:, :, :-1]
     C = np.take_along_axis(cum_coef, level, axis=1)  # per subject
@@ -813,90 +701,27 @@ def _screen(st: _NodeStats, nodes, order, xs, msl: int, chunk: int = 512):
         z_hi = np.where(approx > slack, num / np.sqrt(approx - slack),
                         np.inf) * (1.0 + 2.0 ** -50)
     z_lo[~ok] = -np.inf
-    lone = np.zeros(n_nodes, dtype=bool)
-    if msl <= 1:  # the last position is admissible
-        lone = (m - 1) % chunk == 1
-        for j in np.flatnonzero(lone):
-            k, last = m[j] - 2, ok[j, :, m[j] - 2]
-            times = st.times[st.start[nodes[j]] + order[j, last, k + 1]]
-            v = _lone_variance(*st.events(nodes[j]), times)
-            z_lo[j, last, k] = z_hi[j, last, k] = num[j, last, k] / np.sqrt(v)
-
+    lone = ok & ~rest
+    z_lo[lone] = z_hi[lone] = z[lone]
     best = z_lo.reshape(n_nodes, -1).max(axis=1)
-    cand = np.flatnonzero(ok & (z_hi >= best[:, None, None]))
-    j, rest = np.divmod(cand, n_feat * (M - 1))
-    f, k = np.divmod(rest, M - 1)
-    z = z_lo[j, f, k]  # exact at the lone position
-    exact = ~(lone[j] & (k == m[j] - 2))
-    z[exact] = num[j, f, k][exact] / np.sqrt(_prefix_variance(
-        lv[j, f][exact], k[exact] + 1, coef[j[exact]], n_risk[j[exact]]))
-    # each node's row-major first maximum among its candidates
-    seg = np.flatnonzero(np.diff(j, prepend=-1))
-    top = np.maximum.reduceat(z, seg)
-    hit = np.flatnonzero(z == np.repeat(top, np.diff(np.append(seg, z.size))))
-    for r in hit[np.searchsorted(hit, seg)].tolist():
-        node, row, pos = int(j[r]), int(f[r]), int(k[r])
-        found[node] = (float(z[r]), row, float(
-            0.5 * (xs[node, row, pos] + xs[node, row, pos + 1])))
-    return found
+    j, f, k = np.nonzero(rest & (z_hi >= best[:, None, None]))
+    z[j, f, k] = num[j, f, k] / np.sqrt(_prefix_variance(
+        lv[j, f], k + 1, coef[j], n_risk[j]))
+    return z
 
 
-def _node_logrank_screen(Xb, time, event, msl: int, chunk: int = 512):
-    """``_screen`` on one node's (mtry, m) feature block."""
-    st, order, xs = _one_node(Xb, time, event)
-    return _screen(st, np.zeros(1, dtype=np.intp), order[None], xs[None], msl,
-                   chunk)[0]
-
-
-def _best_survival_splits(st: _NodeStats, feats, line_pos, line_x, msl: int):
-    """Each node's split as (|z|, feature row, threshold), or None.
-
-    Node j's ``feats.shape[1]`` lines follow each other in ``line_pos`` and
-    ``line_x``. Nodes of at least ``_SCREEN_MIN_ROWS`` subjects share the
-    screened search, in parts of about ``_SCREEN_BLOCK // 32`` positions;
-    all others share one ``_scan``. Each node takes the row-major first
-    maximum over its own positions.
-    """
-    mtry = feats.shape[1]
-    m = st.m
-    line_node = np.repeat(np.arange(m.size), mtry)
-    line_start = np.cumsum(np.repeat(m, mtry)) - np.repeat(m, mtry)
-    found: list = [None] * m.size
-    big = m >= _SCREEN_MIN_ROWS
-    # largest first, so each part pads its rows to similar sizes
-    screened = np.flatnonzero(big)
-    screened = screened[np.argsort(-m[screened], kind="stable")]
-    a = 0
-    while a < screened.size:
-        # each node's lines as rows of width M, dummies last
-        M = int(m[screened[a]])
-        nodes = screened[a:a + max(1, _SCREEN_BLOCK // 32 // (mtry * M))]
-        a += nodes.size
-        rows = np.arange(M)
-        real = rows < np.repeat(m[nodes], mtry)[:, None]
-        at = np.where(real, rows + line_start[
-            (nodes[:, None] * mtry + np.arange(mtry)).ravel()][:, None], 0)
-        order = np.where(real, line_pos[at]
-                         - np.repeat(st.start[nodes], mtry)[:, None], rows)
-        xs = np.where(real, line_x[at], np.inf)
-        shape = (nodes.size, mtry, M)
-        for j, split in zip(nodes.tolist(), _screen(
-                st, nodes, order.reshape(shape), xs.reshape(shape), msl)):
-            found[j] = split
-    scanned = np.flatnonzero(~big)
-    if scanned.size:
-        lines = line_node[~big[line_node]]
-        z, thresholds = _scan(st, lines, line_start[~big[line_node]], line_pos,
-                              line_x, msl)
-        size = mtry * (m[scanned] - 1)
-        seg = np.cumsum(size) - size
-        best = np.maximum.reduceat(z, seg)
-        hit = np.flatnonzero(z == np.repeat(best, size))
-        at = hit[np.searchsorted(hit, seg)]  # each node's first maximum
-        for j, zj, r, s in zip(scanned.tolist(), best.tolist(), at.tolist(),
-                               seg.tolist()):
-            if zj > -np.inf:
-                found[j] = (zj, (r - s) // (m[j] - 1), float(thresholds[r]))
+def _first_maxima(z, xs):
+    """Each node's row-major first maximum of ``z`` (nodes, mtry, M - 1):
+    the lowest feature row, then the lowest threshold, wins ties. Returns
+    (|z|, feature row, midpoint threshold) per node, or None where no
+    position is admissible."""
+    flat = z.reshape(z.shape[0], -1)
+    found: list = []
+    for j, r in enumerate(np.argmax(flat, axis=1).tolist()):
+        f, k = divmod(r, z.shape[2])
+        found.append(None if flat[j, r] == -np.inf else (
+            float(flat[j, r]), f,
+            float(0.5 * (xs[j, f, k] + xs[j, f, k + 1]))))
     return found
 
 
@@ -942,7 +767,7 @@ def fit_survival_forest(X, samples, time, event,
     At each step every unfinished tree pops nodes until one needs a split
     search (the others become leaves: depth, size, no events), so each tree
     draws in its own preorder; then one pass finds the splits of all those
-    nodes (``_best_survival_splits``), in parts of about
+    nodes (``_survival_z``), in parts of about
     ``_SCREEN_BLOCK / (d + 1 + mtry)`` subjects. Each tree ranks its rows
     once per feature and by time; every child takes the stable partition
     of its parent's ranked rows, for all the part's splits at once. A
@@ -976,18 +801,36 @@ def fit_survival_forest(X, samples, time, event,
         growers.append(grower)
 
     def search(ranked, m, feats):
-        """Each node's split, (|z|, feature row, threshold) or None."""
-        start = np.cumsum(m) - m
+        """Each node's split, (|z|, feature row, threshold) or None. Nodes
+        go largest first in parts, each node's rows padded to the size of
+        the part's first: nodes of at least ``_SCREEN_MIN_ROWS`` subjects
+        are screened, about ``_SCREEN_BLOCK // 32`` positions at a time,
+        and the others counted exactly, about ``_SCREEN_BLOCK // 4`` at a
+        time."""
         by_time = ranked[d]
         st = _logrank_stats(m, t_all[by_time], e_all[by_time])
         where[by_time] = np.arange(by_time.size)
-        lm = np.repeat(m, mtry)
-        line_feat = np.repeat(feats.ravel(), lm)
-        line_ids = ranked[line_feat, _ragged(np.repeat(start, mtry), lm)]
-        line_x = XT[line_feat, rows[line_ids]]
-        line_pos = where[line_ids]
-        del line_feat, line_ids
-        return _best_survival_splits(st, feats, line_pos, line_x, msl)
+        found: list = [None] * m.size
+        todo = np.argsort(-m, kind="stable")
+        n_big = int(np.sum(m >= _SCREEN_MIN_ROWS))
+        a = 0
+        while a < todo.size:
+            M, screen = int(m[todo[a]]), a < n_big
+            size = max(1, _SCREEN_BLOCK // (32 if screen else 4) // (mtry * M))
+            nodes = todo[a:min(a + size, n_big if screen else todo.size)]
+            a += nodes.size
+            pad = np.arange(M)
+            real = pad < m[nodes][:, None, None]
+            start = st.start[nodes][:, None, None]
+            node_feats = feats[nodes][:, :, None]
+            ids = ranked.ravel()[node_feats * ranked.shape[1]
+                                 + np.where(real, start + pad, 0)]
+            order = np.where(real, where[ids] - start, pad)
+            xs = np.where(real, XT.ravel()[node_feats * n + rows[ids]], np.inf)
+            z = _survival_z(st, nodes, order, xs, msl, screen)
+            for j, split in zip(nodes.tolist(), _first_maxima(z, xs)):
+                found[j] = split
+        return found
 
     def split_nodes(batch, feats, ranked):
         """Search the splits of ``batch`` (grower, node id, depth, events),

@@ -99,19 +99,16 @@ def permutation_importance(model: FittedModel, eval_cohort: Cohort,
                             raw=raw, kind="permutation_importance")
 
 
-def _coalition_values(model, instance, background, masks) -> np.ndarray:
-    """v(S) for each bitmask: mean risk over hybrid rows (instance on S)."""
+def _coalition_values(model, instance, background, members) -> np.ndarray:
+    """v(S) for each row of the boolean (coalitions, d) ``members``: the
+    mean risk over hybrid rows that take the instance's values on S and a
+    background row's elsewhere."""
     m, d = background.shape
     chunk = max(1, 65536 // max(m, 1))
-    out = np.empty(len(masks))
-    for a in range(0, len(masks), chunk):
-        batch = masks[a:a + chunk]
-        rows = np.tile(background, (len(batch), 1))
-        for b, mask in enumerate(batch):
-            block = rows[b * m:(b + 1) * m]
-            for j in range(d):
-                if mask >> j & 1:
-                    block[:, j] = instance[j]
+    out = np.empty(len(members))
+    for a in range(0, len(members), chunk):
+        batch = members[a:a + chunk]
+        rows = np.where(batch[:, None, :], instance, background).reshape(-1, d)
         risks = predict_risk(model, rows)
         out[a:a + len(batch)] = risks.reshape(len(batch), m).mean(axis=1)
     return out
@@ -141,8 +138,9 @@ def shapley_values(model: FittedModel, instance, background: Cohort | np.ndarray
         if d > EXACT_MAX_FEATURES:
             raise DataError(f"exact mode supports at most {EXACT_MAX_FEATURES} "
                             f"features, got {d}")
-        masks = list(range(1 << d))
-        v = _coalition_values(model, instance, bg, masks)
+        # coalition S as its bitmask: feature j is in S iff bit j is set
+        members = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(bool)
+        v = _coalition_values(model, instance, bg, members)
         fact = [math.factorial(k) for k in range(d + 1)]
         phi = np.zeros(d)
         for size in range(d):
@@ -164,17 +162,15 @@ def shapley_values(model: FittedModel, instance, background: Cohort | np.ndarray
     if mode != "montecarlo":
         raise DataError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    v_pair = _coalition_values(model, instance, bg, [0, (1 << d) - 1])
+    v_pair = _coalition_values(model, instance, bg,
+                               np.repeat([[False], [True]], d, axis=1))
     v_empty, v_full = float(v_pair[0]), float(v_pair[1])
     phi = np.zeros(d)
     for _ in range(n_permutations):
         order = rng.permutation(d)
-        masks = []
-        mask = 0
-        for j in order:
-            mask |= 1 << int(j)
-            masks.append(mask)
-        v = _coalition_values(model, instance, bg, masks)
+        # coalition t holds the first t + 1 features of the order
+        members = np.argsort(order) <= np.arange(d)[:, None]
+        v = _coalition_values(model, instance, bg, members)
         prev = v_empty
         for j, val in zip(order, v):
             phi[int(j)] += val - prev

@@ -61,6 +61,14 @@ FAMILIES = (RSF, GBSA, SSVM, GB_COX, GB_AFT, GB_REG)
 _PAIR_BLOCK = 1 << 20
 
 
+def _refuse_negative(params, *names) -> None:
+    """Raise ConfigError if any named count of ``params`` is negative."""
+    for name in names:
+        if getattr(params, name) < 0:
+            raise ConfigError(f"{name} must be nonnegative, got "
+                              f"{getattr(params, name)}")
+
+
 @dataclass(frozen=True)
 class RsfParams:
     n_trees: int = 100
@@ -74,6 +82,7 @@ class RsfParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be at least 1, got {self.n_trees}")
+        _refuse_negative(self, "max_depth", "min_samples_leaf")
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,9 @@ class GbParams:
     min_split_gain: float = 0.0
     subsample: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        _refuse_negative(self, "n_rounds", "max_depth", "min_samples_leaf")
 
     def boost_params(self, reg_lambda: float | None = None) -> BoostParams:
         lam = self.reg_lambda if reg_lambda is None else reg_lambda
@@ -126,6 +138,9 @@ class SsvmParams:
     step_size: float = 0.01
     tol: float = 1e-10
     seed: int = 0
+
+    def __post_init__(self):
+        _refuse_negative(self, "max_pairs", "epochs")
 
 
 def _step_fields(step: StepFunction) -> dict:
@@ -733,32 +748,6 @@ def predict_curves(model: FittedModel, features,
             for row in survival_matrix(model, X, times)]
 
 
-def _write_json(fh, obj, top: bool = True) -> None:
-    """Write ``json.dumps(obj, sort_keys=True)`` to ``fh`` in small pieces.
-
-    ``json.dump`` runs the pure-Python encoder; ``json.dumps`` runs the C
-    one. The top-level dict and every list of containers are walked, and
-    each remaining value (a tree, a row of floats) is encoded on its own,
-    so no piece holds more than one of them.
-    """
-    if top and isinstance(obj, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(obj)):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json(fh, obj[key], top=False)
-        fh.write("}")
-    elif isinstance(obj, (list, tuple)) and obj and isinstance(
-            obj[0], (list, tuple, dict)):
-        fh.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                fh.write(", ")
-            _write_json(fh, item, top=False)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj, sort_keys=True))
-
-
 def _file_fields(model: FittedModel) -> dict:
     """The model file's top-level object: family header + artifact."""
     return {
@@ -776,9 +765,8 @@ def _file_fields(model: FittedModel) -> dict:
 def save_model(model: FittedModel, path) -> None:
     """Serialize a fitted model to a JSON file, byte for byte
     ``json.dumps(fields, sort_keys=True)``."""
-    fields = _file_fields(model)
     with atomic_write(path) as fh:
-        _write_json(fh, fields)
+        fh.write(json.dumps(_file_fields(model), sort_keys=True))
 
 
 def load_model(path) -> FittedModel:

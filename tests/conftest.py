@@ -504,11 +504,90 @@ def rng_factory():
     return lambda seed: np.random.default_rng(seed)
 
 
+def _grow(X, split, leaf_value):
+    """Grow a tree depth first by recursion, appending each node to its
+    table in preorder (the pre-lockstep grower). ``split(idx, depth)``
+    gives (gain, feature, threshold) for a split or None for a leaf, and
+    ``leaf_value(idx)`` a leaf's value. Returns the root's view and each
+    row's leaf."""
+    feature, threshold, right, value, gain = [], [], [], [], []
+    row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
+
+    def build(idx, depth):
+        i = len(feature)
+        found = split(idx, depth)
+        right.append(-1)
+        if found is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            value.append(leaf_value(idx))
+            gain.append(np.nan)
+            row_leaf[idx] = i
+            return
+        node_gain, feat, thr = found
+        feature.append(feat)
+        threshold.append(thr)
+        value.append(np.nan)
+        gain.append(node_gain)
+        mask = X[idx, feat] <= thr
+        build(idx[mask], depth + 1)
+        right[i] = len(feature)
+        build(idx[~mask], depth + 1)
+
+    build(np.arange(X.shape[0]), 0)
+    return (TreeNode(engine.NodeTable.from_lists(feature, threshold, right,
+                                                 value, gain)), row_leaf)
+
+
+def _one_node(Xb, time, event):
+    """One node's statistics and its (mtry, m) feature block in each row's
+    (value, row) order: (stats, subjects as time ranks, sorted values)."""
+    by_time = np.argsort(time, kind="stable")
+    st = engine._logrank_stats([time.size], time[by_time], event[by_time])
+    rank = np.empty(time.size, dtype=np.intp)
+    rank[by_time] = np.arange(time.size)
+    order = np.argsort(Xb, axis=1, kind="stable")
+    return st, rank[order], np.take_along_axis(Xb, order, axis=1)
+
+
+def _node_logrank_scan(Xb, time, event, msl, chunk=512):
+    """Standardized two-group log-rank statistic for every candidate split
+    of every column of one node's (mtry, m) feature block, with exact
+    variances: ``engine._survival_z`` on one node, unscreened.
+
+    Returns (z, thresholds), both (mtry, m - 1): |z| per feature and split
+    position with -inf where inadmissible, and the midpoint thresholds.
+    """
+    st, order, xs = _one_node(Xb, time, event)
+    z = engine._survival_z(st, np.zeros(1, dtype=np.intp), order[None],
+                           xs[None], msl, False, chunk)[0]
+    return z, 0.5 * (xs[:, :-1] + xs[:, 1:])
+
+
+def _node_logrank_screen(Xb, time, event, msl, chunk=512):
+    """The screened search's split of one node's (mtry, m) feature block,
+    as ``engine._first_maxima`` picks it: (|z|, feature row, threshold) or
+    None."""
+    st, order, xs = _one_node(Xb, time, event)
+    z = engine._survival_z(st, np.zeros(1, dtype=np.intp), order[None],
+                           xs[None], msl, True, chunk)
+    return engine._first_maxima(z, xs[None])[0]
+
+
+def _scan_split(z, thresholds):
+    """The row-major first maximum of a scan (lowest feature, then lowest
+    threshold, wins ties) as (|z|, feature row, threshold), or None."""
+    f, k = np.unravel_index(int(np.argmax(z)), z.shape)
+    if z[f, k] == -np.inf:
+        return None
+    return float(z[f, k]), int(f), float(thresholds[f, k])
+
+
 def survival_tree_oracle(X, time, event, params):
     """Survival tree grown by recursion, one node's split search at a time
-    (the pre-lockstep code): ``engine._grow`` with a screen or a scan per
-    node; a node of one row is a leaf. Returns its NodeTable, with each
-    row's leaf."""
+    (the pre-lockstep code): ``_grow`` with a screen or a scan per node; a
+    node of one row is a leaf. Returns its NodeTable, with each row's
+    leaf."""
     X = np.asarray(X, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=int)
@@ -518,19 +597,19 @@ def survival_tree_oracle(X, time, event, params):
     XT = np.ascontiguousarray(X.T)
     msl = params.min_samples_leaf
 
-    def split(idx, _rows, depth):
+    def split(idx, depth):
         if (depth >= params.max_depth or idx.size < max(2, 2 * msl)
                 or event[idx].sum() == 0):
             return None
         feats = np.sort(rng.choice(d, size=mtry, replace=False))
         node = (XT[np.ix_(feats, idx)], time[idx], event[idx], msl)
         if idx.size >= engine._SCREEN_MIN_ROWS:
-            found = engine._node_logrank_screen(*node)
+            found = _node_logrank_screen(*node)
         else:
-            found = engine._scan_split(*engine._node_logrank_scan(*node))
+            found = _scan_split(*_node_logrank_scan(*node))
         if found is None:
             return None
         return found[0], int(feats[found[1]]), found[2]
 
-    root, row_leaf = engine._grow(X, split, lambda idx: np.nan)
+    root, row_leaf = _grow(X, split, lambda idx: np.nan)
     return replace(root.table, row_leaf=row_leaf)

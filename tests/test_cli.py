@@ -289,6 +289,35 @@ class TestHpoCommand:
         assert model["params"]["n_rounds"] == best["params"]["n_rounds"]
 
 
+class TestMalformedBestParams:
+    @pytest.mark.parametrize("text", [
+        '{"family": "gb_cox", "params": {"n_rou', '[]', '{"params": []}',
+        '{"params": {"n_rounds": "abc"}}', '{"params": {"no_such_key": 1}}',
+        '{"params": {"n_rounds": true}}', '{"params": {"n_rounds": -2}}',
+        '{"family": "gb_cox"}'])
+    def test_exits_3_with_message(self, prepared_dir, tmp_path, caplog, text):
+        (prepared_dir / "best_params_gb_cox.json").write_text(text)
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3",
+        })
+        assert run(["train-eval", "--config", cfg]) == 3
+        assert "malformed" in caplog.text and "best_params_gb_cox" in caplog.text
+        assert not (prepared_dir / "metrics.json").exists()
+
+    def test_optional_and_float_fields_take_json_types(self, prepared_dir,
+                                                      tmp_path):
+        (prepared_dir / "best_params_rsf.json").write_text(json.dumps(
+            {"params": {"n_trees": 2, "mtry": None, "bootstrap_fraction": 1}}))
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "rsf",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        params = json.loads(
+            (prepared_dir / "model_rsf.json").read_text())["params"]
+        assert params["n_trees"] == 2 and params["mtry"] is None
+
+
 class TestExplainCommand:
     def test_outputs(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "te.cfg", **{
@@ -545,6 +574,26 @@ class TestMalformedConfigValues:
         })
         assert run(["train-eval", "--config", cfg]) == 2
         assert "family.rsf: n_trees must be at least 1" in caplog.text
+
+    @pytest.mark.parametrize("family,key,text", [
+        ("rsf", "n_trees", "int:0:2"), ("gb_cox", "n_rounds", "int:-1:3"),
+        ("gb_cox", "max_depth", "float:-0.5:2"), ("ssvm", "epochs", "int:-5:10"),
+        ("ssvm", "no_such_key", "int:1:3")])
+    def test_refused_space_bound_is_config_error(self, family, key, text):
+        config = RunConfig({f"hpo.space.{family}.{key}": text})
+        with pytest.raises(ConfigError, match=f"hpo.space.{family}.{key}"):
+            _space_for(config, family)
+
+    def test_refused_space_bound_exits_2_before_fitting(self, prepared_dir,
+                                                       tmp_path, caplog):
+        cfg = write_config(tmp_path / "hpo.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "rsf",
+            "sampler": "random", "trials": "6", "folds": "2",
+            "hpo.space.rsf.n_trees": "int:0:2",
+        })
+        assert run(["hpo", "--config", cfg]) == 2
+        assert "n_trees must be at least 1" in caplog.text
+        assert not list((prepared_dir / "studies").iterdir())
 
     def test_bad_horizon_value_exits_2(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "te.cfg", **{

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (apply_tree, apply_tree_oracle, boost_oracle,
+from conftest import (_node_logrank_scan, _node_logrank_screen, _scan_split,
+                      apply_tree, apply_tree_oracle, boost_oracle,
                       breslow_oracle, chf_on_grid_oracle,
                       comparable_pairs_oracle, cox_calibrate_oracle,
                       cox_profile_oracle, harrell_oracle, leaves,
@@ -28,8 +29,7 @@ from survkit import engine
 from survkit.data import Cohort, ColumnSpec, synth_cohort
 from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
                             SurvivalTreeParams, TreeParams,
-                            _best_regression_split, _node_logrank_scan,
-                            _node_logrank_screen, _scan_split, boost,
+                            _best_regression_split, _sorted_rows, boost,
                             fit_regression_tree, fit_survival_forest,
                             predict_ensemble, predict_tree, tree_to_dict)
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
@@ -546,7 +546,8 @@ def test_regression_split_equals_oracle(node, data):
                               max_size=X.shape[0]))
     idx = np.flatnonzero(keep)
     with np.errstate(over="ignore"):
-        found = _best_regression_split(X, g, h, idx, params)
+        found = _best_regression_split(X, g, h, idx, params,
+                                       idx[_sorted_rows(X[idx])])
         expected = regression_split_oracle(X, g, h, idx, params)
     assert _split_bits(found) == _split_bits(expected)
 
@@ -575,7 +576,8 @@ def test_regression_split_skips_nan_gains_like_oracle():
         assert np.all(np.isnan(gl ** 2 / np.arange(1, 4)
                                + (g.sum() - gl) ** 2 / np.arange(3, 0, -1)
                                - parent))
-        assert _best_regression_split(X, g, h, idx, params) is None
+        assert _best_regression_split(X, g, h, idx, params,
+                                      idx[_sorted_rows(X[idx])]) is None
         assert regression_split_oracle(X, g, h, idx, params) is None
 
 
