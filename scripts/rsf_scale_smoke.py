@@ -1,0 +1,63 @@
+"""Scale smoke test for random survival forest prediction memory.
+
+Fits a 10-tree forest on a synthetic 10,000-row cohort, then predicts the
+risk and a 100-point survival curve of every training row. Prints the fit
+and prediction times and the process's peak RSS, and exits 1 if that peak
+passes the limit (400 MB by default). Each prediction works in row blocks,
+so the peak is the fit's own; building the whole n x |grid| ensemble CHF
+(about 7,000 grid times here) would take over a gigabyte.
+
+    PYTHONPATH=src python scripts/rsf_scale_smoke.py [--limit-mb 400]
+"""
+
+import argparse
+import resource
+import sys
+import time
+
+import numpy as np
+
+from survkit.data import synth_cohort
+from survkit.models import fit_family, predict_risk, survival_matrix
+
+
+def peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--limit-mb", type=float, default=400.0)
+    args = parser.parse_args(argv)
+    n = 10_000
+    cohort = synth_cohort(n, 5, "ph", [1.0, 0.5, 0.0, 0.0, -0.5],
+                          censor_rate=0.3, seed=0)
+    X = np.asarray(cohort.features, dtype=float)
+    started = time.perf_counter()
+    model = fit_family("rsf", cohort, n_trees=10, seed=1)
+    fitted = time.perf_counter()
+    fit_peak = peak_rss_mb()
+    risks = predict_risk(model, X)
+    risked = time.perf_counter()
+    risk_peak = peak_rss_mb()
+    times = np.linspace(0.0, float(np.quantile(cohort.time, 0.9)), 100)
+    curves = survival_matrix(model, X, times)
+    done = time.perf_counter()
+    peak = peak_rss_mb()
+    print(f"rows {n}, grid {model.artifact.grid.size} times")
+    print(f"fit {fitted - started:.2f} s, peak RSS {fit_peak:.1f} MB")
+    print(f"predict_risk {risked - fitted:.2f} s, peak RSS {risk_peak:.1f} MB")
+    print(f"survival_matrix {done - risked:.2f} s, peak RSS {peak:.1f} MB")
+    if not (np.all(np.isfinite(risks)) and curves.shape == (n, 100)):
+        print("predictions are malformed", file=sys.stderr)
+        return 1
+    if peak > args.limit_mb:
+        print(f"peak RSS {peak:.1f} MB passes the {args.limit_mb:g} MB limit",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

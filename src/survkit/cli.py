@@ -528,6 +528,7 @@ def cmd_train_eval(config: RunConfig) -> int:
                 mat = M.survival_matrix(model, X_test, grid.times)
                 row["ibs"] = ibs(grid, mat, test.time, test.event, censor_dist)
                 curve_means[family] = mat.mean(axis=0)
+                del mat  # the next family fits without it
             if family in M.TDAUC_FAMILIES:
                 auc = td_auc(test.time, test.event, risks, grid, censor_dist)
                 row["mean_td_auc"] = auc.mean

@@ -209,7 +209,9 @@ def breslow_survival(baseline: StepFunction, eta, times) -> np.ndarray:
     idx = np.searchsorted(baseline.times, np.asarray(times, dtype=float),
                           side="right") - 1
     h0 = baseline.values[np.clip(idx, 0, None)]
-    surv = np.exp(-h0[None, :] * np.exp(np.asarray(eta, dtype=float))[:, None])
+    surv = np.multiply(-h0[None, :],
+                       np.exp(np.asarray(eta, dtype=float))[:, None])
+    np.exp(surv, out=surv)
     surv[:, idx < 0] = 1.0
     return surv
 

@@ -59,6 +59,9 @@ FAMILIES = (RSF, GBSA, SSVM, GB_COX, GB_AFT, GB_REG)
 
 # (event, subject) comparisons per block when listing all comparable pairs
 _PAIR_BLOCK = 1 << 20
+# float64 elements per row block of a forest's ensemble CHF: the block
+# total and one tree's gather stay in cache, and no n x |grid| matrix forms
+_CHF_BLOCK = 1 << 16
 
 
 def _refuse_negative(params, *names) -> None:
@@ -67,6 +70,15 @@ def _refuse_negative(params, *names) -> None:
         if getattr(params, name) < 0:
             raise ConfigError(f"{name} must be nonnegative, got "
                               f"{getattr(params, name)}")
+
+
+def _refuse_bad_rate(params, name) -> None:
+    """Raise ConfigError if the named rate of ``params`` is negative or
+    not finite."""
+    value = getattr(params, name)
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and nonnegative, got "
+                          f"{value}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,10 @@ class GbParams:
 
     def __post_init__(self):
         _refuse_negative(self, "n_rounds", "max_depth", "min_samples_leaf")
+        _refuse_bad_rate(self, "learning_rate")
+        if not 0 < self.subsample <= 1:
+            raise ConfigError(f"subsample must be in (0, 1], got "
+                              f"{self.subsample}")
 
     def boost_params(self, reg_lambda: float | None = None) -> BoostParams:
         lam = self.reg_lambda if reg_lambda is None else reg_lambda
@@ -141,6 +157,7 @@ class SsvmParams:
 
     def __post_init__(self):
         _refuse_negative(self, "max_pairs", "epochs")
+        _refuse_bad_rate(self, "gamma")
 
 
 def _step_fields(step: StepFunction) -> dict:
@@ -217,23 +234,48 @@ class RsfForest:
     leaf_chf: list[np.ndarray]  # per tree: (n_leaves, len(grid))
     grid: np.ndarray            # distinct training event times
 
-    def ensemble_chf(self, X, columns=slice(None)) -> np.ndarray:
-        """The tree-averaged CHF of every row on the grid ``columns``.
+    def _chf_blocks(self, X, columns=slice(None)):
+        """Yield (rows, tree-averaged CHF of those rows on the grid
+        ``columns``) in row blocks of about ``_CHF_BLOCK`` elements.
 
-        Each tree's columns are taken before its rows are added, so every
-        element sees the same additions, in the same order, as it would in
-        the whole (n, len(grid)) matrix.
+        The rows are routed once. Each tree's columns are taken before its
+        rows are added, so every element sees the same additions, in the
+        same tree order, as it would in the whole (n, len(grid)) matrix.
         """
-        total = np.zeros(X.shape[:1] + self.grid[columns].shape)
-        for tree, chf, leaf in zip(self.trees, self.leaf_chf,
-                                   engine._route(self.trees, X)):
-            total += chf[:, columns][tree.table.value[leaf].astype(int)]
-        return total / len(self.trees)
+        leaves = [tree.table.value[leaf].astype(int) for tree, leaf
+                  in zip(self.trees, engine._route(self.trees, X))]
+        tables = [chf[:, columns] for chf in self.leaf_chf]
+        width = self.grid[columns].size
+        step = max(1, _CHF_BLOCK // max(width, 1))
+        for a in range(0, X.shape[0], step):
+            rows = slice(a, min(a + step, X.shape[0]))
+            total = np.zeros((rows.stop - a, width))
+            for table, leaf in zip(tables, leaves):
+                total += table[leaf[rows]]
+            total /= len(self.trees)
+            yield rows, total
+
+    def ensemble_chf(self, X, columns=slice(None)) -> np.ndarray:
+        """The tree-averaged CHF of every row on the grid ``columns``."""
+        out = np.empty(X.shape[:1] + self.grid[columns].shape)
+        for rows, block in self._chf_blocks(X, columns):
+            out[rows] = block
+        return out
+
+    def risk(self, X) -> np.ndarray:
+        """The mortality score: each row's ensemble CHF summed over the
+        grid, one row block at a time."""
+        out = np.empty(X.shape[0])
+        for rows, block in self._chf_blocks(X):
+            out[rows] = block.sum(axis=1)
+        return out
 
     def survival(self, X, times) -> np.ndarray:
         idx = np.searchsorted(self.grid, np.asarray(times, dtype=float),
                               side="right") - 1
-        surv = np.exp(-self.ensemble_chf(X, np.clip(idx, 0, None)))
+        surv = self.ensemble_chf(X, np.clip(idx, 0, None))
+        np.negative(surv, out=surv)
+        np.exp(surv, out=surv)
         surv[:, idx < 0] = 1.0
         return surv
 
@@ -625,7 +667,7 @@ _REG_BOOST_SPACE = _BOOST_SPACE + (("reg_lambda", "float", 1e-3, 10.0, True),)
 FAMILY_TABLE: dict[str, Family] = {
     RSF: Family(
         RsfParams, fit_rsf,
-        risk=lambda forest, X: forest.ensemble_chf(X).sum(axis=1),
+        risk=RsfForest.risk,
         survival=RsfForest.survival, support=lambda forest: forest.grid,
         fields=RsfForest.to_fields, from_fields=RsfForest.from_fields,
         td_auc=True,
@@ -762,11 +804,34 @@ def _file_fields(model: FittedModel) -> dict:
     }
 
 
+def _write_fields(fh, fields: dict) -> None:
+    """Write ``json.dumps(fields, sort_keys=True)`` to ``fh`` in pieces.
+
+    One ``json.dumps`` call allocates several times its output, so the
+    top-level values are encoded one at a time, and a list of objects (a
+    forest's ``trees`` and ``leaf_steps``) one element at a time.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode  # what dumps builds
+    fh.write("{")
+    for i, key in enumerate(sorted(fields)):
+        value = fields[key]
+        fh.write(f"{', ' if i else ''}{encode(key)}: ")
+        if not (isinstance(value, list) and value
+                and all(isinstance(item, dict) for item in value)):
+            fh.write(encode(value))
+            continue
+        for j, item in enumerate(value):
+            fh.write(", " if j else "[")
+            fh.write(encode(item))
+        fh.write("]")
+    fh.write("}")
+
+
 def save_model(model: FittedModel, path) -> None:
     """Serialize a fitted model to a JSON file, byte for byte
     ``json.dumps(fields, sort_keys=True)``."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(_file_fields(model), sort_keys=True))
+        _write_fields(fh, _file_fields(model))
 
 
 def load_model(path) -> FittedModel:

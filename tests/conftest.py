@@ -277,6 +277,22 @@ def regression_tree_oracle(X, g, h, params):
     return build(np.arange(X.shape[0]), 0)
 
 
+def rsf_ensemble_chf_oracle(forest, X, columns=slice(None)):
+    """The tree-averaged CHF of every row as one (n, len(grid[columns]))
+    matrix (the pre-row-block code)."""
+    total = np.zeros(X.shape[:1] + forest.grid[columns].shape)
+    for tree, chf, leaf in zip(forest.trees, forest.leaf_chf,
+                               engine._route(forest.trees, X)):
+        total += chf[:, columns][tree.table.value[leaf].astype(int)]
+    return total / len(forest.trees)
+
+
+def rsf_risk_oracle(forest, X):
+    """The rsf risk as the row sums of the whole ensemble CHF matrix (the
+    pre-row-block code)."""
+    return rsf_ensemble_chf_oracle(forest, X).sum(axis=1)
+
+
 def rsf_survival_oracle(forest, X, times):
     """RSF survival through the whole (n, len(grid)) ensemble CHF (the
     pre-column-gather code)."""

@@ -575,6 +575,26 @@ class TestMalformedConfigValues:
         assert run(["train-eval", "--config", cfg]) == 2
         assert "family.rsf: n_trees must be at least 1" in caplog.text
 
+    @pytest.mark.parametrize("family,key,value,message", [
+        ("gb_cox", "learning_rate", "-1",
+         "learning_rate must be finite and nonnegative"),
+        ("gb_cox", "learning_rate", "inf",
+         "learning_rate must be finite and nonnegative"),
+        ("gbsa", "subsample", "0", "subsample must be in (0, 1]"),
+        ("gbsa", "subsample", "1.5", "subsample must be in (0, 1]"),
+        ("gb_aft", "subsample", "nan", "subsample must be in (0, 1]"),
+        ("ssvm", "gamma", "-1", "gamma must be finite and nonnegative"),
+        ("ssvm", "gamma", "nan", "gamma must be finite and nonnegative")])
+    def test_bad_rate_exits_2(self, prepared_dir, tmp_path, caplog, family,
+                              key, value, message):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": family,
+            f"family.{family}.{key}": value,
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert f"family.{family}: {message}" in caplog.text
+        assert not (prepared_dir / "metrics.json").exists()
+
     @pytest.mark.parametrize("family,key,text", [
         ("rsf", "n_trees", "int:0:2"), ("gb_cox", "n_rounds", "int:-1:3"),
         ("gb_cox", "max_depth", "float:-0.5:2"), ("ssvm", "epochs", "int:-5:10"),

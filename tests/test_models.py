@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -106,6 +108,32 @@ def test_negative_counts_are_config_errors(params, field):
     assert getattr(params(**{field: 0}), field) == 0  # zero stays valid
 
 
+@pytest.mark.parametrize("params,field,bad,good", [
+    (GbParams, "learning_rate", -0.1, 0.0),
+    (GbParams, "learning_rate", float("inf"), 0.3),
+    (GbParams, "learning_rate", float("nan"), 1.0),
+    (RegWeightedParams, "learning_rate", -1.0, 0.0),
+    (HorizonParams, "learning_rate", -float("inf"), 0.1),
+    (SsvmParams, "gamma", -1.0, 0.0),
+    (SsvmParams, "gamma", float("inf"), 10.0),
+    (SsvmParams, "gamma", float("nan"), 1e-3)])
+def test_bad_rates_are_config_errors(params, field, bad, good):
+    with pytest.raises(ConfigError, match=f"{field} must be finite and "
+                                          "nonnegative"):
+        params(**{field: bad})
+    assert getattr(params(**{field: good}), field) == good
+
+
+@pytest.mark.parametrize("params", [GbParams, AftParams, HorizonParams])
+@pytest.mark.parametrize("subsample", [0.0, -0.5, 1.0 + 1e-12, 2.0,
+                                       float("nan"), float("inf")])
+def test_subsample_outside_unit_interval_is_config_error(params, subsample):
+    with pytest.raises(ConfigError, match=r"subsample must be in \(0, 1\]"):
+        params(subsample=subsample)
+    assert params(subsample=1.0).subsample == 1.0
+    assert params(subsample=1e-9).subsample == 1e-9
+
+
 class TestRsf:
     @pytest.mark.parametrize("n_trees", [0, -1])
     def test_no_trees_is_config_error(self, n_trees):
@@ -114,6 +142,20 @@ class TestRsf:
             fit_family("rsf", cohort, n_trees=n_trees)
         with pytest.raises(ConfigError, match="n_trees must be at least 1"):
             RsfParams(n_trees=n_trees)
+
+    def test_prediction_memory_is_bounded(self):
+        cohort = synth_cohort(600, 3, "ph", [1, 0.5, 0], censor_rate=0.3,
+                              seed=81)
+        model = fit_family("rsf", cohort, n_trees=3, seed=82)
+        X = np.tile(np.asarray(cohort.features, dtype=float), (7, 1))[:4000]
+        whole = X.shape[0] * model.artifact.grid.size * 8  # one n x |grid|
+        tracemalloc.start()
+        try:
+            predict_risk(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 4
 
     def test_single_leaf_forest_reproduces_nelson_aalen(self):
         cohort = synth_cohort(150, 2, "ph", [1, 0], censor_rate=0.3, seed=1)
@@ -503,6 +545,34 @@ class TestFamilyTable:
             expected = json.dumps(M._file_fields(model), sort_keys=True)
             assert path.read_bytes() == expected.encode("utf-8"), family
             assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
+
+    def test_writer_matches_json_dumps_on_edge_values(self):
+        fields = {"b": [], "a": [{}, {"z": [1, {"y": None}],
+                                      "\u00e9": float("nan")}],
+                  "c": [[1.5], [2]], "d": {"k": [{"x": -float("inf")}]},
+                  "e": [{"x": 1}, 2], "f": [{"x": [{"y": True}]}],
+                  "g": "\u2603", "h": {}}
+        for obj in (fields, {}, {"only": [{"x": 1}]}):
+            fh = io.StringIO()
+            M._write_fields(fh, obj)
+            assert fh.getvalue() == json.dumps(obj, sort_keys=True)
+
+    def test_save_encodes_in_pieces(self, tmp_path):
+        cohort = synth_cohort(200, 3, "ph", [1, 0.5, 0], censor_rate=0.3,
+                              seed=83)
+        model = fit_family("rsf", cohort, n_trees=40, seed=84)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            json.dumps(M._file_fields(model), sort_keys=True)
+            whole = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            save_model(model, tmp_path / "m.json")
+            pieces = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pieces < 0.6 * whole
 
     def test_failed_save_keeps_old_file(self, tmp_path, fitted_families):
         _, models = fitted_families

@@ -22,10 +22,12 @@ from conftest import (_node_logrank_scan, _node_logrank_screen, _scan_split,
                       cox_profile_oracle, harrell_oracle, leaves,
                       logrank_scan_oracle, predict_tree_oracle,
                       regression_split_oracle, regression_tree_oracle,
+                      rsf_ensemble_chf_oracle, rsf_risk_oracle,
                       rsf_survival_oracle, ssvm_fit_oracle,
                       survival_tree_oracle)
 from survkit import metrics
 from survkit import engine
+from survkit import models
 from survkit.data import Cohort, ColumnSpec, synth_cohort
 from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
                             SurvivalTreeParams, TreeParams,
@@ -41,7 +43,8 @@ from survkit.estimators import (_cox_profile, _time_blocks,
 from survkit.metrics import TimeGrid, brier, harrell_c, ibs, ipcw_c, td_auc
 from survkit.models import (SsvmParams, _chf_from_steps, _chf_steps,
                             _comparable_pairs, _leaf_chf, fit_family,
-                            fit_ssvm, predict_curves, survival_matrix)
+                            fit_ssvm, predict_curves, predict_risk,
+                            survival_matrix)
 from survkit.preprocess import split
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -664,6 +667,40 @@ def test_rsf_survival_equals_whole_matrix_oracle(n_trees, depth, seed, rows,
     times = np.concatenate([times, forest.grid[:3], [forest.grid[0] - 1e-9]])
     assert (forest.survival(X, times).tobytes()
             == rsf_survival_oracle(forest, X, times).tobytes())
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+def test_blocked_rsf_prediction_equals_whole_matrix_oracle(monkeypatch,
+                                                           block_rows):
+    cohort = synth_cohort(200, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
+                          seed=71)
+    model = fit_family("rsf", cohort, n_trees=6, min_samples_leaf=3, seed=72)
+    forest = model.artifact
+    X = np.asarray(synth_cohort(150, 3, "ph", [1.0, 0.5, 0.0],
+                                censor_rate=0.3, seed=73).features,
+                   dtype=float)
+    grid = forest.grid
+    # before the first grid point, on grid points, between them, past them
+    times = np.concatenate([[grid[0] - 1.0], grid[::7],
+                            (grid[:-1:5] + grid[1::5]) / 2, [grid[-1] + 1.0]])
+    rows = X.shape[0] + 1 if block_rows is None else block_rows
+
+    def budget(width):
+        monkeypatch.setattr(models, "_CHF_BLOCK", rows * width)
+        blocks = [r for r, _ in forest._chf_blocks(X, np.arange(width))]
+        assert len(blocks) == -(-X.shape[0] // rows)
+
+    budget(grid.size)
+    assert (predict_risk(model, X).tobytes()
+            == rsf_risk_oracle(forest, X).tobytes())
+    assert (forest.ensemble_chf(X).tobytes()
+            == rsf_ensemble_chf_oracle(forest, X).tobytes())
+    budget(times.size)
+    assert (survival_matrix(model, X, times).tobytes()
+            == rsf_survival_oracle(forest, X, times).tobytes())
+    columns = np.searchsorted(grid, times[1:-1], side="right") - 1
+    assert (forest.ensemble_chf(X, columns).tobytes()
+            == rsf_ensemble_chf_oracle(forest, X, columns).tobytes())
 
 
 @st.composite
