@@ -1,11 +1,13 @@
-"""Scale smoke test for random survival forest prediction memory.
+"""Scale smoke test for random survival forest prediction and evaluation.
 
-Fits a 10-tree forest on a synthetic 10,000-row cohort, then predicts the
-risk and a 100-point survival curve of every training row. Prints the fit
-and prediction times and the process's peak RSS, and exits 1 if that peak
-passes the limit (400 MB by default). Each prediction works in row blocks,
-so the peak is the fit's own; building the whole n x |grid| ensemble CHF
-(about 7,000 grid times here) would take over a gigabyte.
+Fits a 10-tree forest on a synthetic 10,000-row cohort, predicts the risk
+and the survival curve of every training row at the cohort's default
+100-point time grid, and scores them with Harrell's C, Uno's C,
+time-dependent AUC and the integrated Brier score. Prints each step's time
+and the process's peak RSS, and exits 1 if a result is not finite or that
+peak passes the limit (400 MB by default). Each prediction works in row
+blocks, so the peak is the fit's own; building the whole n x |grid|
+ensemble CHF (about 7,000 grid times here) would take over a gigabyte.
 
     PYTHONPATH=src python scripts/rsf_scale_smoke.py [--limit-mb 400]
 """
@@ -18,6 +20,8 @@ import time
 import numpy as np
 
 from survkit.data import synth_cohort
+from survkit.estimators import censoring_survival
+from survkit.metrics import default_time_grid, harrell_c, ibs, ipcw_c, td_auc
 from survkit.models import fit_family, predict_risk, survival_matrix
 
 
@@ -41,16 +45,34 @@ def main(argv=None) -> int:
     risks = predict_risk(model, X)
     risked = time.perf_counter()
     risk_peak = peak_rss_mb()
-    times = np.linspace(0.0, float(np.quantile(cohort.time, 0.9)), 100)
-    curves = survival_matrix(model, X, times)
+    censor_dist = censoring_survival(cohort.time, cohort.event)
+    grid = default_time_grid(cohort.time, cohort.event, censor_dist)
+    curves = survival_matrix(model, X, grid.times)
     done = time.perf_counter()
-    peak = peak_rss_mb()
+    curve_peak = peak_rss_mb()
     print(f"rows {n}, grid {model.artifact.grid.size} times")
     print(f"fit {fitted - started:.2f} s, peak RSS {fit_peak:.1f} MB")
     print(f"predict_risk {risked - fitted:.2f} s, peak RSS {risk_peak:.1f} MB")
-    print(f"survival_matrix {done - risked:.2f} s, peak RSS {peak:.1f} MB")
+    print(f"survival_matrix {done - risked:.2f} s, peak RSS {curve_peak:.1f} MB")
+    risk_args = (cohort.time, cohort.event, risks)
+    scores = {}
+    for name, metric in (
+            ("harrell_c", lambda: harrell_c(*risk_args).c_index),
+            ("ipcw_c", lambda: ipcw_c(*risk_args, censor_dist).c_index),
+            ("td_auc", lambda: td_auc(*risk_args, grid, censor_dist).mean),
+            ("ibs", lambda: ibs(grid, curves, cohort.time, cohort.event,
+                                censor_dist))):
+        begun = time.perf_counter()
+        scores[name] = metric()
+        print(f"{name} {scores[name]:.4f} in "
+              f"{time.perf_counter() - begun:.2f} s")
+    peak = peak_rss_mb()
+    print(f"peak RSS {peak:.1f} MB")
     if not (np.all(np.isfinite(risks)) and curves.shape == (n, 100)):
         print("predictions are malformed", file=sys.stderr)
+        return 1
+    if not all(np.isfinite(list(scores.values()))):
+        print(f"a metric is not finite: {scores}", file=sys.stderr)
         return 1
     if peak > args.limit_mb:
         print(f"peak RSS {peak:.1f} MB passes the {args.limit_mb:g} MB limit",

@@ -500,9 +500,12 @@ def cmd_train_eval(config: RunConfig) -> int:
     else:
         raise ConfigError(f"metrics.censor_source must be eval or train")
     tau = config.get_float("metrics.tau")
+    resolution = config.get_int("metrics.grid_resolution", 100)
+    if resolution < 2:  # IBS integrates over at least two grid times
+        raise ConfigError("metrics.grid_resolution must be at least 2, "
+                          f"got {resolution}")
     grid = default_time_grid(test.time, test.event, censor_dist,
-                             resolution=config.get_int("metrics.grid_resolution",
-                                                       100))
+                             resolution=resolution)
 
     X_test = np.asarray(test.features, dtype=float)
     rows, failures = [], {}

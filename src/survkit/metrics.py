@@ -10,8 +10,12 @@ time itself for still-at-risk subjects.
 
 Cost: harrell_c and ipcw_c count risk ranks over time-sorted prefixes in
 O(n log^2 n), and compare every pair directly below a few hundred
-subjects; td_auc sorts the risks once and costs O(n log n) per evaluation
-time; brier and ibs are O(n) per grid time.
+subjects. td_auc and ibs place every subject on the grid once per call
+(one searchsorted) and evaluate G once per call; td_auc also ranks the
+risks once and counts controls per (grid time, rank) in a table built in
+blocks, so it costs O(n log n + |grid| * (cases + distinct risks)); ibs
+costs O(n * |grid|). Each grid time still sums its own subjects in
+subject order, so the values are those of one call per grid time.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class TimeGrid:
         times = np.asarray(self.times, dtype=float)
         if times.size == 0:
             raise DataError("time grid is empty")
+        if not np.all(np.isfinite(times)):
+            raise DataError("grid times must be finite")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise DataError("grid times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -227,31 +233,65 @@ def brier(t: float, predicted_survival, time, event,
     contribute nothing. The mean is over all n subjects.
     """
     time = np.asarray(time, dtype=float)
-    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
-    return _brier(t, predicted_survival, time, np.asarray(event, dtype=int),
-                  censor_dist, g_left)
-
-
-def _brier(t, predicted_survival, time, event, censor_dist, g_left):
-    """``brier`` with G(T_i-) of every subject given as ``g_left``."""
     s_hat = np.asarray(predicted_survival, dtype=float)
     if s_hat.shape != time.shape:
         raise DataError("predictions must match the evaluation set")
-    if np.any((s_hat < 0) | (s_hat > 1)):
-        raise DataError("survival predictions must lie in [0, 1]")
-    g_t = censor_dist(t)
-    if g_t <= 0:
-        raise DataError(f"censoring survival is zero at t={t}")
-    dead = (time <= t) & (event == 1)
-    alive = time > t
-    total = 0.0
-    if dead.any():
-        g_dead = g_left[dead]
-        if np.any(g_dead <= 0):
-            raise DataError("zero censoring survival at an event time")
-        total += np.sum(s_hat[dead] ** 2 / g_dead)
-    total += np.sum((1.0 - s_hat[alive]) ** 2 / g_t)
-    return float(total / time.size)
+    if not np.isfinite(t):
+        raise DataError("the evaluation time must be finite")
+    return float(_brier_scores(np.array([float(t)]), s_hat.reshape(-1, 1),
+                               time.ravel(),
+                               np.asarray(event, dtype=int).ravel(),
+                               censor_dist)[0])
+
+
+def _grid_positions(grid_times, time) -> np.ndarray:
+    """Each subject's ``kc``: the number of grid times before its time.
+
+    For a finite, strictly increasing grid, subject i has T_i <= t_k
+    exactly when k >= kc[i], and T_i > t_k exactly when k < kc[i].
+    """
+    if np.any(np.isnan(time)):
+        raise DataError("times must not be NaN")
+    return np.searchsorted(grid_times, time, side="left")
+
+
+def _brier_scores(grid_times, mat, time, event, censor_dist) -> np.ndarray:
+    """brier at every grid time, column k of ``mat`` holding S_hat(t_k).
+
+    G is evaluated once per call at every grid time and every T_i-. A
+    failed check raises what the first failing grid time raises, in the
+    order brier checks: predictions in [0, 1], G(t) > 0, then G(T_i-) > 0
+    over the subjects dead by t.
+    """
+    if mat.shape != time.shape + grid_times.shape:
+        raise DataError("predictions must match the evaluation set")
+    kc = _grid_positions(grid_times, time)
+    dead_from = kc.copy()  # the first grid index at which i counts as dead
+    dead_from[event != 1] = grid_times.size
+    g_t = np.asarray(censor_dist(grid_times), dtype=float)
+    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
+    zero_g_from = dead_from[g_left <= 0].min(initial=grid_times.size)
+    in_range = ((mat.min(axis=0, initial=0.0) >= 0)
+                & (mat.max(axis=0, initial=1.0) <= 1))  # NaN fails both
+    failing = (~in_range | (g_t <= 0)
+               | (np.arange(grid_times.size) >= zero_g_from))
+    if failing.any():
+        k = int(np.argmax(failing))
+        if not in_range[k]:
+            raise DataError("survival predictions must lie in [0, 1]")
+        if g_t[k] <= 0:
+            raise DataError(f"censoring survival is zero at t={grid_times[k]}")
+        raise DataError("zero censoring survival at an event time")
+    scores = np.empty(grid_times.size)
+    for k in range(grid_times.size):
+        s_hat = mat[:, k]
+        dead = dead_from <= k
+        total = 0.0
+        if dead.any():
+            total += np.sum(s_hat.compress(dead) ** 2 / g_left.compress(dead))
+        total += np.sum((1.0 - s_hat.compress(kc > k)) ** 2 / g_t[k])
+        scores[k] = total / time.size
+    return scores
 
 
 def _curves_on_grid(curves, grid_times, n) -> np.ndarray:
@@ -271,19 +311,20 @@ def _curves_on_grid(curves, grid_times, n) -> np.ndarray:
 def ibs(grid: TimeGrid, curves, time, event,
         censor_dist: StepFunction) -> float:
     """Integrated Brier score: trapezoidal integral of brier(t) over the
-    grid, normalized by the grid span. G(T_i-) is evaluated once per call
-    and shared by every grid time."""
+    grid, normalized by the grid span."""
     if grid.times.size < 2:
         raise DataError("IBS needs a grid with at least 2 points")
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=int)
     mat = _curves_on_grid(curves, grid.times, time.size)
-    # G(T_i-) once for every subject, not once per grid time
-    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
-    scores = np.array([_brier(t, mat[:, k], time, event, censor_dist, g_left)
-                       for k, t in enumerate(grid.times)])
+    scores = _brier_scores(grid.times, mat, time, event, censor_dist)
     span = grid.times[-1] - grid.times[0]
     return float(np.trapezoid(scores, grid.times) / span)
+
+
+# Elements in one block of td_auc's (grid time, risk rank) control-count
+# table; the same budget as models._CHF_BLOCK.
+_TABLE_BLOCK = 1 << 16
 
 
 def td_auc(time, event, risk, eval_times: TimeGrid,
@@ -294,34 +335,69 @@ def td_auc(time, event, risk, eval_times: TimeGrid,
     weighting cases by 1/G(T_i-). Times with no cases or no controls are
     dropped with a warning. The mean is the simple average over retained
     times; endpoint_mean averages the first and last retained values.
+
+    With kc the subjects' grid positions (``_grid_positions``) and risks
+    as dense ranks, a table counts the controls of each grid time per
+    rank; a case's wins are its row's exclusive cumsum over ranks at its
+    own rank, and its ties the row's entry there. The table is built
+    backwards from the last grid time, in blocks of grid times of about
+    ``_TABLE_BLOCK`` elements.
     """
     time, event, risk = _check_inputs(time, event, risk)
+    grid_times = np.asarray(eval_times.times, dtype=float)
+    n_times = grid_times.size
     g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
-    by_risk = np.argsort(risk, kind="stable")
-    risk_sorted, time_by_risk = risk[by_risk], time[by_risk]
-    kept_times, values = [], []
-    for t in np.asarray(eval_times.times, dtype=float):
-        cases = (time <= t) & (event == 1)
-        controls = time > t
-        if not cases.any() or not controls.any():
-            warnings.warn(f"dropping evaluation time {t}: no cases or no "
-                          "controls", stacklevel=2)
-            continue
-        if np.any(g_left[cases] <= 0):
-            raise DataError("zero censoring survival at a case time")
-        w = 1.0 / g_left[cases]
-        rc = risk[cases]
-        rk = risk_sorted[time_by_risk > t]
-        wins = np.searchsorted(rk, rc, side="left")
-        ties = np.searchsorted(rk, rc, side="right") - wins
-        numer = np.sum(w * (wins + 0.5 * ties))
-        denom = w.sum() * controls.sum()
-        kept_times.append(t)
-        values.append(float(numer / denom))
-    if not kept_times:
+    kc = _grid_positions(grid_times, time)
+    cases = np.flatnonzero(event == 1)
+    case_kc = kc[cases]
+    n_cases = np.cumsum(np.bincount(case_kc, minlength=n_times + 1))[:n_times]
+    n_controls = time.size - np.cumsum(
+        np.bincount(kc, minlength=n_times + 1))[:n_times]
+    kept = (n_cases > 0) & (n_controls > 0)
+    zero_g_from = case_kc[g_left[cases] <= 0].min(initial=n_times)
+    failing = kept & (np.arange(n_times) >= zero_g_from)
+    stop = int(np.argmax(failing)) if failing.any() else n_times
+    for t in grid_times[:stop][~kept[:stop]]:
+        warnings.warn(f"dropping evaluation time {t}: no cases or no "
+                      "controls", stacklevel=2)
+    if stop < n_times:
+        raise DataError("zero censoring survival at a case time")
+    if not kept.any():
         raise DataError("every evaluation time was dropped")
-    values_arr = np.asarray(values)
-    return TdAucResult(times=np.asarray(kept_times), values=values_arr,
+
+    rank = np.unique(risk, return_inverse=True)[1]
+    n_ranks = int(rank.max()) + 1
+    cases = cases[case_kc <= np.flatnonzero(kept)[-1]]  # each has G(T-) > 0
+    case_kc, case_rank = kc[cases], rank[cases]
+    case_w = 1.0 / g_left[cases]
+    by_kc = np.argsort(kc, kind="stable")
+    kc_sorted, rank_by_kc = kc[by_kc], rank[by_kc]
+    starts = np.searchsorted(kc_sorted, np.arange(n_times + 2))
+    values = np.empty(n_times)
+    step = max(1, _TABLE_BLOCK // n_ranks)
+    carry = np.zeros(n_ranks, dtype=np.int64)  # controls with kc > hi
+    for hi in range(n_times, 0, -step):
+        lo = max(0, hi - step)
+        # controls of grid index k in [lo, hi): carry plus kc in (k, hi]
+        part = slice(starts[lo + 1], starts[hi + 1])
+        equal = np.bincount(
+            (kc_sorted[part] - lo - 1) * n_ranks + rank_by_kc[part],
+            minlength=(hi - lo) * n_ranks).reshape(hi - lo, n_ranks)
+        np.cumsum(equal[::-1], axis=0, out=equal[::-1])
+        equal += carry
+        carry = equal[0].copy()
+        below = equal.cumsum(axis=1)
+        below -= equal
+        for j in np.flatnonzero(kept[lo:hi]):
+            # every case's term, then the sums over this time's cases
+            terms = case_w * (below[j][case_rank] + 0.5 * equal[j][case_rank])
+            sel = case_kc <= lo + j
+            values[lo + j] = (np.sum(terms.compress(sel))
+                              / (case_w.compress(sel).sum()
+                                 * n_controls[lo + j]))
+        del equal, below  # before the next block's table is allocated
+    values_arr = values[kept]
+    return TdAucResult(times=grid_times[kept], values=values_arr,
                        mean=float(values_arr.mean()),
                        endpoint_mean=float(0.5 * (values_arr[0] + values_arr[-1])))
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,77 @@ def td_auc_oracle(time, event, risk, eval_times, censor_dist):
         kept_times.append(t)
         values.append(float(numer / denom))
     return np.asarray(kept_times), np.asarray(values)
+
+
+def td_auc_per_time_oracle(time, event, risk, eval_times, censor_dist):
+    """td_auc rebuilding its masks and weights at every evaluation time,
+    with two searchsorteds over the sorted control risks (the code before
+    the per-call control-count table).
+
+    Returns (kept_times, values, mean, endpoint_mean); warns and raises
+    as td_auc does.
+    """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=int)
+    risk = np.asarray(risk, dtype=float)
+    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
+    by_risk = np.argsort(risk, kind="stable")
+    risk_sorted, time_by_risk = risk[by_risk], time[by_risk]
+    kept_times, values = [], []
+    for t in np.asarray(eval_times, dtype=float):
+        cases = (time <= t) & (event == 1)
+        controls = time > t
+        if not cases.any() or not controls.any():
+            warnings.warn(f"dropping evaluation time {t}: no cases or no "
+                          "controls", stacklevel=2)
+            continue
+        if np.any(g_left[cases] <= 0):
+            raise DataError("zero censoring survival at a case time")
+        w = 1.0 / g_left[cases]
+        rc = risk[cases]
+        rk = risk_sorted[time_by_risk > t]
+        wins = np.searchsorted(rk, rc, side="left")
+        ties = np.searchsorted(rk, rc, side="right") - wins
+        numer = np.sum(w * (wins + 0.5 * ties))
+        denom = w.sum() * controls.sum()
+        kept_times.append(t)
+        values.append(float(numer / denom))
+    if not kept_times:
+        raise DataError("every evaluation time was dropped")
+    values_arr = np.asarray(values)
+    return (np.asarray(kept_times), values_arr, float(values_arr.mean()),
+            float(0.5 * (values_arr[0] + values_arr[-1])))
+
+
+def ibs_per_time_oracle(grid_times, mat, time, event, censor_dist):
+    """ibs as one Brier score per grid time, each checking its own column
+    and evaluating G(t) on its own (the code before the per-call masks)."""
+    grid_times = np.asarray(grid_times, dtype=float)
+    if grid_times.size < 2:
+        raise DataError("IBS needs a grid with at least 2 points")
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=int)
+    g_left = np.asarray(censor_dist.left_limit(time), dtype=float)
+    scores = []
+    for k, t in enumerate(grid_times):
+        s_hat = mat[:, k]
+        if np.any((s_hat < 0) | (s_hat > 1)):
+            raise DataError("survival predictions must lie in [0, 1]")
+        g_t = censor_dist(t)
+        if g_t <= 0:
+            raise DataError(f"censoring survival is zero at t={t}")
+        dead = (time <= t) & (event == 1)
+        alive = time > t
+        total = 0.0
+        if dead.any():
+            g_dead = g_left[dead]
+            if np.any(g_dead <= 0):
+                raise DataError("zero censoring survival at an event time")
+            total += np.sum(s_hat[dead] ** 2 / g_dead)
+        total += np.sum((1.0 - s_hat[alive]) ** 2 / g_t)
+        scores.append(float(total / time.size))
+    span = grid_times[-1] - grid_times[0]
+    return float(np.trapezoid(np.array(scores), grid_times) / span)
 
 
 def logrank_scan_oracle(X_col, time, event, msl, chunk=512):

@@ -615,6 +615,20 @@ class TestMalformedConfigValues:
         assert "n_trees must be at least 1" in caplog.text
         assert not list((prepared_dir / "studies").iterdir())
 
+    @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
+    def test_grid_resolution_below_2_exits_2(self, prepared_dir, tmp_path,
+                                             caplog, resolution):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gbsa",
+            "family.gbsa.n_rounds": "3",
+            "metrics.grid_resolution": resolution,
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert ("metrics.grid_resolution must be at least 2, "
+                f"got {resolution}") in caplog.text
+        assert not (prepared_dir / "metrics.json").exists()
+        assert not (prepared_dir / "model_gbsa.json").exists()
+
     def test_bad_horizon_value_exits_2(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "te.cfg", **{
             "out": str(prepared_dir), "seed": "11", "families": "gb_cox",

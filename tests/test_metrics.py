@@ -1,13 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import (harrell_oracle, ipcw_oracle, random_survival_instance,
-                      td_auc_oracle)
+from conftest import (harrell_oracle, ibs_per_time_oracle, ipcw_oracle,
+                      random_survival_instance, td_auc_oracle,
+                      td_auc_per_time_oracle)
 from survkit.data import synth_cohort
 from survkit.errors import DataError
-from survkit.estimators import censoring_survival, kaplan_meier
+from survkit.estimators import StepFunction, censoring_survival, kaplan_meier
 from survkit.metrics import (TimeGrid, brier, default_tau, default_time_grid,
                              harrell_c, ibs, ipcw_c, td_auc)
 
@@ -326,6 +328,12 @@ class TestGrids:
         with pytest.raises(DataError):
             TimeGrid(np.array([2.0, 1.0]), 2)
 
+    @pytest.mark.parametrize("times", [[1.0, np.nan, 3.0], [1.0, np.inf],
+                                       [-np.inf, 1.0], [np.nan]])
+    def test_non_finite_grid_is_refused(self, times):
+        with pytest.raises(DataError, match="grid times must be finite"):
+            TimeGrid(np.array(times), len(times))
+
 
 TIE_MODES = [(True, True), (True, False), (False, True), (False, False)]
 
@@ -432,3 +440,194 @@ class TestSortedPathsMatchOracles:
                 (r.concordant, r.tied_risk, r.comparable), want,
                 rtol=1e-12, atol=0)
             assert r.comparable < ipcw_c(time, event, risk, g).comparable
+
+
+def _outcome(fn):
+    """A metric call's result, or its DataError message, and the messages
+    of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except DataError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def _td_auc_outcome(time, event, risk, grid, g):
+    """td_auc's outcome after asserting it is the per-time oracle's."""
+    got, got_warnings = _outcome(lambda: td_auc(time, event, risk, grid, g))
+    want, want_warnings = _outcome(
+        lambda: td_auc_per_time_oracle(time, event, risk, grid.times, g))
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.times, want[0])
+        assert np.array_equal(got.values, want[1])
+        assert (got.mean, got.endpoint_mean) == want[2:]
+    return got, got_warnings
+
+
+def _ibs_outcome(grid, mat, time, event, g):
+    """ibs's outcome after asserting it is the per-time oracle's."""
+    got = _outcome(lambda: ibs(grid, mat, time, event, g))
+    assert got == _outcome(
+        lambda: ibs_per_time_oracle(grid.times, mat, time, event, g))
+    return got[0]
+
+
+def _random_grid(rng, time):
+    """Grid times on observed times and between them, some before the
+    first and some past the last."""
+    observed = np.unique(time)
+    on = rng.choice(observed, size=int(rng.integers(0, min(8, observed.size)
+                                                    + 1)), replace=False)
+    between = rng.uniform(time.min() - 1.0, time.max() + 1.0,
+                          size=int(rng.integers(1, 20)))
+    times = np.unique(np.concatenate([on, between]))
+    return TimeGrid(times, times.size)
+
+
+class TestPerCallTablesMatchOracles:
+    """td_auc and ibs against the per-time bodies they replaced: the same
+    times, values, warnings and errors, bit for bit."""
+
+    @pytest.mark.parametrize("tie_times,tie_risks", TIE_MODES)
+    def test_td_auc_matches_per_time_oracle(self, tie_times, tie_risks):
+        kinds = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            time, event, risk = random_survival_instance(
+                rng, max_n=300, tie_times=tie_times, tie_risks=tie_risks)
+            g = censoring_survival(time, event)
+            got, caught = _td_auc_outcome(time, event, risk,
+                                          _random_grid(rng, time), g)
+            kinds.add((isinstance(got, str), bool(caught)))
+        assert (False, True) in kinds and (False, False) in kinds
+
+    @pytest.mark.parametrize("tie_times,tie_risks", TIE_MODES)
+    def test_ibs_matches_per_time_oracle(self, tie_times, tie_risks):
+        errors = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            time, event, _ = random_survival_instance(
+                rng, max_n=300, tie_times=tie_times, tie_risks=tie_risks)
+            g = censoring_survival(time, event)
+            grid = _random_grid(rng, time)
+            mat = rng.random((time.size, grid.times.size))
+            if seed % 4 == 0:  # one prediction out of range
+                mat[rng.integers(time.size),
+                    rng.integers(grid.times.size)] = 1.25
+            got = _ibs_outcome(grid, mat, time, event, g)
+            errors.add(got.split(" at ")[0] if isinstance(got, str) else None)
+        assert None in errors and len(errors) >= 2
+
+    def test_td_auc_large_grid_in_blocks(self):
+        # more (grid time, rank) cells than one table block holds
+        rng = np.random.default_rng(12)
+        time, event, risk = random_survival_instance(
+            rng, n=3000, tie_times=False, tie_risks=False)
+        g = censoring_survival(time, event)
+        times = np.quantile(time, np.linspace(0.0, 1.0, 60))
+        got, _ = _td_auc_outcome(time, event, risk,
+                                 TimeGrid(times, times.size), g)
+        assert got.times.size >= 55
+
+    def test_dropped_times_at_both_ends(self):
+        time = np.array([1, 2, 3, 4.0])
+        event = np.array([1, 1, 1, 1])
+        g = censoring_survival(time, event)
+        grid = TimeGrid(np.array([0.5, 0.75, 2.0, 2.5, 4.0, 9.0]), 6)
+        got, caught = _td_auc_outcome(time, event, [4, 3, 2, 1.0], grid, g)
+        assert got.times.tolist() == [2.0, 2.5]
+        assert got.values.tolist() == [1.0, 1.0]
+        assert len(caught) == 4
+
+    def test_grid_past_the_last_observed_time(self):
+        time = np.array([1, 2, 3, 4, 5.0])
+        event = np.array([1, 0, 1, 1, 0])
+        g = censoring_survival(time, event)
+        grid = TimeGrid(np.array([2.5, 4.5, 5.0, 6.0]), 4)
+        got, caught = _td_auc_outcome(time, event, [5, 1, 3, 2, 4.0], grid, g)
+        assert got.times.tolist() == [2.5, 4.5] and len(caught) == 2
+        mat = np.tile([0.8, 0.5, 0.2, 0.1], (5, 1))
+        assert _ibs_outcome(grid, mat, time, event, g) == \
+            "censoring survival is zero at t=5.0"
+        assert isinstance(_ibs_outcome(TimeGrid(grid.times[:2], 2), mat[:, :2],
+                                       time, event, g), float)
+
+    def test_case_with_zero_censoring_survival(self):
+        # G from other data: zero before 2, so the case at 2 has G(2-) = 0;
+        # the step back up to 0.5 keeps G(2.5) positive
+        time = np.array([1, 2, 3, 4.0])
+        event = np.array([1, 1, 1, 0])
+        g = StepFunction(np.array([1.5, 2.2]), np.array([0.0, 0.5]), 1.0)
+        grid = TimeGrid(np.array([0.5, 1.2, 2.5, 5.0]), 4)
+        got, caught = _td_auc_outcome(time, event, [4, 3, 2, 1.0], grid, g)
+        assert got == "zero censoring survival at a case time"
+        assert len(caught) == 1
+        mat = np.full((4, 4), 0.5)
+        assert _ibs_outcome(grid, mat, time, event, g) == \
+            "zero censoring survival at an event time"
+        mat[0, 3] = 1.5  # a later time's fault is not the first one
+        assert _ibs_outcome(grid, mat, time, event, g) == \
+            "zero censoring survival at an event time"
+        mat[0, 1] = -0.5
+        assert _ibs_outcome(grid, mat, time, event, g) == \
+            "survival predictions must lie in [0, 1]"
+
+    def test_all_risks_tied_and_one_event(self):
+        rng = np.random.default_rng(5)
+        time, event, _ = random_survival_instance(rng, n=200)
+        g = censoring_survival(time, event)
+        grid = TimeGrid(np.quantile(time, [0.1, 0.3, 0.6, 0.9]), 4)
+        got, _ = _td_auc_outcome(time, event, np.full(200, 0.25), grid, g)
+        np.testing.assert_allclose(got.values, 0.5, rtol=1e-14)
+        event = np.zeros(200, dtype=int)
+        event[np.argsort(time)[100]] = 1
+        g = censoring_survival(time, event)
+        risk = rng.standard_normal(200)
+        got, _ = _td_auc_outcome(time, event, risk, grid, g)
+        assert got.times.size >= 1
+        mat = rng.random((200, 4))
+        assert isinstance(_ibs_outcome(grid, mat, time, event, g), float)
+
+    def test_td_auc_memory_is_blocked(self):
+        rng = np.random.default_rng(0)
+        n = 20_000
+        time = rng.exponential(1.0, n)
+        event = (rng.random(n) < 0.7).astype(int)
+        risk = rng.standard_normal(n)
+        g = censoring_survival(time, event)
+        grid = default_time_grid(time, event, g)
+        assert grid.times.size == 100
+        tracemalloc.start()
+        try:
+            td_auc(time, event, risk, grid, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    def test_nan_survival_prediction_is_refused(self):
+        time = np.array([1, 2, 3, 4.0])
+        event = np.array([1, 1, 0, 1])
+        g = censoring_survival(time, event)
+        grid = TimeGrid(np.array([1.5, 2.5, 3.5]), 3)
+        mat = np.full((4, 3), 0.5)
+        mat[2, 1] = np.nan
+        with pytest.raises(DataError, match=r"must lie in \[0, 1\]"):
+            ibs(grid, mat, time, event, g)
+        with pytest.raises(DataError, match=r"must lie in \[0, 1\]"):
+            brier(2.5, mat[:, 1], time, event, g)
+
+    def test_nan_time_is_refused(self):
+        time = np.array([1, 2, np.nan, 4.0])
+        event = np.array([1, 1, 0, 1])
+        g = censoring_survival([1, 2, 3, 4.0], event)
+        grid = TimeGrid(np.array([1.5, 2.5]), 2)
+        with pytest.raises(DataError, match="times must not be NaN"):
+            td_auc(time, event, [1, 2, 3, 4.0], grid, g)
+        with pytest.raises(DataError, match="times must not be NaN"):
+            ibs(grid, np.full((4, 2), 0.5), time, event, g)
