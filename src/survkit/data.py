@@ -123,6 +123,8 @@ class Cohort:
             raise DataError("column metadata does not match feature width")
         if self.time.shape != (n,) or self.event.shape != (n,):
             raise DataError("targets must match the number of rows")
+        if np.any(np.isnan(self.time)):
+            raise DataError("times must not be NaN")
         if np.any(self.time < 0):
             raise DataError("times must be nonnegative")
         if not np.all((self.event == 0) | (self.event == 1)):

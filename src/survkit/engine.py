@@ -406,117 +406,37 @@ def _scan_variance(lv, m, nodes, st: _NodeStats, msl: int):
     the node's k-th kept event time, is a running count over the row of
     the subjects whose level exceeds k, and the variance is
     sum_k (c_k n1_k)(N_k - n1_k) in k order: a sum over axis 0 of a
-    (K, ...) block, which numpy adds in k order, as the one-node scan did.
-    Rows of up to 256 subjects count in uint8 lanes, longer ones in uint16
-    lanes (``_lane_variance``).
+    (K, rows, positions) block, which numpy adds in k order, as the
+    one-node scan did. Rows go by falling K in blocks of about
+    ``_SCREEN_BLOCK // 8`` counts; a row of smaller K than its block's
+    first pads with c = N = 0, which adds zeros and is exact.
     """
     n_nodes, n_feat, M = lv.shape
-    variance = np.zeros((n_nodes * n_feat, M - 1))
+    level = lv.reshape(-1, M)
+    variance = np.zeros((level.shape[0], M - 1))
     lm, row_node = np.repeat(m, n_feat), np.repeat(nodes, n_feat)
+    K = st.K[row_node]
     first = max(msl, 1)  # positions run from 1 to m - 1
     cols = np.minimum(lm - msl, lm - 1) - first + 1
-    todo = (cols > 0) & (st.K[row_node] > 0)
-    for lane_type, rows in ((np.uint8, todo & (lm <= 256)),
-                            (np.uint16, todo & (lm > 256))):
-        if rows.any():
-            _lane_variance(variance, np.flatnonzero(rows), lane_type,
-                           lv.reshape(-1, M), row_node, st, first, cols)
+    todo = np.flatnonzero((cols > 0) & (K > 0))
+    todo = todo[np.argsort(-K[todo], kind="stable")]
+    count_type = np.min_scalar_type(M)  # a count never exceeds M
+    a = 0
+    while a < todo.size:
+        kb = int(K[todo[a]])
+        rows = todo[a:a + max(1, _SCREEN_BLOCK // 8 // (kb * M))]
+        a += rows.size
+        # two columns at least: numpy would sum a lone (K,) column pairwise
+        width = max(2, int(cols[rows].max()))
+        n1 = np.cumsum(level[rows, :first - 1 + width]
+                       > np.arange(kb)[:, None, None],
+                       axis=2, dtype=count_type)[:, :, first - 1:]
+        c = st.coef[row_node[rows], :kb].T[:, :, None]
+        n = st.n_risk[row_node[rows], :kb].T[:, :, None]
+        v = ((c * n1) * (n - n1)).sum(axis=0)
+        at, col = np.nonzero(np.arange(width) < cols[rows, None])
+        variance[rows[at], first - 1 + col] = v[at, col]
     return variance.reshape(n_nodes, n_feat, M - 1)
-
-
-def _lane_variance(variance, todo, lane_type, level, row_node,
-                   st: _NodeStats, first: int, cols):
-    """``_scan_variance`` for rows ``todo`` of ``level``, written into
-    ``variance``: row i's positions ``first`` .. ``first + cols[i] - 1``.
-
-    Rows share uint64 words as lanes, 8 // itemsize of ``lane_type`` per
-    word, so one uint64 cumsum counts for all of them at once; each lane
-    starts from its row's count over its first ``first`` subjects, and a
-    count never exceeds its lane. Rows are sorted by K and by length, so a
-    lane group wastes little padding. Lane groups share a block while it
-    stays within ``_SCREEN_BLOCK // 8`` elements, which keeps a block in
-    cache; a group above that goes in column chunks that carry their counts
-    over. Padded event times carry c = N = 0 and add +0.0, which is exact.
-    """
-    lanes = 8 // np.dtype(lane_type).itemsize
-    K = st.K[row_node]
-    todo = todo[np.lexsort((-cols[todo], -K[todo]))]
-    n_groups = -(-todo.size // lanes)
-    slot = np.full(n_groups * lanes, -1)
-    slot[:todo.size] = todo
-    slot_cols = np.where(slot >= 0, cols[slot], 0)
-    g_K = K[slot[::lanes]]  # each group's first row has its largest K
-    g_cols = slot_cols.reshape(n_groups, lanes).max(axis=1)
-    blocks, g = [], 0
-    while g < n_groups:
-        kb, width, h = int(g_K[g]), int(g_cols[g]), g + 1
-        while (h < n_groups and kb * (h + 1 - g) * lanes
-               * max(width, int(g_cols[h])) <= _SCREEN_BLOCK // 8):
-            width = max(width, int(g_cols[h]))
-            h += 1
-        step = min(width, max(1, _SCREEN_BLOCK // 8 // (kb * (h - g) * lanes)))
-        blocks.append((g, h, kb, width, step))
-        g = h
-    size = max(kb * (h - g) * lanes * step for g, h, kb, _, step in blocks)
-    counts_buf = np.empty(size, dtype=lane_type)
-    n1_buf, n2_buf = np.empty(size), np.empty(size)
-
-    for g, h, kb, width, step in blocks:
-        n_grp, rows = h - g, slice(g * lanes, h * lanes)
-        n_slots = n_grp * lanes
-        real = slot[rows] >= 0
-        row = np.where(real, slot[rows], 0)
-        # per slot and column c: the level of the subject entering the left
-        # group at position first + c
-        valid = np.arange(width) < slot_cols[rows, None]
-        enter_level = np.where(valid, level[row[:, None],
-                                            first - 1 + np.arange(width)], 0)
-        # each lane starts from its row's counts over its first subjects
-        hist = np.bincount(np.repeat(np.flatnonzero(real), first) * (kb + 1)
-                           + level[row[real], :first].ravel(),
-                           minlength=n_slots * (kb + 1))
-        start = np.cumsum(hist.reshape(-1, kb + 1)[:, :0:-1], axis=1)[:, ::-1]
-        start = start.T.reshape(kb, n_grp, lanes)
-        c_k = np.where(real, st.coef[row_node[row], :kb].T, 0.0)
-        n_k = np.where(real, st.n_risk[row_node[row], :kb].T, 0.0)
-        # numpy's inner loops run along the last axis, so the longer of
-        # columns and slots goes last; the lanes are last while packed
-        cols_last = width >= n_slots
-        c_k, n_k = ((c_k[:, :, None], n_k[:, :, None]) if cols_last
-                    else (c_k[:, None, :], n_k[:, None, :]))
-        levels = enter_level.reshape(n_grp, lanes, width)
-        levels = levels.transpose(0, 2, 1) if cols_last else levels.transpose(2, 0, 1)
-        col_axis = 2 if cols_last else 1
-        ks = np.arange(kb)[:, None]
-        v_block = np.empty((n_slots, width))
-        for a in range(0, width, step):
-            b = min(a + step, width)
-            n = kb * n_slots * (b - a)
-            chunk = levels[:, a:b] if cols_last else levels[a:b]
-            counts = counts_buf[:n].reshape(kb, *chunk.shape)
-            np.less(ks, chunk.ravel(), out=counts.reshape(kb, -1))
-            words = counts.view(np.uint64)[..., 0]
-            if a == 0:
-                np.moveaxis(counts, col_axis, 2)[:, :, 0] = start
-            else:  # carry the counts over from the last chunk
-                np.moveaxis(words, col_axis, 2)[:, :, 0] += carry
-            np.cumsum(words, axis=col_axis, out=words)
-            carry = np.moveaxis(words, col_axis, 2)[:, :, -1].copy()
-            if cols_last:
-                n1 = n1_buf[:n].reshape(kb, n_grp, lanes, b - a)
-                np.copyto(n1, counts.transpose(0, 1, 3, 2))
-                n1 = n1.reshape(kb, n_slots, b - a)
-            else:
-                n1 = n1_buf[:n].reshape(kb, b - a, n_slots)
-                np.copyto(n1, counts.reshape(n1.shape))
-            n2 = n2_buf[:n].reshape(n1.shape)
-            np.subtract(n_k, n1, out=n2)
-            n1 *= c_k  # (c * n1) * (N - n1), as the one-node scan multiplied
-            n1 *= n2
-            v = n1.sum(axis=0)
-            v_block[:, a:b] = v if cols_last else v.T
-        at, c = np.nonzero(valid)
-        variance[row[at], first - 1 + c] = v_block[valid]
 
 
 def _lone_variance(grid, at_risk, var_coef, last_time):
@@ -627,8 +547,8 @@ def _survival_z(st: _NodeStats, nodes, order, xs, msl: int, screen: bool,
     every row, so they change no real position's sums. The numerator is a
     running sum of scores along a row. The variance V > 0 holds exactly iff
     both sides hold a subject at risk at the first kept event time, and V
-    comes either exactly from lane-packed counts (``_scan_variance``) or,
-    with ``screen``, from the bound-and-verify screen below.
+    comes either exactly from running at-risk counts (``_scan_variance``)
+    or, with ``screen``, from the bound-and-verify screen below.
 
     A column-at-a-time scan in ``chunk``-wide blocks sums the last position
     of a column pairwise when m - 1 = 1 (mod chunk); that position is

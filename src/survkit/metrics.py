@@ -90,6 +90,8 @@ def _check_inputs(time, event, risk):
     risk = np.asarray(risk, dtype=float)
     if not (time.shape == event.shape == risk.shape) or time.ndim != 1:
         raise DataError("time, event and risk must be matching 1-d arrays")
+    if np.any(np.isnan(time)):
+        raise DataError("times must not be NaN")
     if not np.all(np.isfinite(risk)):
         raise DataError("risks must be finite")
     return time, event, risk

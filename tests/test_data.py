@@ -276,6 +276,13 @@ class TestCohort:
         with pytest.raises(DataError):
             read_cohort_csv(path)
 
+    def test_csv_nan_time_is_data_error(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("x,time,event\n1.0,2.0,1\n1.0,nan,0\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="times must not be NaN"):
+            read_cohort_csv(path)
+
     def test_csv_round_trip_with_weights(self, tmp_path):
         cohort = synth_cohort(20, 2, "ph", [1, 0], censor_rate=0.0, seed=10)
         cohort.weights = np.linspace(0.5, 2.0, 20)

@@ -40,6 +40,10 @@ class TestHarrellC:
         with pytest.raises(DataError):
             harrell_c([1, 1], [1, 1], [0.3, 0.7])
 
+    def test_nan_time_is_refused(self):
+        with pytest.raises(DataError, match="times must not be NaN"):
+            harrell_c([1, np.nan, 3, 4], [1, 1, 0, 1], [4, 3, 2, 1])
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         time, event, risk = random_survival_instance(rng, n=150)
@@ -90,6 +94,11 @@ class TestIpcwC:
         g = censoring_survival(time, event)  # G(3) = 0
         with pytest.raises(DataError):
             ipcw_c(time, event, [3, 2, 1.0], g, tau=3.5)
+
+    def test_nan_time_is_refused(self):
+        g = censoring_survival([1, 2, 3, 4.0], [1, 1, 0, 1])
+        with pytest.raises(DataError, match="times must not be NaN"):
+            ipcw_c([1, np.nan, 3, 4], [1, 1, 0, 1], [4, 3, 2, 1], g, tau=3.5)
 
 
 class TestBrier:

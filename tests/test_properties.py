@@ -197,6 +197,7 @@ def test_logrank_scan_equals_oracle(node):
 
 
 @pytest.mark.parametrize("chunk,m", [
+    (512, 255), (512, 256), (512, 257),
     (512, 512), (512, 513), (512, 514), (512, 515), (512, 1026),
     (16, 33), (16, 34), (16, 35), (4, 21), (4, 22), (2, 41), (2, 42)])
 @pytest.mark.parametrize("msl", [1, 2])
@@ -208,6 +209,18 @@ def test_logrank_scan_equals_oracle_at_block_edges(chunk, m, msl):
     time = rng.exponential(1.0, size=m)
     event = (rng.random(m) < 0.7).astype(int)
     _assert_scan_equals_oracle(X, time, event, msl, chunk)
+
+
+@pytest.mark.parametrize("seed", [9, 20, 32])
+def test_logrank_scan_equals_oracle_at_one_position(seed):
+    # m = 2 * msl admits one position of one feature: a single (K,) column
+    # would be summed pairwise by numpy, and at these seeds that differs
+    # from the oracle's k-order sum in the last bit
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((1, 20)), 1)
+    time = rng.exponential(1.0, size=20)
+    event = (rng.random(20) < 0.7).astype(int)
+    _assert_scan_equals_oracle(X, time, event, 10, 512)
 
 
 @st.composite
@@ -289,6 +302,7 @@ def test_logrank_screen_in_small_blocks(monkeypatch, block):
         # verified, and the first feature must win
         for Xn, ev in ((X, event), (np.tile(np.arange(m, dtype=float), (4, 1)),
                                     np.ones(m, int))):
+            _assert_scan_equals_oracle(Xn, time, ev, 3, 512)
             expected = _scan_split(*_node_logrank_scan(Xn, time, ev, 3))
             assert _found_bits(_node_logrank_screen(Xn, time, ev, 3)) \
                 == _found_bits(expected)
