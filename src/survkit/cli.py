@@ -351,8 +351,9 @@ def _parse_space_entry(name: str, text: str) -> ParamSpec:
 
 def _space_for(config: RunConfig, family: str) -> list[ParamSpec]:
     """The family's ``hpo.space.<family>.*`` entries, else its default
-    space. A numeric bound that the family's params class refuses is a
-    ConfigError, so a bad space stops ``hpo`` before any trial is fitted."""
+    space. A numeric bound or a categorical choice that the family's
+    params class refuses is a ConfigError, so a bad space stops ``hpo``
+    before any trial is fitted."""
     entries = config.prefixed(f"hpo.space.{family}.")
     fam = M.FAMILY_TABLE.get(family)
     if not entries and (fam is None or not fam.space):
@@ -363,12 +364,12 @@ def _space_for(config: RunConfig, family: str) -> list[ParamSpec]:
               for name, text in sorted(entries.items())] if entries
              else [ParamSpec(*entry) for entry in fam.space])
     for spec in space:
-        for bound in (spec.low, spec.high) if spec.is_numeric else ():
+        for value in (spec.low, spec.high) if spec.is_numeric else spec.choices:
             try:
-                fam.params(**{spec.name: bound})
+                fam.params(**{spec.name: value})
             except (ConfigError, TypeError) as exc:
-                raise ConfigError(f"hpo.space.{family}.{spec.name}: bound "
-                                  f"{bound!r} refused: {exc}") from None
+                raise ConfigError(f"hpo.space.{family}.{spec.name}: value "
+                                  f"{value!r} refused: {exc}") from None
     return space
 
 
@@ -504,6 +505,9 @@ def cmd_train_eval(config: RunConfig) -> int:
     if resolution < 2:  # IBS integrates over at least two grid times
         raise ConfigError("metrics.grid_resolution must be at least 2, "
                           f"got {resolution}")
+    horizons = [float(h) for h in config.get_list("horizons")]
+    for h in horizons:  # refused before the first fit, not after the last
+        M.HorizonParams(horizon=h)
     grid = default_time_grid(test.time, test.event, censor_dist,
                              resolution=resolution)
 
@@ -566,7 +570,6 @@ def cmd_train_eval(config: RunConfig) -> int:
             cells += [repr(float(curve_means[f][k])) for f in header[2:]]
             fh.write(",".join(cells) + "\n")
 
-    horizons = [float(h) for h in config.get_list("horizons")]
     if horizons:
         hlines = ["horizon,km_survival,classifier_fraction_survive,"
                   "classifier_mean_survival,n_excluded_train,n_trained"]

@@ -127,12 +127,16 @@ class Cohort:
             raise DataError("times must not be NaN")
         if np.any(self.time < 0):
             raise DataError("times must be nonnegative")
+        if np.any(self.time == np.inf):
+            raise DataError("times must be finite")
         if not np.all((self.event == 0) | (self.event == 1)):
             raise DataError("event indicator must be 0 or 1")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (n,):
                 raise DataError("weights must match the number of rows")
+            if not np.all(np.isfinite(self.weights)):
+                raise DataError("weights must be finite")
             if np.any(self.weights < 0) or (n and not np.any(self.weights > 0)):
                 raise DataError("weights must be nonnegative and not all zero")
         if np.issubdtype(self.features.dtype, np.floating):

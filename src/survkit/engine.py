@@ -433,7 +433,9 @@ def _scan_variance(lv, m, nodes, st: _NodeStats, msl: int):
                        axis=2, dtype=count_type)[:, :, first - 1:]
         c = st.coef[row_node[rows], :kb].T[:, :, None]
         n = st.n_risk[row_node[rows], :kb].T[:, :, None]
-        v = ((c * n1) * (n - n1)).sum(axis=0)
+        v = c * n1
+        v *= n - n1
+        v = v.sum(axis=0)
         at, col = np.nonzero(np.arange(width) < cols[rows, None])
         variance[rows[at], first - 1 + col] = v[at, col]
     return variance.reshape(n_nodes, n_feat, M - 1)
@@ -895,14 +897,14 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
           weights=None) -> BoostedEnsemble:
     """Second-order boosting loop with a pluggable loss.
 
-    Per round: compute gradients/hessians at the current predictions (on a
-    row subsample when subsample < 1), fit an exact-greedy tree to them,
-    and add it with shrinkage. The training-loss trace (full data) is
-    recorded per round. Without subsampling, one loss call per round gives
-    both the gradients and the previous round's trace value. The columns
-    are sorted once per call; each round's tree takes those sorted rows,
-    filtered to its subsample. The rows a tree was fitted on take their
-    leaf from its grower; only rows outside the subsample are routed.
+    Per round: one full-data loss call gives the previous round's entry of
+    the training-loss trace and, at subsample == 1, the gradients and
+    hessians (below it, a second call on a row subsample gives them); an
+    exact-greedy tree is fitted to them and added with shrinkage. One call
+    after the loop records the last entry. The columns are sorted once per
+    call; each round's tree takes those sorted rows, filtered to its
+    subsample. The rows a tree was fitted on take their leaf from its
+    grower; only rows outside the subsample are routed.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
@@ -910,28 +912,25 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
     n = X.shape[0]
     if not 0.0 < params.subsample <= 1.0:
         raise DataError("subsample must lie in (0, 1]")
-    full = params.subsample == 1.0
     rng = np.random.default_rng(params.seed)
     base = float(loss.intercept(time, event, weights))
     preds = np.full(n, base)
     trees: list[TreeNode] = []
     trace: list[float] = []
 
-    def record(lval, rnd):
+    def full_loss(rnd):
         # the loss after round rnd; rnd = -1 is the intercept's, unchecked
+        lval, g, h = loss.value_grad_hess(time, event, preds, weights)
         if rnd >= 0 and not np.isfinite(lval):
             raise TrainingError(f"non-finite loss value at round {rnd}")
         trace.append(float(lval))
+        return g, h
 
-    if not full:
-        record(loss.value_grad_hess(time, event, preds, weights)[0], -1)
     rows = _sorted_rows(X)
     for rnd in range(params.n_rounds):
-        if full:
-            lval, g, h = loss.value_grad_hess(time, event, preds, weights)
-            record(lval, rnd - 1)
-            X_fit, rows_fit = X, rows
-        else:
+        g, h = full_loss(rnd - 1)
+        X_fit, rows_fit, sub = X, rows, None
+        if params.subsample < 1.0:
             k = max(1, int(round(params.subsample * n)))
             sub = np.sort(rng.choice(n, size=k, replace=False))
             w_sub = None if weights is None else np.asarray(weights, float)[sub]
@@ -949,18 +948,14 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
         trees.append(tree)
         # the grower placed the fitted rows; route only the others
         step = params.learning_rate * tree.table.value[leaf]
-        if full:
+        if sub is None:
             preds += step
         else:
             preds[sub] += step
             rest = np.ones(n, dtype=bool)
             rest[sub] = False
             preds[rest] += params.learning_rate * predict_tree(tree, X[rest])
-        if not full:
-            record(loss.value_grad_hess(time, event, preds, weights)[0], rnd)
-    if full:
-        record(loss.value_grad_hess(time, event, preds, weights)[0],
-               params.n_rounds - 1)
+    full_loss(params.n_rounds - 1)
     return BoostedEnsemble(base_score=base, trees=trees,
                            learning_rate=params.learning_rate,
                            loss_id=getattr(loss, "name", "custom"),

@@ -28,8 +28,7 @@ from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
 from .estimators import (CoxCalibration, StepFunction, breslow_baseline,
                          breslow_survival, cox_calibrate)
-from .losses import (AftLoss, AftLossConfig, CoxLoss, FirstOrder, LogisticLoss,
-                     SquaredLoss)
+from .losses import AftLoss, CoxLoss, FirstOrder, LogisticLoss, SquaredLoss
 from .metrics import TimeGrid
 
 __all__ = [
@@ -72,13 +71,23 @@ def _refuse_negative(params, *names) -> None:
                               f"{getattr(params, name)}")
 
 
-def _refuse_bad_rate(params, name) -> None:
-    """Raise ConfigError if the named rate of ``params`` is negative or
-    not finite."""
-    value = getattr(params, name)
-    if not 0 <= value < math.inf:
-        raise ConfigError(f"{name} must be finite and nonnegative, got "
-                          f"{value}")
+def _refuse_bad_rate(params, *names, positive: bool = False) -> None:
+    """Raise ConfigError if a named rate of ``params`` is not finite, or
+    negative (or zero, when ``positive``)."""
+    sign = "positive" if positive else "nonnegative"
+    for name in names:
+        value = getattr(params, name)
+        above = 0 < value if positive else 0 <= value
+        if not (above and value < math.inf):
+            raise ConfigError(f"{name} must be finite and {sign}, got {value}")
+
+
+def _refuse_unknown(params, name, choices) -> None:
+    """Raise ConfigError if the named option of ``params`` is not one of
+    ``choices``."""
+    if getattr(params, name) not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}, got "
+                          f"{getattr(params, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,10 @@ class RsfParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be at least 1, got {self.n_trees}")
+        if self.mtry is not None and self.mtry < 1:
+            raise ConfigError(f"mtry must be at least 1, got {self.mtry}")
         _refuse_negative(self, "max_depth", "min_samples_leaf")
+        _refuse_bad_rate(self, "bootstrap_fraction", positive=True)
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,8 @@ class GbParams:
 
     def __post_init__(self):
         _refuse_negative(self, "n_rounds", "max_depth", "min_samples_leaf")
-        _refuse_bad_rate(self, "learning_rate")
+        _refuse_bad_rate(self, "learning_rate", "min_child_weight",
+                         "reg_lambda", "min_split_gain")
         if not 0 < self.subsample <= 1:
             raise ConfigError(f"subsample must be in (0, 1], got "
                               f"{self.subsample}")
@@ -133,16 +146,29 @@ class AftParams(GbParams):
     distribution: str = "normal"
     sigma: float = 1.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        _refuse_unknown(self, "distribution", ("normal", "logistic"))
+        _refuse_bad_rate(self, "sigma", positive=True)
+
 
 @dataclass(frozen=True)
 class RegWeightedParams(GbParams):
     event_weight: float = 1.0
     censored_weight: float = 0.5
 
+    def __post_init__(self):
+        super().__post_init__()
+        _refuse_bad_rate(self, "event_weight", "censored_weight")
+
 
 @dataclass(frozen=True)
 class HorizonParams(GbParams):
     horizon: float = 12.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _refuse_bad_rate(self, "horizon", positive=True)
 
 
 @dataclass(frozen=True)
@@ -157,7 +183,9 @@ class SsvmParams:
 
     def __post_init__(self):
         _refuse_negative(self, "max_pairs", "epochs")
-        _refuse_bad_rate(self, "gamma")
+        _refuse_unknown(self, "pair_mode", ("all", "nearest"))
+        _refuse_bad_rate(self, "gamma", "tol")
+        _refuse_bad_rate(self, "step_size", positive=True)
 
 
 def _step_fields(step: StepFunction) -> dict:
@@ -468,9 +496,7 @@ def fit_gb_cox(train: Cohort, params: GbParams = GbParams()) -> FittedModel:
 def fit_gb_aft(train: Cohort, params: AftParams = AftParams()) -> FittedModel:
     """Second-order boosting on the AFT loss; predictions are log-times."""
     X = _float_features(train)
-    if np.any(train.time <= 0):
-        raise DataError("AFT requires positive times")
-    loss = AftLoss(AftLossConfig(params.distribution, params.sigma))
+    loss = AftLoss(params.distribution, params.sigma)
     model = boost(X, train.time, train.event, loss, params.boost_params(),
                   weights=train.weights)
     return _fitted(GB_AFT, train, X, model, params)
@@ -497,8 +523,6 @@ def fit_horizon_classifier(train: Cohort,
     Subjects censored before the horizon carry no label and are excluded
     from training; the exclusion count is kept in the model metadata.
     """
-    if params.horizon <= 0:
-        raise DataError("horizon must be positive")
     X = _float_features(train)
     excluded = (train.time < params.horizon) & (train.event == 0)
     kept = ~excluded
@@ -533,8 +557,6 @@ def _comparable_pairs(time, event, mode: str) -> tuple[np.ndarray, np.ndarray]:
         if not ii:
             return np.empty(0, int), np.empty(0, int)
         return np.concatenate(ii), np.concatenate(jj)
-    if mode != "nearest":
-        raise DataError(f"unknown pair_mode {mode!r}")
     order = np.argsort(time, kind="stable")
     ts = time[order]
     # position of the last event before each tied block starts

@@ -19,7 +19,7 @@ from survkit.estimators import (breslow_baseline, censoring_survival,
                                 kaplan_meier, nelson_aalen)
 from survkit.explain import permutation_importance, shapley_values
 from survkit.hpo import ParamSpec, Trial, sample_cmaes, sample_random, sample_tpe
-from survkit.losses import aft_loss, cox_loss, logistic_loss, squared_loss
+from survkit.losses import AftLoss, CoxLoss, LogisticLoss, SquaredLoss
 from survkit.metrics import (default_time_grid, harrell_c, ibs, ipcw_c,
                              TimeGrid)
 from survkit.models import fit_family, predict_curves, predict_risk
@@ -109,7 +109,6 @@ def _fd_gradient(fn, pred, step=1e-5):
 
 @criterion(4, "analytic gradients match finite differences")
 def test_gradient_checks():
-    from survkit.losses import AftLossConfig
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
         n = int(rng.integers(5, 40))
@@ -119,13 +118,15 @@ def test_gradient_checks():
         w = rng.uniform(0.5, 2.0, n)
         pred = rng.standard_normal(n)
         cases = {
-            "cox": lambda p: cox_loss(time_arr, event, p, w),
-            "aft_normal": lambda p: aft_loss(
-                time_arr, event, p, w, AftLossConfig("normal", 1.2)),
-            "aft_logistic": lambda p: aft_loss(
-                time_arr, event, p, w, AftLossConfig("logistic", 0.9)),
-            "squared": lambda p: squared_loss(time_arr, p, w),
-            "logistic": lambda p: logistic_loss(event, p, w),
+            "cox": lambda p: CoxLoss().value_grad_hess(time_arr, event, p, w),
+            "aft_normal": lambda p: AftLoss("normal", 1.2).value_grad_hess(
+                time_arr, event, p, w),
+            "aft_logistic": lambda p: AftLoss("logistic", 0.9).value_grad_hess(
+                time_arr, event, p, w),
+            "squared": lambda p: SquaredLoss().value_grad_hess(
+                time_arr, None, p, w),
+            "logistic": lambda p: LogisticLoss().value_grad_hess(
+                None, event, p, w),
         }
         for name, fn in cases.items():
             _, grad, _ = fn(pred)
@@ -134,7 +135,7 @@ def test_gradient_checks():
             rel = np.abs(grad - approx) / scale
             assert rel.max() < 1e-5, f"{name} seed {seed}: {rel.max()}"
         # score identity under uniform weights
-        _, grad, _ = cox_loss(time_arr, event, pred)
+        _, grad, _ = CoxLoss().value_grad_hess(time_arr, event, pred)
         assert abs(grad.sum()) < 1e-9
 
 

@@ -557,7 +557,11 @@ class TestMalformedConfigValues:
         ("gbsa", "n_rounds", "abc"), ("rsf", "n_trees", "2.5"),
         ("rsf", "bootstrap", "maybe"), ("rsf", "mtry", "two"),
         ("gb_cox", "learning_rate", "fast"), ("gb_cox", "no_such_key", "1"),
-        ("rsf", "n_trees", "0")])
+        ("rsf", "n_trees", "0"), ("rsf", "mtry", "0"),
+        ("rsf", "bootstrap_fraction", "0"), ("ssvm", "step_size", "-1"),
+        ("gb_cox", "reg_lambda", "-5"), ("gb_aft", "sigma", "0"),
+        ("gb_aft", "distribution", "weibull"), ("ssvm", "pair_mode", "foo"),
+        ("gb_reg_weighted", "censored_weight", "-1")])
     def test_bad_family_value_exits_2(self, prepared_dir, tmp_path, family,
                                       key, value):
         cfg = write_config(tmp_path / "te.cfg", **{
@@ -598,7 +602,8 @@ class TestMalformedConfigValues:
     @pytest.mark.parametrize("family,key,text", [
         ("rsf", "n_trees", "int:0:2"), ("gb_cox", "n_rounds", "int:-1:3"),
         ("gb_cox", "max_depth", "float:-0.5:2"), ("ssvm", "epochs", "int:-5:10"),
-        ("ssvm", "no_such_key", "int:1:3")])
+        ("ssvm", "no_such_key", "int:1:3"), ("ssvm", "pair_mode", "cat:all|foo"),
+        ("gb_aft", "distribution", "cat:normal|weibull")])
     def test_refused_space_bound_is_config_error(self, family, key, text):
         config = RunConfig({f"hpo.space.{family}.{key}": text})
         with pytest.raises(ConfigError, match=f"hpo.space.{family}.{key}"):
@@ -628,6 +633,18 @@ class TestMalformedConfigValues:
                 f"got {resolution}") in caplog.text
         assert not (prepared_dir / "metrics.json").exists()
         assert not (prepared_dir / "model_gbsa.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["0", "-1", "inf"])
+    def test_bad_horizon_exits_2_before_fitting(self, prepared_dir, tmp_path,
+                                                caplog, horizon):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3", "horizons": f"1.0,{horizon}",
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert "horizon must be finite and positive" in caplog.text
+        assert not (prepared_dir / "metrics.json").exists()
+        assert not (prepared_dir / "model_gb_cox.json").exists()
 
     def test_bad_horizon_value_exits_2(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "te.cfg", **{

@@ -283,6 +283,20 @@ class TestCohort:
         with pytest.raises(DataError, match="times must not be NaN"):
             read_cohort_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("x,time,event\n1.0,2.0,1\n1.0,inf,0\n", "times must be finite"),
+        ("x,time,event,weight\n1.0,2.0,1,1.0\n1.0,3.0,0,nan\n",
+         "weights must be finite"),
+        ("x,time,event,weight\n1.0,2.0,1,1.0\n1.0,3.0,0,inf\n",
+         "weights must be finite")],
+        ids=["inf-time", "nan-weight", "inf-weight"])
+    def test_csv_non_finite_time_or_weight_is_data_error(self, tmp_path, text,
+                                                         message):
+        path = tmp_path / "cohort.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_cohort_csv(path)
+
     def test_csv_round_trip_with_weights(self, tmp_path):
         cohort = synth_cohort(20, 2, "ph", [1, 0], censor_rate=0.0, seed=10)
         cohort.weights = np.linspace(0.5, 2.0, 20)

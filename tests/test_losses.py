@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from survkit.errors import DataError
-from survkit.losses import (AftLossConfig, FirstOrder, CoxLoss, aft_loss,
-                            cox_loss, logistic_loss, loss_intercept,
-                            squared_loss)
+from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
+                            SquaredLoss)
 
 
 def finite_diff(loss_fn, pred, step=1e-5):
@@ -27,20 +26,21 @@ def check_gradients(loss_fn, pred, rtol=1e-5):
 
 class TestCoxLoss:
     def test_two_subject_fixture(self):
-        loss, grad, _ = cox_loss([1, 2], [1, 1], [0.0, 0.0])
+        loss, grad, _ = CoxLoss().value_grad_hess([1, 2], [1, 1], [0.0, 0.0])
         assert loss == pytest.approx(np.log(2))
         np.testing.assert_allclose(grad, [-0.5, 0.5])
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(0)
         eta = rng.standard_normal(30)
-        _, grad, _ = cox_loss(np.arange(1, 31.0), np.ones(30, int), eta)
+        _, grad, _ = CoxLoss().value_grad_hess(np.arange(1, 31.0),
+                                               np.ones(30, int), eta)
         assert abs(grad.sum()) < 1e-10
         # also holds with censoring and nonuniform weights (Breslow identity)
         event = (rng.random(30) < 0.6).astype(int)
         event[0] = 1
         w = rng.uniform(0.5, 2.0, 30)
-        _, grad, _ = cox_loss(np.arange(1, 31.0), event, eta, w)
+        _, grad, _ = CoxLoss().value_grad_hess(np.arange(1, 31.0), event, eta, w)
         assert abs(grad.sum()) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
@@ -51,7 +51,7 @@ class TestCoxLoss:
         w = rng.uniform(0.5, 2.0, 50)
 
         def fn(pred):
-            return cox_loss(time, event, pred, w)
+            return CoxLoss().value_grad_hess(time, event, pred, w)
 
         check_gradients(fn, rng.standard_normal(50))
 
@@ -61,35 +61,35 @@ class TestCoxLoss:
         time = rng.integers(1, 8, 40).astype(float)
         event = (rng.random(40) < 0.6).astype(int)
         event[0] = 1
-        l1, g1, h1 = cox_loss(time, event, eta)
-        l2, g2, h2 = cox_loss(time, event, eta + 5.3)
+        l1, g1, h1 = CoxLoss().value_grad_hess(time, event, eta)
+        l2, g2, h2 = CoxLoss().value_grad_hess(time, event, eta + 5.3)
         assert l1 == pytest.approx(l2, abs=1e-9)
         np.testing.assert_allclose(g1, g2, atol=1e-9)
         np.testing.assert_allclose(h1, h2, atol=1e-9)
 
     def test_requires_events(self):
         with pytest.raises(DataError):
-            cox_loss([1, 2], [0, 0], [0.0, 0.0])
+            CoxLoss().value_grad_hess([1, 2], [0, 0], [0.0, 0.0])
 
 
 class TestAftLoss:
     def test_normal_symmetric_point(self):
-        loss, grad, _ = aft_loss([1.0], [1], [0.0])
+        loss, grad, _ = AftLoss().value_grad_hess([1.0], [1], [0.0])
         assert loss == pytest.approx(0.5 * np.log(2 * np.pi))
         assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_censored_loss_vanishes_at_large_u(self):
-        loss, _, _ = aft_loss([1.0], [0], [30.0])
+        loss, _, _ = AftLoss().value_grad_hess([1.0], [0], [30.0])
         assert loss == pytest.approx(0.0, abs=1e-12)
-        loss_log, _, _ = aft_loss([1.0], [0], [40.0],
-                                  config=AftLossConfig("logistic", 1.0))
+        loss_log, _, _ = AftLoss("logistic", 1.0).value_grad_hess(
+            [1.0], [0], [40.0])
         assert loss_log == pytest.approx(0.0, abs=1e-12)
 
     def test_censored_monotone_decreasing_in_u(self):
         us = np.linspace(-3, 3, 25)
         for dist in ("normal", "logistic"):
-            cfg = AftLossConfig(dist, 0.8)
-            losses = [aft_loss([2.0], [0], [u], config=cfg)[0] for u in us]
+            aft = AftLoss(dist, 0.8)
+            losses = [aft.value_grad_hess([2.0], [0], [u])[0] for u in us]
             assert np.all(np.diff(losses) < 0)
 
     @pytest.mark.parametrize("dist", ["normal", "logistic"])
@@ -98,10 +98,10 @@ class TestAftLoss:
         time = rng.uniform(0.2, 5.0, 40)
         event = (rng.random(40) < 0.5).astype(int)
         w = rng.uniform(0.5, 2.0, 40)
-        cfg = AftLossConfig(dist, 1.3)
+        aft = AftLoss(dist, 1.3)
 
         def fn(pred):
-            return aft_loss(time, event, pred, w, cfg)
+            return aft.value_grad_hess(time, event, pred, w)
 
         check_gradients(fn, rng.standard_normal(40))
 
@@ -109,12 +109,12 @@ class TestAftLoss:
         rng = np.random.default_rng(4)
         time = rng.uniform(0.5, 3.0, 20)
         event = (rng.random(20) < 0.5).astype(int)
-        cfg = AftLossConfig("normal", 1.0)
+        aft = AftLoss("normal", 1.0)
         pred = rng.standard_normal(20) * 0.5
-        _, _, hess = aft_loss(time, event, pred, None, cfg)
+        _, _, hess = aft.value_grad_hess(time, event, pred, None)
 
         def grad_at(p):
-            return aft_loss(time, event, p, None, cfg)[1]
+            return aft.value_grad_hess(time, event, p, None)[1]
 
         step = 1e-5
         for k in range(20):
@@ -127,21 +127,22 @@ class TestAftLoss:
 
     def test_zero_time_with_event_errors(self):
         with pytest.raises(DataError):
-            aft_loss([0.0], [1], [0.0])
+            AftLoss().value_grad_hess([0.0], [1], [0.0])
 
 
 class TestSquaredLoss:
     def test_perfect_predictions(self):
-        loss, grad, _ = squared_loss([1, 2, 3], [1, 2, 3])
+        loss, grad, _ = SquaredLoss().value_grad_hess([1, 2, 3], None, [1, 2, 3])
         assert loss == 0.0
         np.testing.assert_allclose(grad, 0.0)
 
     def test_zero_weight_contributes_nothing(self):
-        _, grad, _ = squared_loss([5.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+        _, grad, _ = SquaredLoss().value_grad_hess([5.0, 1.0], None,
+                                                   [0.0, 0.0], [0.0, 1.0])
         assert grad[0] == 0.0 and grad[1] != 0.0
 
     def test_hand_fixture(self):
-        loss, _, _ = squared_loss([1, 3], [0, 0], [2, 1])
+        loss, _, _ = SquaredLoss().value_grad_hess([1, 3], None, [0, 0], [2, 1])
         assert loss == pytest.approx(5.5)
 
     def test_gradient_matches_finite_differences(self):
@@ -150,18 +151,19 @@ class TestSquaredLoss:
         w = rng.uniform(0, 2, 30)
 
         def fn(pred):
-            return squared_loss(time, pred, w)
+            return SquaredLoss().value_grad_hess(time, None, pred, w)
 
         check_gradients(fn, rng.standard_normal(30), rtol=1e-4)
 
 
 class TestLogisticLoss:
     def test_midpoint_gradient(self):
-        _, grad, _ = logistic_loss([1, 0], [0.0, 0.0], [2.0, 2.0])
+        _, grad, _ = LogisticLoss().value_grad_hess(None, [1, 0], [0.0, 0.0],
+                                                    [2.0, 2.0])
         np.testing.assert_allclose(grad, [-1.0, 1.0])  # w * (0.5 - y)
 
     def test_confident_correct_loss_vanishes(self):
-        loss, _, _ = logistic_loss([1], [40.0])
+        loss, _, _ = LogisticLoss().value_grad_hess(None, [1], [40.0])
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -170,26 +172,26 @@ class TestLogisticLoss:
         w = rng.uniform(0.5, 2.0, 40)
 
         def fn(pred):
-            return logistic_loss(label, pred, w)
+            return LogisticLoss().value_grad_hess(None, label, pred, w)
 
         check_gradients(fn, rng.standard_normal(40), rtol=1e-6)
 
 
 class TestIntercepts:
     def test_squared_is_weighted_mean(self):
-        assert loss_intercept("squared", [1, 3], [0, 0]) == pytest.approx(2.0)
-        assert loss_intercept("squared", [1, 3], [0, 0], [3, 1]) == pytest.approx(1.5)
+        assert SquaredLoss().intercept([1, 3], [0, 0]) == pytest.approx(2.0)
+        assert SquaredLoss().intercept([1, 3], [0, 0], [3, 1]) == pytest.approx(1.5)
 
     def test_cox_is_zero(self):
-        assert loss_intercept("cox", [1, 2], [1, 0]) == 0.0
+        assert CoxLoss().intercept([1, 2], [1, 0]) == 0.0
 
     def test_logistic_clamps(self):
         from scipy.special import logit
-        assert loss_intercept("logistic", [1, 2], [1, 1]) == pytest.approx(
+        assert LogisticLoss().intercept([1, 2], [1, 1]) == pytest.approx(
             logit(1 - 1e-6))
 
     def test_aft_is_mean_log_time(self):
-        assert loss_intercept("aft_normal", [1.0, np.e ** 2], [1, 0]) == \
+        assert AftLoss().intercept([1.0, np.e ** 2], [1, 0]) == \
             pytest.approx(1.0)
 
 
@@ -202,9 +204,9 @@ class TestWeightScaling:
         pred = rng.standard_normal(25)
         w = rng.uniform(0.5, 2, 25)
         cases = [
-            lambda wt: aft_loss(time, event, pred, wt),
-            lambda wt: squared_loss(time, pred, wt),
-            lambda wt: logistic_loss(event, pred, wt),
+            lambda wt: AftLoss().value_grad_hess(time, event, pred, wt),
+            lambda wt: SquaredLoss().value_grad_hess(time, None, pred, wt),
+            lambda wt: LogisticLoss().value_grad_hess(None, event, pred, wt),
         ]
         for fn in cases:
             l1, g1, h1 = fn(w)
@@ -222,8 +224,8 @@ class TestWeightScaling:
         event[0] = 1
         pred = rng.standard_normal(25)
         w = rng.uniform(0.5, 2, 25)
-        l1, g1, h1 = cox_loss(time, event, pred, w)
-        l2, g2, h2 = cox_loss(time, event, pred, 2 * w)
+        l1, g1, h1 = CoxLoss().value_grad_hess(time, event, pred, w)
+        l2, g2, h2 = CoxLoss().value_grad_hess(time, event, pred, 2 * w)
         shift = 2 * np.log(2) * w[event == 1].sum()
         assert l2 == pytest.approx(2 * l1 + shift, rel=1e-12)
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
@@ -238,7 +240,7 @@ class TestFirstOrderWrapper:
         pred = rng.standard_normal(20)
         wrapped = FirstOrder(CoxLoss())
         loss_w, grad_w, hess_w = wrapped.value_grad_hess(time, event, pred)
-        loss_raw, grad_raw, _ = cox_loss(time, event, pred)
+        loss_raw, grad_raw, _ = CoxLoss().value_grad_hess(time, event, pred)
         assert loss_w == loss_raw
         np.testing.assert_allclose(grad_w, grad_raw)
         np.testing.assert_allclose(hess_w, 1.0)

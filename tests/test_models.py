@@ -116,10 +116,44 @@ def test_negative_counts_are_config_errors(params, field):
     (HorizonParams, "learning_rate", -float("inf"), 0.1),
     (SsvmParams, "gamma", -1.0, 0.0),
     (SsvmParams, "gamma", float("inf"), 10.0),
-    (SsvmParams, "gamma", float("nan"), 1e-3)])
+    (SsvmParams, "gamma", float("nan"), 1e-3),
+    (GbParams, "reg_lambda", -5.0, 0.0),
+    (GbParams, "min_child_weight", float("nan"), 0.0),
+    (GbParams, "min_split_gain", float("inf"), 0.5),
+    (AftParams, "reg_lambda", -1e-9, 2.0),
+    (RegWeightedParams, "event_weight", -1.0, 0.0),
+    (RegWeightedParams, "censored_weight", float("nan"), 0.0),
+    (HorizonParams, "min_child_weight", -1.0, 1.0),
+    (SsvmParams, "tol", -1e-12, 0.0),
+    (SsvmParams, "tol", float("inf"), 1e-6)])
 def test_bad_rates_are_config_errors(params, field, bad, good):
     with pytest.raises(ConfigError, match=f"{field} must be finite and "
                                           "nonnegative"):
+        params(**{field: bad})
+    assert getattr(params(**{field: good}), field) == good
+
+
+@pytest.mark.parametrize("params,field,bad,good,message", [
+    (RsfParams, "mtry", 0, 1, "mtry must be at least 1"),
+    (RsfParams, "mtry", -2, None, "mtry must be at least 1"),
+    (RsfParams, "bootstrap_fraction", 0.0, 0.5,
+     "bootstrap_fraction must be finite and positive"),
+    (RsfParams, "bootstrap_fraction", float("nan"), 2.0,
+     "bootstrap_fraction must be finite and positive"),
+    (AftParams, "distribution", "weibull", "logistic",
+     "distribution must be one of normal, logistic"),
+    (AftParams, "sigma", 0.0, 0.5, "sigma must be finite and positive"),
+    (AftParams, "sigma", float("inf"), 2.0, "sigma must be finite and positive"),
+    (HorizonParams, "horizon", 0.0, 0.25, "horizon must be finite and positive"),
+    (HorizonParams, "horizon", float("nan"), 12.0,
+     "horizon must be finite and positive"),
+    (SsvmParams, "pair_mode", "foo", "all",
+     "pair_mode must be one of all, nearest"),
+    (SsvmParams, "step_size", -1.0, 0.5, "step_size must be finite and positive"),
+    (SsvmParams, "step_size", 0.0, 1e-4, "step_size must be finite and positive")])
+def test_out_of_range_values_are_config_errors(params, field, bad, good,
+                                               message):
+    with pytest.raises(ConfigError, match=message):
         params(**{field: bad})
     assert getattr(params(**{field: good}), field) == good
 
@@ -703,7 +737,10 @@ class TestModelFileCompatibility:
     ``synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3, seed=71)``
     with rsf (4 trees, depth 3, min_samples_leaf 5), gbsa and gb_cox (6
     rounds, depth 2), all seeded 73; the rows are the features of the
-    same generator at n=25, seed 72.
+    same generator at n=25, seed 72. ``v2`` also holds, from the same
+    cohort and seed, the other boosted families with 6 rounds of depth 2:
+    gb_aft (normal; logistic with sigma 0.8), gb_reg_weighted, and horizon
+    (horizon 0.6, subsample 0.7); they have no v1 file.
     """
 
     @pytest.mark.parametrize("family", ["rsf", "gbsa", "gb_cox"])
@@ -725,12 +762,20 @@ class TestModelFileCompatibility:
     def test_refit_writes_the_same_files(self, tmp_path):
         train = synth_cohort(60, 3, "ph", [1.0, 0.5, 0.0], censor_rate=0.3,
                              seed=71)
-        for family, kw in (("rsf", dict(n_trees=4, max_depth=3,
-                                        min_samples_leaf=5)),
-                           ("gbsa", dict(n_rounds=6, max_depth=2)),
-                           ("gb_cox", dict(n_rounds=6, max_depth=2))):
+        boosted = dict(n_rounds=6, max_depth=2)
+        for name, family, kw in (
+                ("rsf", "rsf", dict(n_trees=4, max_depth=3,
+                                    min_samples_leaf=5)),
+                ("gbsa", "gbsa", boosted),
+                ("gb_cox", "gb_cox", boosted),
+                ("gb_aft_normal", "gb_aft", boosted),
+                ("gb_aft_logistic", "gb_aft",
+                 dict(boosted, distribution="logistic", sigma=0.8)),
+                ("gb_reg_weighted", "gb_reg_weighted", boosted),
+                ("horizon", "horizon",
+                 dict(boosted, horizon=0.6, subsample=0.7))):
             save_model(fit_family(family, train, seed=73, **kw),
                        tmp_path / "m.json")
             assert ((tmp_path / "m.json").read_bytes()
-                    == (MODEL_FILES / "v2" / f"{family}.json").read_bytes()), \
-                family
+                    == (MODEL_FILES / "v2" / f"{name}.json").read_bytes()), \
+                name
