@@ -3,13 +3,16 @@
 Fits a 10-tree forest on a synthetic 10,000-row cohort, predicts the risk
 and the survival curve of every training row at the cohort's default
 100-point time grid, and scores them with Harrell's C, Uno's C,
-time-dependent AUC and the integrated Brier score. Prints each step's time
-and the process's peak RSS, and exits 1 if a result is not finite or that
-peak passes the limit (400 MB by default). Each prediction works in row
-blocks, so the peak is the fit's own; building the whole n x |grid|
-ensemble CHF (about 7,000 grid times here) would take over a gigabyte.
+time-dependent AUC and the integrated Brier score. Prints each step's time,
+the process's peak RSS and the bytes of leaf hazards the forest holds, and
+exits 1 if a result is not finite, that peak passes its limit (150 MB by
+default) or the hazards pass 2 MB. The forest holds each leaf's hazard as
+its steps, and each prediction works in row blocks, so the peak is the
+fit's own; dense (leaves x |grid|) tables (about 7,000 grid times here)
+would hold about 95 MB, and the whole n x |grid| ensemble CHF over half a
+gigabyte.
 
-    PYTHONPATH=src python scripts/rsf_scale_smoke.py [--limit-mb 400]
+    PYTHONPATH=src python scripts/rsf_scale_smoke.py [--limit-mb 150]
 """
 
 import argparse
@@ -24,6 +27,9 @@ from survkit.estimators import censoring_survival
 from survkit.metrics import default_time_grid, harrell_c, ibs, ipcw_c, td_auc
 from survkit.models import fit_family, predict_risk, survival_matrix
 
+# the forest's steps take about 0.74 MB here
+HAZARD_LIMIT_MB = 2.0
+
 
 def peak_rss_mb() -> float:
     # ru_maxrss is in KiB on Linux
@@ -32,7 +38,7 @@ def peak_rss_mb() -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--limit-mb", type=float, default=400.0)
+    parser.add_argument("--limit-mb", type=float, default=150.0)
     args = parser.parse_args(argv)
     n = 10_000
     cohort = synth_cohort(n, 5, "ph", [1.0, 0.5, 0.0, 0.0, -0.5],
@@ -50,7 +56,11 @@ def main(argv=None) -> int:
     curves = survival_matrix(model, X, grid.times)
     done = time.perf_counter()
     curve_peak = peak_rss_mb()
-    print(f"rows {n}, grid {model.artifact.grid.size} times")
+    held = sum(array.nbytes for steps in model.artifact.steps
+               for array in (steps.offsets, steps.positions, steps.values,
+                             steps.sums)) / 1e6
+    print(f"rows {n}, grid {model.artifact.grid.size} times, leaf hazards "
+          f"held {held:.2f} MB")
     print(f"fit {fitted - started:.2f} s, peak RSS {fit_peak:.1f} MB")
     print(f"predict_risk {risked - fitted:.2f} s, peak RSS {risk_peak:.1f} MB")
     print(f"survival_matrix {done - risked:.2f} s, peak RSS {curve_peak:.1f} MB")
@@ -73,6 +83,10 @@ def main(argv=None) -> int:
         return 1
     if not all(np.isfinite(list(scores.values()))):
         print(f"a metric is not finite: {scores}", file=sys.stderr)
+        return 1
+    if held > HAZARD_LIMIT_MB:
+        print(f"the forest holds {held:.2f} MB of leaf hazards, past the "
+              f"{HAZARD_LIMIT_MB:g} MB limit", file=sys.stderr)
         return 1
     if peak > args.limit_mb:
         print(f"peak RSS {peak:.1f} MB passes the {args.limit_mb:g} MB limit",

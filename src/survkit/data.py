@@ -442,18 +442,17 @@ def atomic_write(path):
 
 def write_cohort_csv(cohort: Cohort, path) -> None:
     """Write an encoded cohort as CSV: feature columns, time, event[, weight]."""
-    names = cohort.column_names()
-    has_w = cohort.weights is not None
+    header = cohort.column_names() + ["time", "event"]
+    cols = [*cohort.features.T, cohort.time, cohort.event]
+    if cohort.weights is not None:
+        header, cols = header + ["weight"], cols + [cohort.weights]
+    cells = [list(map(repr, col.tolist())) if col.dtype.kind == "f" else
+             [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+              for v in col.tolist()] for col in cols]
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(names + ["time", "event"] + (["weight"] if has_w else []))
-        for i in range(cohort.n):
-            row = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                   for v in cohort.features[i]]
-            row += [repr(float(cohort.time[i])), str(int(cohort.event[i]))]
-            if has_w:
-                row.append(repr(float(cohort.weights[i])))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
 
 
 def read_cohort_csv(path, columns: list[ColumnSpec] | None = None) -> Cohort:

@@ -112,8 +112,8 @@ class AftLoss:
     def __init__(self, distribution: str = "normal", sigma: float = 1.0):
         if distribution not in ("normal", "logistic"):
             raise DataError(f"unknown AFT distribution {distribution!r}")
-        if sigma <= 0:
-            raise DataError("sigma must be positive")
+        if not 0 < sigma < np.inf:  # NaN fails too
+            raise DataError("sigma must be finite and positive")
         self.distribution, self.sigma = distribution, sigma
         self.name = f"aft_{distribution}"
 

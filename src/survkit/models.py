@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Callable
 
 import numpy as np
@@ -197,106 +198,132 @@ def _step_from(obj: dict) -> StepFunction:
                         0.0)
 
 
-def _chf_steps(chf: np.ndarray) -> dict:
-    """One tree's (n_leaves, len(grid)) leaf hazards as each leaf's steps.
-
-    A leaf's ``positions`` are the grid columns where its row differs, bit
-    for bit, from the column before (from 0.0 before column 0), and its
-    ``values`` the row there; ``_chf_from_steps`` inverts this exactly.
-    """
-    bits = np.pad(chf, ((0, 0), (1, 0))).view(np.int64)
-    change = bits[:, 1:] != bits[:, :-1]
-    rows, cols = np.nonzero(change)
-    positions, values = cols.tolist(), chf[rows, cols].tolist()
-    ends = np.cumsum(change.sum(axis=1)).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    return {"positions": [positions[a:b] for a, b in spans],
-            "values": [values[a:b] for a, b in spans]}
+def _running_sums(counts: np.ndarray, flat: np.ndarray):
+    """Each run of ``counts`` in ``flat`` added left to right: a matrix of
+    running sums, one row per run and flat past its end, and its mask."""
+    mask = np.arange(counts.max(initial=0) + 1) < counts[:, None]
+    out = np.zeros(mask.shape)
+    out[mask] = flat
+    return np.cumsum(out, axis=1, out=out), mask
 
 
-def _chf_from_steps(steps: dict, width: int) -> np.ndarray:
-    """The dense (n_leaves, width) leaf hazards of one tree's steps.
+@dataclass(frozen=True, eq=False)
+class LeafSteps:
+    """One tree's leaf hazards as steps: for j in offsets[k]:offsets[k + 1],
+    leaf k's hazard is values[j] from grid column positions[j] on (0 before
+    them); sums[k] adds value times run length over them, in step order."""
 
-    Each leaf needs as many numeric values as int positions, and the
-    positions must rise strictly within [0, width); otherwise ValueError.
-    """
-    positions, values = steps["positions"], steps["values"]
-    if not (isinstance(positions, list) and isinstance(values, list)
-            and len(positions) == len(values)):
-        raise ValueError("leaf steps need one positions and one values "
-                         "list per leaf")
-    for leaf, (p, v) in enumerate(zip(positions, values)):
-        if not (isinstance(p, list) and isinstance(v, list)
-                and len(p) == len(v)):
-            raise ValueError(f"leaf {leaf} does not have one step value "
-                             "per step position")
-    flat_pos = list(chain.from_iterable(positions))
-    flat_val = list(chain.from_iterable(values))
-    for p in flat_pos:
-        if type(p) is not int or not 0 <= p < width:
-            raise ValueError(f"step position {p!r} is not a grid index "
-                             f"below {width}")
-    for v in flat_val:
-        if type(v) is not float and type(v) is not int:
-            raise ValueError(f"step value {v!r} is not a number")
-    counts = np.array([len(p) for p in positions], dtype=np.intp)
-    pos = np.asarray(flat_pos, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    leaf_start = np.zeros(pos.size, dtype=bool)
-    leaf_start[starts[starts < pos.size]] = True
-    if not np.all((pos[1:] > pos[:-1]) | leaf_start[1:]):
-        raise ValueError("leaf step positions do not rise strictly")
-    # each cell takes the value of the last step at or before it (0: none)
-    last = np.zeros((counts.size, width), dtype=np.intp)
-    last[np.repeat(np.arange(counts.size), counts), pos] = np.arange(
-        1, pos.size + 1)
-    np.maximum.accumulate(last, axis=1, out=last)
-    return np.concatenate(([0.0], np.asarray(flat_val, dtype=float)))[last]
+    offsets: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray
+
+    @classmethod
+    def build(cls, counts, positions, values, width: int) -> "LeafSteps":
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        ends = np.append(positions[1:], width)
+        ends[offsets[1:][counts > 0] - 1] = width  # a leaf's last run
+        sums, _ = _running_sums(counts, values * (ends - positions))
+        return cls(offsets, positions, values, sums[:, -1])
+
+    @classmethod
+    def from_dense(cls, chf, width: int) -> "LeafSteps":
+        """Steps where a row's bits change (from 0.0 before column 0)."""
+        chf = np.asarray(chf, dtype=float)
+        if chf.ndim != 2 or chf.shape[1] != width:
+            raise ValueError("leaf hazards do not match the grid")
+        bits = np.pad(chf, ((0, 0), (1, 0))).view(np.int64)
+        rows, cols = np.nonzero(bits[:, 1:] != bits[:, :-1])
+        return cls.build(np.bincount(rows, minlength=chf.shape[0]), cols,
+                         chf[rows, cols], width)
+
+    @classmethod
+    def from_dict(cls, steps: dict, width: int) -> "LeafSteps":
+        """Read a v2 file's steps: each leaf needs one numeric value per int
+        position, rising strictly within [0, width); else ValueError."""
+        positions, values = steps["positions"], steps["values"]
+        if not (isinstance(positions, list) and isinstance(values, list)
+                and len(positions) == len(values) and all(
+                    isinstance(p, list) and isinstance(v, list)
+                    and len(p) == len(v) for p, v in zip(positions, values))):
+            raise ValueError("leaf steps need one value per position, in "
+                             "one positions and one values list per leaf")
+        flat_pos = list(chain.from_iterable(positions))
+        flat_val = list(chain.from_iterable(values))
+        if not all(type(p) is int and 0 <= p < width for p in flat_pos):
+            raise ValueError(f"step positions must be ints in [0, {width})")
+        if not all(type(v) is float or type(v) is int for v in flat_val):
+            raise ValueError("a step value is not a number")
+        counts = np.array([len(p) for p in positions], dtype=np.intp)
+        pos = np.asarray(flat_pos, dtype=np.intp)
+        # within each leaf, so strictly across the (leaf, position) keys
+        if np.any(np.diff(np.repeat(np.arange(counts.size), counts) * width
+                          + pos) <= 0):
+            raise ValueError("leaf step positions do not rise strictly")
+        return cls.build(counts, pos, np.asarray(flat_val, dtype=float), width)
+
+    def to_dict(self) -> dict:
+        bounds = list(pairwise(self.offsets.tolist()))
+        positions, values = self.positions.tolist(), self.values.tolist()
+        return {"positions": [positions[a:b] for a, b in bounds],
+                "values": [values[a:b] for a, b in bounds]}
+
+    def at(self, leaves, first, width: int) -> np.ndarray:
+        """The hazards of the distinct ``leaves`` at ``width`` rising grid
+        columns, ``first`` giving each step's first such column at or after
+        it: 0.0 from column 0, then each step's value from its column."""
+        start = self.offsets[leaves]
+        counts = self.offsets[leaves + 1] - start
+        local = np.cumsum(counts) - counts
+        j = np.arange(counts.sum()) + np.repeat(start - local, counts)
+        cols = np.insert(first[j], local, 0)
+        ends = np.append(cols[1:], width)
+        ends[np.cumsum(counts + 1) - 1] = width
+        return np.repeat(np.insert(self.values[j], local, 0.0),
+                         ends - cols).reshape(leaves.size, width)
 
 
 @dataclass
 class RsfForest:
-    """Forest artifact: trees whose leaf values index per-leaf CHF rows."""
+    """Forest artifact: trees whose leaf values index their leaf steps."""
 
     trees: list[TreeNode]
-    leaf_chf: list[np.ndarray]  # per tree: (n_leaves, len(grid))
-    grid: np.ndarray            # distinct training event times
+    steps: list[LeafSteps]  # per tree
+    grid: np.ndarray        # distinct training event times
 
-    def _chf_blocks(self, X, columns=slice(None)):
-        """Yield (rows, tree-averaged CHF of those rows on the grid
-        ``columns``) in row blocks of about ``_CHF_BLOCK`` elements.
-
-        The rows are routed once. Each tree's columns are taken before its
-        rows are added, so every element sees the same additions, in the
-        same tree order, as it would in the whole (n, len(grid)) matrix.
-        """
-        leaves = [tree.table.value[leaf].astype(int) for tree, leaf
-                  in zip(self.trees, engine._route(self.trees, X))]
-        tables = [chf[:, columns] for chf in self.leaf_chf]
-        width = self.grid[columns].size
-        step = max(1, _CHF_BLOCK // max(width, 1))
-        for a in range(0, X.shape[0], step):
-            rows = slice(a, min(a + step, X.shape[0]))
-            total = np.zeros((rows.stop - a, width))
-            for table, leaf in zip(tables, leaves):
-                total += table[leaf[rows]]
-            total /= len(self.trees)
-            yield rows, total
+    def _leaves(self, X) -> list[np.ndarray]:  # the rows routed once
+        return [tree.table.value[leaf].astype(int) for tree, leaf
+                in zip(self.trees, engine._route(self.trees, X))]
 
     def ensemble_chf(self, X, columns=slice(None)) -> np.ndarray:
-        """The tree-averaged CHF of every row on the grid ``columns``."""
-        out = np.empty(X.shape[:1] + self.grid[columns].shape)
-        for rows, block in self._chf_blocks(X, columns):
-            out[rows] = block
+        """The tree-averaged CHF of every row on the grid ``columns``, in row
+        blocks of about ``_CHF_BLOCK`` elements. Each tree expands only the
+        leaves a block reaches, at the distinct columns: every element gets
+        the additions, in tree order, of the whole (n, len(grid)) matrix."""
+        cols = np.arange(self.grid.size)[columns]
+        wanted, col_of = np.unique(cols, return_inverse=True)
+        if np.array_equal(wanted, cols):  # rising already: no column gather
+            col_of = slice(None)
+        firsts = [np.searchsorted(wanted, s.positions) for s in self.steps]
+        leaves = self._leaves(X)
+        out = np.zeros((X.shape[0], cols.size))
+        step = max(1, _CHF_BLOCK // max(cols.size, 1))
+        for a in range(0, X.shape[0], step):
+            block = out[a:a + step]
+            for s, first, leaf in zip(self.steps, firsts, leaves):
+                reached, row_of = np.unique(leaf[a:a + step],
+                                            return_inverse=True)
+                block += s.at(reached, first, wanted.size)[:, col_of][row_of]
+            block /= len(self.trees)
         return out
 
     def risk(self, X) -> np.ndarray:
-        """The mortality score: each row's ensemble CHF summed over the
-        grid, one row block at a time."""
-        out = np.empty(X.shape[0])
-        for rows, block in self._chf_blocks(X):
-            out[rows] = block.sum(axis=1)
-        return out
+        """The mortality score: the tree average of each row's leaf sum,
+        which is its ensemble CHF summed over the grid up to rounding."""
+        total = np.zeros(X.shape[0])
+        for steps, leaf in zip(self.steps, self._leaves(X)):
+            total += steps.sums[leaf]
+        return total / len(self.trees)
 
     def survival(self, X, times) -> np.ndarray:
         idx = np.searchsorted(self.grid, np.asarray(times, dtype=float),
@@ -307,34 +334,29 @@ class RsfForest:
         surv[:, idx < 0] = 1.0
         return surv
 
-    def to_fields(self) -> dict:
+    def to_fields(self) -> dict:  # trees are encoded one at a time
         return {"grid": [float(t) for t in self.grid],
-                "trees": [engine.tree_to_dict(t) for t in self.trees],
-                "leaf_steps": [_chf_steps(chf) for chf in self.leaf_chf]}
+                "trees": map(engine.tree_to_dict, self.trees),
+                "leaf_steps": map(LeafSteps.to_dict, self.steps)}
 
     @classmethod
     def from_fields(cls, obj: dict) -> "RsfForest":
-        """Read a v1 file's dense ``leaf_chf`` or a v2 file's
-        ``leaf_steps``."""
+        """Read the dense ``leaf_chf`` of v1 or the ``leaf_steps`` of v2."""
         grid = np.asarray(obj["grid"], dtype=float)
-        if obj["version"] == 1:
-            leaf_chf = [np.asarray(c, dtype=float) for c in obj["leaf_chf"]]
-        else:
-            leaf_chf = [_chf_from_steps(s, grid.size)
-                        for s in obj["leaf_steps"]]
+        read, key = ((LeafSteps.from_dense, "leaf_chf") if obj["version"] == 1
+                     else (LeafSteps.from_dict, "leaf_steps"))
         forest = cls(trees=[engine.tree_from_dict(t) for t in obj["trees"]],
-                     leaf_chf=leaf_chf, grid=grid)
-        if len(forest.trees) != len(forest.leaf_chf) or any(
-                chf.ndim != 2 or chf.shape[1] != forest.grid.size
-                for chf in forest.leaf_chf):
-            raise ValueError("leaf hazards do not match the trees and the grid")
+                     steps=[read(s, grid.size) for s in obj[key]], grid=grid)
+        if (grid.ndim != 1 or not forest.trees
+                or len(forest.trees) != len(forest.steps)):
+            raise ValueError("a forest needs a 1-d grid and trees with hazards")
         engine._check_split_features(forest.trees, obj["n_features"])
-        for tree, chf in zip(forest.trees, forest.leaf_chf):
+        for tree, steps in zip(forest.trees, forest.steps):
             ids = tree.table.value[tree.table.feature < 0]
-            ok = (ids >= 0) & (ids < chf.shape[0]) & (ids == np.floor(ids))
+            ok = (ids >= 0) & (ids < steps.sums.size) & (ids == np.floor(ids))
             if not ok.all():
                 raise ValueError(f"leaf id {float(ids[~ok][0])!r} is not a "
-                                 "row of the leaf hazards")
+                                 "leaf of the leaf hazards")
         return forest
 
 
@@ -409,15 +431,15 @@ def _float_features(cohort: Cohort) -> np.ndarray:
     return X
 
 
-def _leaf_chf(leaf, n_leaves: int, time, event, grid: np.ndarray) -> np.ndarray:
-    """Nelson-Aalen cumulative hazard of every leaf on the grid, in one pass.
+def _leaf_chf(leaf, n_leaves: int, time, event, grid: np.ndarray) -> LeafSteps:
+    """Nelson-Aalen cumulative hazard of every leaf as steps, in one pass.
 
     ``leaf`` gives each row's leaf id. With q the number of grid times <= t,
     a row is at risk at grid[g] iff q > g and, if it had an event, dies at
     grid[q - 1]. With the rows sorted by (leaf, q), a leaf's at-risk count
-    at each of its death times is a difference of two binary searches.
-    Grid times without a death in a leaf add exact zeros to its running
-    sum, so each row equals the leaf's own Nelson-Aalen estimate.
+    at each of its death times is a difference of two binary searches. Each
+    death time is a step (it adds a positive hazard) to the running sum of
+    the leaf's increments: bit for bit its own Nelson-Aalen estimate.
     """
     width = grid.size + 1
     key = leaf * width + np.searchsorted(grid, time, side="right")
@@ -425,9 +447,9 @@ def _leaf_chf(leaf, n_leaves: int, time, event, grid: np.ndarray) -> np.ndarray:
     dies, deaths = np.unique(key[event == 1], return_counts=True)
     at_risk = (np.searchsorted(rows, dies // width * width + width)
                - np.searchsorted(rows, dies))
-    chf = np.zeros((n_leaves, grid.size))
-    chf[dies // width, dies % width - 1] = deaths / at_risk
-    return np.cumsum(chf, axis=1, out=chf)
+    counts = np.bincount(dies // width, minlength=n_leaves)
+    hazard, at = _running_sums(counts, deaths / at_risk)
+    return LeafSteps.build(counts, dies % width - 1, hazard[at], grid.size)
 
 
 def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
@@ -456,7 +478,7 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
         SurvivalTreeParams(max_depth=params.max_depth,
                            min_samples_leaf=params.min_samples_leaf,
                            mtry=mtry), seeds)
-    trees, leaf_chfs = [], []
+    trees, steps = [], []
     for table, sample in zip(tables, samples):
         # a leaf's id is its rank among the leaves in preorder; the value
         # slot holds it, and the sample-local row_leaf is dropped
@@ -464,10 +486,10 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
         rank = np.cumsum(is_leaf) - 1
         trees.append(TreeNode(replace(
             table, value=np.where(is_leaf, rank, np.nan), row_leaf=None)))
-        leaf_chfs.append(_leaf_chf(rank[table.row_leaf], int(is_leaf.sum()),
-                                   train.time[sample], train.event[sample], grid))
+        steps.append(_leaf_chf(rank[table.row_leaf], int(is_leaf.sum()),
+                               train.time[sample], train.event[sample], grid))
     return _fitted(RSF, train, X,
-                   RsfForest(trees=trees, leaf_chf=leaf_chfs, grid=grid), params)
+                   RsfForest(trees=trees, steps=steps, grid=grid), params)
 
 
 def fit_gbsa(train: Cohort, params: GbParams = GbParams()) -> FittedModel:
@@ -827,31 +849,30 @@ def _file_fields(model: FittedModel) -> dict:
 
 
 def _write_fields(fh, fields: dict) -> None:
-    """Write ``json.dumps(fields, sort_keys=True)`` to ``fh`` in pieces.
+    """Write ``json.dumps(fields, sort_keys=True, default=list)`` in pieces.
 
     One ``json.dumps`` call allocates several times its output, so the
-    top-level values are encoded one at a time, and a list of objects (a
-    forest's ``trees`` and ``leaf_steps``) one element at a time.
+    top-level values are encoded one at a time, and an iterator (a
+    forest's ``trees`` and ``leaf_steps``) as a list, one element at a time.
     """
     encode = json.JSONEncoder(sort_keys=True).encode  # what dumps builds
     fh.write("{")
     for i, key in enumerate(sorted(fields)):
         value = fields[key]
         fh.write(f"{', ' if i else ''}{encode(key)}: ")
-        if not (isinstance(value, list) and value
-                and all(isinstance(item, dict) for item in value)):
+        if not isinstance(value, Iterator):
             fh.write(encode(value))
             continue
+        fh.write("[")
         for j, item in enumerate(value):
-            fh.write(", " if j else "[")
-            fh.write(encode(item))
+            fh.write(f"{', ' if j else ''}{encode(item)}")
         fh.write("]")
     fh.write("}")
 
 
 def save_model(model: FittedModel, path) -> None:
     """Serialize a fitted model to a JSON file, byte for byte
-    ``json.dumps(fields, sort_keys=True)``."""
+    ``json.dumps(fields, sort_keys=True, default=list)``."""
     with atomic_write(path) as fh:
         _write_fields(fh, _file_fields(model))
 

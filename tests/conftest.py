@@ -1,3 +1,4 @@
+import csv
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from survkit import engine
 from survkit.engine import TreeNode, fit_regression_tree, predict_tree
+from survkit.data import atomic_write
 from survkit.errors import DataError, TrainingError
 
 
@@ -232,6 +234,22 @@ def logrank_scan_oracle(X_col, time, event, msl, chunk=512):
     return z, thresholds
 
 
+def write_cohort_csv_oracle(cohort, path):
+    """``write_cohort_csv`` one row at a time (the pre-column-format code)."""
+    names = cohort.column_names()
+    has_w = cohort.weights is not None
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names + ["time", "event"] + (["weight"] if has_w else []))
+        for i in range(cohort.n):
+            row = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                   for v in cohort.features[i]]
+            row += [repr(float(cohort.time[i])), str(int(cohort.event[i]))]
+            if has_w:
+                row.append(repr(float(cohort.weights[i])))
+            writer.writerow(row)
+
+
 def chf_on_grid_oracle(time, event, grid):
     """Nelson-Aalen cumulative hazard of one leaf's members on a grid (the
     pre-one-pass code, one leaf at a time)."""
@@ -349,29 +367,88 @@ def regression_tree_oracle(X, g, h, params):
     return build(np.arange(X.shape[0]), 0)
 
 
+def chf_steps_oracle(chf):
+    """One tree's (n_leaves, width) leaf hazards as each leaf's steps in the
+    model-file form (the pre-steps-in-memory save code): a leaf's
+    ``positions`` are the columns where its row differs, bit for bit, from
+    the column before (from 0.0 before column 0), its ``values`` the row
+    there."""
+    bits = np.pad(chf, ((0, 0), (1, 0))).view(np.int64)
+    change = bits[:, 1:] != bits[:, :-1]
+    rows, cols = np.nonzero(change)
+    positions, values = cols.tolist(), chf[rows, cols].tolist()
+    ends = np.cumsum(change.sum(axis=1)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    return {"positions": [positions[a:b] for a, b in spans],
+            "values": [values[a:b] for a, b in spans]}
+
+
+def leaf_chf_oracle(steps, width):
+    """The dense (n_leaves, width) leaf hazards of one tree's ``LeafSteps``
+    (the pre-steps-in-memory form), one leaf and one run at a time."""
+    fields = steps.to_dict()
+    chf = np.zeros((len(fields["positions"]), width))
+    for k, (pos, val) in enumerate(zip(fields["positions"], fields["values"])):
+        for a, b, v in zip(pos, pos[1:] + [width], val):
+            chf[k, a:b] = v
+    return chf
+
+
+def forest_leaf_chf(forest):
+    """Every tree's dense leaf hazards, as ``leaf_chf_oracle`` expands them."""
+    return [leaf_chf_oracle(s, forest.grid.size) for s in forest.steps]
+
+
+def _leaf_ids(forest, X):
+    return [tree.table.value[leaf].astype(int) for tree, leaf
+            in zip(forest.trees, engine._route(forest.trees, X))]
+
+
 def rsf_ensemble_chf_oracle(forest, X, columns=slice(None)):
     """The tree-averaged CHF of every row as one (n, len(grid[columns]))
     matrix (the pre-row-block code)."""
     total = np.zeros(X.shape[:1] + forest.grid[columns].shape)
-    for tree, chf, leaf in zip(forest.trees, forest.leaf_chf,
-                               engine._route(forest.trees, X)):
-        total += chf[:, columns][tree.table.value[leaf].astype(int)]
+    for chf, leaf in zip(forest_leaf_chf(forest), _leaf_ids(forest, X)):
+        total += chf[:, columns][leaf]
     return total / len(forest.trees)
 
 
 def rsf_risk_oracle(forest, X):
     """The rsf risk as the row sums of the whole ensemble CHF matrix (the
-    pre-row-block code)."""
+    pre-leaf-sum code); the leaf-sum risk rounds differently."""
     return rsf_ensemble_chf_oracle(forest, X).sum(axis=1)
+
+
+def leaf_sum_oracle(chf):
+    """Each dense leaf row summed as the leaf-sum risk defines it: the
+    value of each run of equal cells times its length, added left to right
+    in Python floats."""
+    sums = []
+    for row in chf.tolist():
+        total, start = 0.0, 0
+        for c in range(1, len(row) + 1):
+            if c == len(row) or row[c] != row[start]:
+                total += row[start] * (c - start)
+                start = c
+        sums.append(total)
+    return np.array(sums)
+
+
+def rsf_leaf_sum_risk_oracle(forest, X):
+    """The rsf risk from the densified steps: per tree, each row's
+    ``leaf_sum_oracle``, added in tree order and averaged."""
+    total = np.zeros(X.shape[0])
+    for chf, leaf in zip(forest_leaf_chf(forest), _leaf_ids(forest, X)):
+        total += leaf_sum_oracle(chf)[leaf]
+    return total / len(forest.trees)
 
 
 def rsf_survival_oracle(forest, X, times):
     """RSF survival through the whole (n, len(grid)) ensemble CHF (the
     pre-column-gather code)."""
     total = np.zeros((X.shape[0], forest.grid.size))
-    for tree, chf, leaf in zip(forest.trees, forest.leaf_chf,
-                               engine._route(forest.trees, X)):
-        total += chf[tree.table.value[leaf].astype(int)]
+    for chf, leaf in zip(forest_leaf_chf(forest), _leaf_ids(forest, X)):
+        total += chf[leaf]
     ensemble_chf = total / len(forest.trees)
     idx = np.searchsorted(forest.grid, np.asarray(times, dtype=float),
                           side="right") - 1

@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from conftest import write_cohort_csv_oracle
 from survkit.data import (Cohort, ColumnSpec, FilterRules, RawRecord,
                           SurvivalTarget, apply_filters, build_targets,
                           categorize_interval, ingest_csv, read_cohort_csv,
@@ -296,6 +297,43 @@ class TestCohort:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=message):
             read_cohort_csv(path)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_csv_bytes_equal_row_writer_oracle(self, tmp_path, weighted):
+        rng = np.random.default_rng(11)
+        n = 40
+        # raw categories that need quoting (comma, quote, line break),
+        # numpy and Python floats and ints, and strings that look like
+        # numbers, in one object column beside float columns
+        cells = ["a,b", 'say "hi"', "two\nlines", "plain", "", " pad ",
+                 np.float32(0.1), 1e-300, -0.0, 7, np.int64(-3), "1.5",
+                 float("inf"), True, "\u00e9,\u2603"]
+        raw = np.empty((n, 1), dtype=object)
+        raw[:, 0] = [cells[i % len(cells)] for i in range(n)]
+        features = np.hstack([rng.standard_normal((n, 2)) * 1e5, raw,
+                              np.round(rng.random((n, 1)), 3)])
+        columns = [ColumnSpec("x0", "numeric"), ColumnSpec('x "1", b',
+                                                           "numeric"),
+                   ColumnSpec("grade", "ordinal",
+                              tuple(sorted({str(c) for c in cells}))),
+                   ColumnSpec("x3", "numeric")]
+        cohort = Cohort(features=features, columns=columns,
+                        time=rng.exponential(1.0, n) * 1e3,
+                        event=(rng.random(n) < 0.6).astype(int),
+                        weights=rng.random(n) + 0.1 if weighted else None)
+        write_cohort_csv(cohort, tmp_path / "new.csv")
+        write_cohort_csv_oracle(cohort, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b'"a,b"' in new and b'"say ""hi"""' in new
+        numeric = synth_cohort(30, 3, "ph", [1, 0, 0], censor_rate=0.3,
+                               seed=12)
+        if weighted:
+            numeric.weights = np.linspace(0.5, 2.0, 30)
+        write_cohort_csv(numeric, tmp_path / "new.csv")
+        write_cohort_csv_oracle(numeric, tmp_path / "old.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
 
     def test_csv_round_trip_with_weights(self, tmp_path):
         cohort = synth_cohort(20, 2, "ph", [1, 0], censor_rate=0.0, seed=10)

@@ -129,6 +129,14 @@ class TestAftLoss:
         with pytest.raises(DataError):
             AftLoss().value_grad_hess([0.0], [1], [0.0])
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"),
+                                       -float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_sigma_errors(self, sigma):
+        with pytest.raises(DataError, match="sigma must be finite and "
+                                            "positive"):
+            AftLoss("normal", sigma)
+        assert AftLoss("logistic", 1e-300).sigma == 1e-300
+
 
 class TestSquaredLoss:
     def test_perfect_predictions(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import forest_leaf_chf
 from survkit.data import Cohort, ColumnSpec, synth_cohort
 from survkit.engine import boost
 from survkit.errors import ConfigError, DataError, NoSurvivalFunctionError
@@ -32,7 +33,8 @@ def _as_v1(obj: dict, model: FittedModel) -> dict:
     """A saved rsf file in the v1 form: dense ``leaf_chf`` rows."""
     obj = {k: v for k, v in obj.items() if k != "leaf_steps"}
     return {**obj, "version": 1,
-            "leaf_chf": [chf.tolist() for chf in model.artifact.leaf_chf]}
+            "leaf_chf": [chf.tolist()
+                         for chf in forest_leaf_chf(model.artifact)]}
 
 
 def _busiest_leaf(obj: dict) -> tuple[list, list]:
@@ -84,6 +86,7 @@ LEAF_STEP_DEFECTS = {
     "tree_missing": lambda obj: obj["leaf_steps"].pop(),
     "tree_not_an_object": lambda obj: obj["leaf_steps"].__setitem__(0, []),
     "no_leaf_steps": lambda obj: obj.pop("leaf_steps"),
+    "no_trees": lambda obj: (obj["trees"].clear(), obj["leaf_steps"].clear()),
     "version_3": lambda obj: obj.update(version=3),
 }
 
@@ -494,8 +497,10 @@ class TestSaveLoad:
         obj = json.loads((tmp_path / "rsf.json").read_text(encoding="utf-8"))
         assert obj["version"] == 2 and "leaf_chf" not in obj
         clone = load_model(tmp_path / "rsf.json")
-        for a, b in zip(model.artifact.leaf_chf, clone.artifact.leaf_chf):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip(model.artifact.steps, clone.artifact.steps):
+            for name in ("offsets", "positions", "values", "sums"):
+                assert (getattr(a, name).tobytes()
+                        == getattr(b, name).tobytes()), name
         X = np.asarray(cohort.features, dtype=float)
         grid = model.artifact.grid
         times = np.concatenate([[grid[0] - 1.0], grid, [grid[-1] + 1.0]])
@@ -576,7 +581,8 @@ class TestFamilyTable:
             model = replace(model, meta={**model.meta, **meta})
             path = tmp_path / f"{family}.json"
             save_model(model, path)
-            expected = json.dumps(M._file_fields(model), sort_keys=True)
+            expected = json.dumps(M._file_fields(model), sort_keys=True,
+                                  default=list)
             assert path.read_bytes() == expected.encode("utf-8"), family
             assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
 
@@ -598,7 +604,7 @@ class TestFamilyTable:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            json.dumps(M._file_fields(model), sort_keys=True)
+            json.dumps(M._file_fields(model), sort_keys=True, default=list)
             whole = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -779,3 +785,71 @@ class TestModelFileCompatibility:
             assert ((tmp_path / "m.json").read_bytes()
                     == (MODEL_FILES / "v2" / f"{name}.json").read_bytes()), \
                 name
+
+
+def _json_slots(obj, slots, lists):
+    """Every (container, key) slot and every list in a JSON value."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    if isinstance(obj, list):
+        lists.append(obj)
+    for key, value in items:
+        slots.append((obj, key))
+        _json_slots(value, slots, lists)
+
+
+_WRONG_TYPES = (None, True, "0", 1.5, -1, 10 ** 400, float("nan"),
+                float("inf"), [], {}, [[0]], {"positions": []})
+
+
+def _mutate(obj: dict, rng) -> str:
+    """Apply one seeded structural defect to ``obj``; return its name."""
+    slots, lists = [], []
+    _json_slots(obj, slots, lists)
+    kind = ("drop", "retype", "shorten", "disorder")[rng.integers(4)]
+    if kind in ("drop", "retype"):
+        parent, key = slots[rng.integers(len(slots))]
+        if kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = _WRONG_TYPES[rng.integers(len(_WRONG_TYPES))]
+        return f"{kind} {key!r}"
+    lists = [x for x in lists if len(x) >= (2 if kind == "disorder" else 1)]
+    target = lists[rng.integers(len(lists))]
+    if kind == "shorten":
+        del target[rng.integers(len(target)):]
+    else:
+        i, j = rng.choice(len(target), size=2, replace=False)
+        target[i], target[j] = target[j], target[i]
+    return f"{kind} a list of {len(target)}"
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_mutated_rsf_files_load_or_are_data_errors(tmp_path, version):
+    """Seeded mutants of the pinned rsf files: each one loads and predicts
+    without a warning, or raises DataError; no other exception reaches the
+    caller."""
+    source = MODEL_FILES / ("rsf.json" if version == 1 else "v2/rsf.json")
+    text = source.read_text(encoding="utf-8")
+    X = np.asarray(json.loads((MODEL_FILES / "risks.json").read_text(
+        encoding="utf-8"))["features"])
+    rng = np.random.default_rng(160 + version)
+    path = tmp_path / "mutant.json"
+    outcomes = {"loaded": 0, "refused": 0}
+    for _ in range(200):
+        obj = json.loads(text)
+        # most defects land in the hazards, which hold most of the slots
+        defect = [_mutate(obj, rng) for _ in range(rng.integers(1, 3))]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = load_model(path)
+                predict_risk(model, X)
+                survival_matrix(model, X, model.artifact.grid[::4])
+            outcomes["loaded"] += 1
+        except DataError:
+            outcomes["refused"] += 1
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"{defect}: {exc!r}")
+    assert min(outcomes.values()) > 10, outcomes

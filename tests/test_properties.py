@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 from conftest import (_node_logrank_scan, _node_logrank_screen, _scan_split,
                       apply_tree, apply_tree_oracle, boost_oracle,
-                      breslow_oracle, chf_on_grid_oracle,
+                      breslow_oracle, chf_on_grid_oracle, chf_steps_oracle,
                       comparable_pairs_oracle, cox_calibrate_oracle,
-                      cox_profile_oracle, harrell_oracle, leaves,
+                      cox_profile_oracle, forest_leaf_chf, harrell_oracle,
+                      leaf_chf_oracle, leaf_sum_oracle, leaves,
                       logrank_scan_oracle, predict_tree_oracle,
                       regression_split_oracle, regression_tree_oracle,
-                      rsf_ensemble_chf_oracle, rsf_risk_oracle,
-                      rsf_survival_oracle, ssvm_fit_oracle,
+                      rsf_ensemble_chf_oracle, rsf_leaf_sum_risk_oracle,
+                      rsf_risk_oracle, rsf_survival_oracle, ssvm_fit_oracle,
                       survival_tree_oracle)
 from survkit import metrics
 from survkit import engine
@@ -41,8 +42,8 @@ from survkit.estimators import (_cox_profile, _time_blocks,
                                 breslow_baseline, censoring_survival,
                                 cox_calibrate)
 from survkit.metrics import TimeGrid, brier, harrell_c, ibs, ipcw_c, td_auc
-from survkit.models import (SsvmParams, _chf_from_steps, _chf_steps,
-                            _comparable_pairs, _leaf_chf, fit_family,
+from survkit.models import (LeafSteps, SsvmParams, _comparable_pairs,
+                            _leaf_chf, fit_family,
                             fit_ssvm, predict_curves, predict_risk,
                             survival_matrix)
 from survkit.preprocess import split
@@ -502,11 +503,14 @@ def test_leaf_chf_equals_stacked_oracle_rows(part):
     leaf, n_leaves, time, event, grid = part
     if grid.size == 0:
         return
-    chf = _leaf_chf(leaf, n_leaves, time, event, grid)
+    steps = _leaf_chf(leaf, n_leaves, time, event, grid)
     expected = np.vstack([chf_on_grid_oracle(time[leaf == k], event[leaf == k],
                                              grid)
                           for k in range(n_leaves)])
-    assert chf.tobytes() == expected.tobytes()
+    assert leaf_chf_oracle(steps, grid.size).tobytes() == expected.tobytes()
+    # the steps the save code found on the dense rows, and their sums
+    assert steps.to_dict() == chf_steps_oracle(expected)
+    assert steps.sums.tobytes() == leaf_sum_oracle(expected).tobytes()
 
 
 @pytest.mark.parametrize("msl", [1, 5])
@@ -517,7 +521,7 @@ def test_forest_leaf_chf_equals_stacked_oracle_rows(msl):
     forest = fit_family("rsf", cohort, n_trees=3, bootstrap=False,
                         min_samples_leaf=msl, seed=65).artifact
     grid = np.unique(cohort.time[cohort.event == 1])
-    for tree, chf in zip(forest.trees, forest.leaf_chf):
+    for tree, chf in zip(forest.trees, forest_leaf_chf(forest)):
         leaf_of = np.array([leaf.value for leaf in apply_tree(tree, X)], int)
         expected = np.vstack([
             chf_on_grid_oracle(cohort.time[leaf_of == k],
@@ -659,7 +663,7 @@ def test_blocked_routing_equals_oracle(monkeypatch, block):
     assert predict_ensemble(ensemble, X).tobytes() == expected.tobytes()
     forest = fit_family("rsf", cohort, n_trees=5, seed=68).artifact
     total = np.zeros((X.shape[0], forest.grid.size))
-    for tree, chf in zip(forest.trees, forest.leaf_chf):
+    for tree, chf in zip(forest.trees, forest_leaf_chf(forest)):
         total += chf[predict_tree_oracle(tree, X).astype(int)]
     assert (forest.ensemble_chf(X).tobytes()
             == (total / len(forest.trees)).tobytes())
@@ -701,12 +705,19 @@ def test_blocked_rsf_prediction_equals_whole_matrix_oracle(monkeypatch,
 
     def budget(width):
         monkeypatch.setattr(models, "_CHF_BLOCK", rows * width)
-        blocks = [r for r, _ in forest._chf_blocks(X, np.arange(width))]
-        assert len(blocks) == -(-X.shape[0] // rows)
+        # one leaf expansion per tree and row block
+        expand, calls = models.LeafSteps.at, []
+        with monkeypatch.context() as patch:
+            patch.setattr(models.LeafSteps, "at",
+                          lambda *args: calls.append(1) or expand(*args))
+            forest.ensemble_chf(X, np.arange(width))
+        assert len(calls) == -(-X.shape[0] // rows) * len(forest.trees)
 
     budget(grid.size)
-    assert (predict_risk(model, X).tobytes()
-            == rsf_risk_oracle(forest, X).tobytes())
+    risk = predict_risk(model, X)
+    assert risk.tobytes() == rsf_leaf_sum_risk_oracle(forest, X).tobytes()
+    np.testing.assert_allclose(risk, rsf_risk_oracle(forest, X), rtol=1e-12,
+                               atol=0)
     assert (forest.ensemble_chf(X).tobytes()
             == rsf_ensemble_chf_oracle(forest, X).tobytes())
     budget(times.size)
@@ -715,6 +726,10 @@ def test_blocked_rsf_prediction_equals_whole_matrix_oracle(monkeypatch,
     columns = np.searchsorted(grid, times[1:-1], side="right") - 1
     assert (forest.ensemble_chf(X, columns).tobytes()
             == rsf_ensemble_chf_oracle(forest, X, columns).tobytes())
+    # distinct columns out of order take the column gather too
+    falling = np.unique(columns)[::-1]
+    assert (forest.ensemble_chf(X, falling).tobytes()
+            == rsf_ensemble_chf_oracle(forest, X, falling).tobytes())
 
 
 @st.composite
@@ -735,12 +750,16 @@ def leaf_hazards(draw):
 @example(np.array([[0.0, 0.0, 0.2, 0.2], [0.0, 0.0, 0.0, 0.0],
                    [0.1, 0.1, 0.1, 0.3]]))
 def test_leaf_steps_expand_bit_for_bit(chf):
-    steps = json.loads(json.dumps(_chf_steps(chf)))
-    assert len(steps["positions"]) == chf.shape[0]
+    width = chf.shape[1]
+    fields = json.loads(json.dumps(LeafSteps.from_dense(chf, width).to_dict()))
+    assert fields == chf_steps_oracle(chf)
+    assert len(fields["positions"]) == chf.shape[0]
     # a step only where the row changes, so flat stretches cost nothing
-    assert (sum(map(len, steps["positions"]))
+    assert (sum(map(len, fields["positions"]))
             == int((np.diff(chf, axis=1, prepend=0.0) != 0).sum()))
-    assert _chf_from_steps(steps, chf.shape[1]).tobytes() == chf.tobytes()
+    steps = LeafSteps.from_dict(fields, width)
+    assert leaf_chf_oracle(steps, width).tobytes() == chf.tobytes()
+    assert steps.sums.tobytes() == leaf_sum_oracle(chf).tobytes()
 
 
 _LOSSES = [SquaredLoss(), LogisticLoss(), CoxLoss(), FirstOrder(CoxLoss()),
