@@ -324,8 +324,7 @@ def ibs(grid: TimeGrid, curves, time, event,
     return float(np.trapezoid(scores, grid.times) / span)
 
 
-# Elements in one block of td_auc's (grid time, risk rank) control-count
-# table; the same budget as models._CHF_BLOCK.
+# Elements in one block of td_auc's (grid time, risk rank) control counts
 _TABLE_BLOCK = 1 << 16
 
 

@@ -59,9 +59,8 @@ FAMILIES = (RSF, GBSA, SSVM, GB_COX, GB_AFT, GB_REG)
 
 # (event, subject) comparisons per block when listing all comparable pairs
 _PAIR_BLOCK = 1 << 20
-# float64 elements per row block of a forest's ensemble CHF: the block
-# total and one tree's gather stay in cache, and no n x |grid| matrix forms
-_CHF_BLOCK = 1 << 16
+# float64 leaf hazards that one row block of a forest's CHF expands at once
+_CHF_BLOCK = 1 << 19
 
 
 def _refuse_negative(params, *names) -> None:
@@ -262,6 +261,13 @@ class LeafSteps:
             raise ValueError("leaf step positions do not rise strictly")
         return cls.build(counts, pos, np.asarray(flat_val, dtype=float), width)
 
+    @classmethod
+    def concat(cls, parts) -> "LeafSteps":  # the parts' leaves, in turn
+        counts = np.concatenate([np.diff(p.offsets) for p in parts])
+        return cls(np.concatenate(([0], np.cumsum(counts))), *(
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in ("positions", "values", "sums")))
+
     def to_dict(self) -> dict:
         bounds = list(pairwise(self.offsets.tolist()))
         positions, values = self.positions.tolist(), self.values.tolist()
@@ -269,9 +275,8 @@ class LeafSteps:
                 "values": [values[a:b] for a, b in bounds]}
 
     def at(self, leaves, first, width: int) -> np.ndarray:
-        """The hazards of the distinct ``leaves`` at ``width`` rising grid
-        columns, ``first`` giving each step's first such column at or after
-        it: 0.0 from column 0, then each step's value from its column."""
+        """The hazards of the distinct ``leaves`` at ``width`` columns: each
+        step's value from its ``first`` column on, 0.0 before a leaf's first."""
         start = self.offsets[leaves]
         counts = self.offsets[leaves + 1] - start
         local = np.cumsum(counts) - counts
@@ -296,25 +301,24 @@ class RsfForest:
                 in zip(self.trees, engine._route(self.trees, X))]
 
     def ensemble_chf(self, X, columns=slice(None)) -> np.ndarray:
-        """The tree-averaged CHF of every row on the grid ``columns``, in row
-        blocks of about ``_CHF_BLOCK`` elements. Each tree expands only the
-        leaves a block reaches, at the distinct columns: every element gets
-        the additions, in tree order, of the whole (n, len(grid)) matrix."""
+        """The tree-averaged CHF of every row on the grid ``columns``: a row
+        block expands the leaves it reaches in all trees at once, about
+        ``_CHF_BLOCK`` elements at the rising columns, then adds by tree."""
         cols = np.arange(self.grid.size)[columns]
-        wanted, col_of = np.unique(cols, return_inverse=True)
-        if np.array_equal(wanted, cols):  # rising already: no column gather
-            col_of = slice(None)
-        firsts = [np.searchsorted(wanted, s.positions) for s in self.steps]
-        leaves = self._leaves(X)
+        order = np.argsort(cols, kind="stable")
+        steps, cols = LeafSteps.concat(self.steps), cols[order]
+        first = np.searchsorted(cols, steps.positions)  # at or after each step
+        starts = np.cumsum([0] + [s.sums.size for s in self.steps[:-1]])
+        leaves = np.add(self._leaves(X), starts[:, None])  # ids into steps
         out = np.zeros((X.shape[0], cols.size))
-        step = max(1, _CHF_BLOCK // max(cols.size, 1))
+        step = max(1, _CHF_BLOCK // max(cols.size * len(self.trees), 1))
         for a in range(0, X.shape[0], step):
-            block = out[a:a + step]
-            for s, first, leaf in zip(self.steps, firsts, leaves):
-                reached, row_of = np.unique(leaf[a:a + step],
-                                            return_inverse=True)
-                block += s.at(reached, first, wanted.size)[:, col_of][row_of]
-            block /= len(self.trees)
+            reached, row_of = np.unique(leaves[:, a:a + step],
+                                        return_inverse=True)
+            chf, block = steps.at(reached, first, cols.size), out[a:a + step]
+            for rows in row_of.reshape(len(self.trees), -1):
+                block += chf[rows]
+            block[:, order] = block / len(self.trees)  # the requested order
         return out
 
     def risk(self, X) -> np.ndarray:
@@ -334,7 +338,7 @@ class RsfForest:
         surv[:, idx < 0] = 1.0
         return surv
 
-    def to_fields(self) -> dict:  # trees are encoded one at a time
+    def to_fields(self) -> dict:  # trees, leaf_steps: one-shot iterators
         return {"grid": [float(t) for t in self.grid],
                 "trees": map(engine.tree_to_dict, self.trees),
                 "leaf_steps": map(LeafSteps.to_dict, self.steps)}

@@ -587,15 +587,20 @@ class TestFamilyTable:
             assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
 
     def test_writer_matches_json_dumps_on_edge_values(self):
-        fields = {"b": [], "a": [{}, {"z": [1, {"y": None}],
-                                      "\u00e9": float("nan")}],
-                  "c": [[1.5], [2]], "d": {"k": [{"x": -float("inf")}]},
-                  "e": [{"x": 1}, 2], "f": [{"x": [{"y": True}]}],
-                  "g": "\u2603", "h": {}}
-        for obj in (fields, {}, {"only": [{"x": 1}]}):
+        def cases():  # iterators are single-use, so each pass makes its own
+            fields = {"b": [], "a": [{}, {"z": [1, {"y": None}],
+                                          "\u00e9": float("nan")}],
+                      "c": [[1.5], [2]], "d": {"k": [{"x": -float("inf")}]},
+                      "e": [{"x": 1}, 2], "f": [{"x": [{"y": True}]}],
+                      "g": "\u2603", "h": {}, "i": iter([]),
+                      "j": iter([{"x": float("nan"), "w": -float("inf")}, {}]),
+                      "k": iter([1, [2.5], "\u2603", None, {"y": True}])}
+            return (fields, {}, {"only": [{"x": 1}]}, {"it": iter([{"x": 1}])})
+        for obj, same in zip(cases(), cases()):
             fh = io.StringIO()
             M._write_fields(fh, obj)
-            assert fh.getvalue() == json.dumps(obj, sort_keys=True)
+            assert fh.getvalue() == json.dumps(same, sort_keys=True,
+                                               default=list)
 
     def test_save_encodes_in_pieces(self, tmp_path):
         cohort = synth_cohort(200, 3, "ph", [1, 0.5, 0], censor_rate=0.3,

@@ -704,14 +704,15 @@ def test_blocked_rsf_prediction_equals_whole_matrix_oracle(monkeypatch,
     rows = X.shape[0] + 1 if block_rows is None else block_rows
 
     def budget(width):
-        monkeypatch.setattr(models, "_CHF_BLOCK", rows * width)
-        # one leaf expansion per tree and row block
+        monkeypatch.setattr(models, "_CHF_BLOCK",
+                            rows * width * len(forest.trees))
+        # one leaf expansion per row block, for all the trees
         expand, calls = models.LeafSteps.at, []
         with monkeypatch.context() as patch:
             patch.setattr(models.LeafSteps, "at",
                           lambda *args: calls.append(1) or expand(*args))
             forest.ensemble_chf(X, np.arange(width))
-        assert len(calls) == -(-X.shape[0] // rows) * len(forest.trees)
+        assert len(calls) == -(-X.shape[0] // rows)
 
     budget(grid.size)
     risk = predict_risk(model, X)
@@ -726,7 +727,7 @@ def test_blocked_rsf_prediction_equals_whole_matrix_oracle(monkeypatch,
     columns = np.searchsorted(grid, times[1:-1], side="right") - 1
     assert (forest.ensemble_chf(X, columns).tobytes()
             == rsf_ensemble_chf_oracle(forest, X, columns).tobytes())
-    # distinct columns out of order take the column gather too
+    # columns out of order are expanded in rising order and put back
     falling = np.unique(columns)[::-1]
     assert (forest.ensemble_chf(X, falling).tobytes()
             == rsf_ensemble_chf_oracle(forest, X, falling).tobytes())
