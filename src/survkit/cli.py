@@ -434,7 +434,7 @@ def _best_params(path: Path, param_class, fields: dict) -> dict:
     value type or a value that ``param_class`` refuses is a DataError."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed {path}: {exc}") from None
     params = obj.get("params") if isinstance(obj, dict) else None
     if not isinstance(params, dict):

@@ -7,10 +7,10 @@ consecutive distinct values) keep fits affordable at the cohort sizes in
 scope and make results reproducible across platforms; gain ties break
 toward the lower feature index, then the lower threshold.
 
-A tree is one ``NodeTable``: parallel node arrays in preorder. Growers
-append to it, ``TreeNode`` is a read-only view of one of its nodes, and
-``_route`` sends rows through a whole list of trees at once, one numpy
-step per depth level.
+A tree is one ``NodeTable``: parallel node arrays in preorder, the only
+tree form that growers build, ensembles hold and model files encode.
+``_route`` sends rows through a whole list of trees at once, from their
+roots, one numpy step per depth level.
 
 Both split searches are exact without repeating work at every node.
 Regression trees sort each column once and hand every child the stable
@@ -33,7 +33,6 @@ from .errors import DataError, TrainingError
 
 __all__ = [
     "NodeTable",
-    "TreeNode",
     "TreeParams",
     "SurvivalTreeParams",
     "BoostParams",
@@ -42,7 +41,6 @@ __all__ = [
     "fit_survival_tree",
     "fit_survival_forest",
     "boost",
-    "predict_ensemble",
     "predict_tree",
     "tree_to_dict",
     "tree_from_dict",
@@ -64,7 +62,8 @@ _SCREEN_BLOCK = 1 << 18
 @dataclass(frozen=True, eq=False)
 class NodeTable:
     """One tree as parallel arrays over its nodes in preorder: a node, then
-    its left subtree, then its right subtree, so node 0 is the root.
+    its left subtree, then its right subtree, so node 0 is the root. Every
+    tree of a fit or a model file is one table; nothing wraps it.
 
     ``feature`` is -1 at leaves and a split sends a row left iff
     x[feature] <= threshold. ``left``/``right`` are child node ids (-1 at
@@ -91,62 +90,6 @@ class NodeTable:
                    np.asarray(right, dtype=np.intp),
                    np.asarray(value, dtype=float), np.asarray(gain, dtype=float),
                    row_leaf)
-
-
-class TreeNode:
-    """Read-only view of node ``i`` of a node table. Routing rule: go left
-    iff x[feature] <= threshold.
-
-    ``feature``, ``threshold``, ``left`` and ``right`` are None at leaves;
-    ``value`` and ``gain`` are None where the node has none. ``members``
-    lists a survival-tree leaf's training rows.
-    """
-
-    __slots__ = ("table", "i")
-
-    def __init__(self, table: NodeTable, i: int = 0):
-        self.table = table
-        self.i = int(i)
-
-    @property
-    def is_leaf(self) -> bool:
-        return bool(self.table.feature[self.i] < 0)
-
-    @property
-    def feature(self) -> int | None:
-        return None if self.is_leaf else int(self.table.feature[self.i])
-
-    @property
-    def threshold(self) -> float | None:
-        return None if self.is_leaf else float(self.table.threshold[self.i])
-
-    @property
-    def left(self) -> "TreeNode | None":
-        if self.is_leaf:
-            return None
-        return TreeNode(self.table, self.table.left[self.i])
-
-    @property
-    def right(self) -> "TreeNode | None":
-        if self.is_leaf:
-            return None
-        return TreeNode(self.table, self.table.right[self.i])
-
-    @property
-    def value(self) -> float | None:
-        v = float(self.table.value[self.i])
-        return None if np.isnan(v) else v
-
-    @property
-    def gain(self) -> float | None:
-        v = float(self.table.gain[self.i])
-        return None if np.isnan(v) else v
-
-    @property
-    def members(self) -> np.ndarray | None:
-        if self.table.row_leaf is None or not self.is_leaf:
-            return None
-        return np.flatnonzero(self.table.row_leaf == self.i)
 
 
 @dataclass(frozen=True)
@@ -180,14 +123,23 @@ class BoostedEnsemble:
     """Additive tree model: prediction = base_score + lr * sum of trees."""
 
     base_score: float
-    trees: list[TreeNode]
+    trees: list[NodeTable]
     learning_rate: float
     loss_id: str
     n_features: int
     loss_trace: list[float] = field(default_factory=list)
 
     def predict(self, X) -> np.ndarray:
-        return predict_ensemble(self, X)
+        """base_score + learning_rate * sum of tree outputs, per row, added
+        tree by tree."""
+        X = _check_matrix(X)
+        if X.shape[1] != self.n_features:
+            raise DataError(f"expected {self.n_features} features, "
+                            f"got {X.shape[1]}")
+        out = np.full(X.shape[0], self.base_score)
+        for tree, leaf in zip(self.trees, _route(self.trees, X)):
+            out += self.learning_rate * tree.value[leaf]
+        return out
 
 
 def _check_matrix(X) -> np.ndarray:
@@ -246,22 +198,22 @@ def _best_regression_split(X, g, h, idx, params: TreeParams, rows):
 
 
 def fit_regression_tree(X, gradients, hessians,
-                        params: TreeParams = TreeParams(),
-                        presorted=None) -> TreeNode:
+                        params: TreeParams = TreeParams()) -> NodeTable:
     """Grow an exact-greedy regression tree on gradient/hessian statistics.
 
     Leaf value is the Newton step -G_leaf / (H_leaf + lam). Splitting stops
     on depth, sample, child-weight or gain floors. The columns are sorted
     once, at the root, and each child takes the stable partition of its
-    parent's sorted rows; ``presorted`` passes that root sort in, as
-    ``_sorted_rows(X)`` gives it. Returns the root's view.
+    parent's sorted rows.
     """
-    return _regression_tree(X, gradients, hessians, params, presorted)[0]
+    X = _check_matrix(X)
+    return _regression_tree(X, gradients, hessians, params, _sorted_rows(X))[0]
 
 
-def _regression_tree(X, gradients, hessians, params: TreeParams, presorted):
-    """``fit_regression_tree``, grown depth first with each node appended
-    to its table in preorder: the root's view and each row's leaf."""
+def _regression_tree(X, gradients, hessians, params: TreeParams, rows):
+    """``fit_regression_tree`` on the root sort ``rows`` (``_sorted_rows``),
+    grown depth first with each node appended to its table in preorder:
+    the table and each row's leaf."""
     X = _check_matrix(X)
     g = np.asarray(gradients, dtype=float)
     h = np.asarray(hessians, dtype=float)
@@ -271,9 +223,6 @@ def _regression_tree(X, gradients, hessians, params: TreeParams, presorted):
         raise DataError("non-finite gradient or hessian")
     if np.any(h < 0):
         raise DataError("hessians must be nonnegative")
-    rows = _sorted_rows(X) if presorted is None else presorted
-    if rows.shape != X.shape[::-1]:
-        raise DataError("presorted rows must be a (features, rows) array")
     lam = params.reg_lambda
     feature, threshold, right, value, gain = [], [], [], [], []
     row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
@@ -304,8 +253,7 @@ def _regression_tree(X, gradients, hessians, params: TreeParams, presorted):
         build(idx[~mask], node_rows[~go].reshape(X.shape[1], -1), depth + 1)
 
     build(np.arange(X.shape[0]), rows, 0)
-    return (TreeNode(NodeTable.from_lists(feature, threshold, right, value,
-                                          gain)), row_leaf)
+    return NodeTable.from_lists(feature, threshold, right, value, gain), row_leaf
 
 
 @dataclass(frozen=True)
@@ -826,36 +774,35 @@ def fit_survival_forest(X, samples, time, event,
 
 
 def fit_survival_tree(X, time, event,
-                      params: SurvivalTreeParams = SurvivalTreeParams()) -> TreeNode:
+                      params: SurvivalTreeParams = SurvivalTreeParams()) -> NodeTable:
     """Grow a survival tree by maximizing the standardized log-rank
     statistic: ``fit_survival_forest`` with one tree on all rows, seeded by
     ``params.seed``. The table records each row's leaf so callers can attach
     nonparametric estimates. Nodes without events or without an admissible
-    split become leaves. Returns the root's view.
+    split become leaves.
     """
     X = _check_matrix(X)
     if np.asarray(event, dtype=int).sum() == 0:
         raise DataError("survival tree needs at least one event")
-    return TreeNode(fit_survival_forest(X, [np.arange(X.shape[0])], time,
-                                        event, params, [params.seed])[0])
+    return fit_survival_forest(X, [np.arange(X.shape[0])], time, event,
+                               params, [params.seed])[0]
 
 
-def _route(trees: list[TreeNode], X) -> np.ndarray:
-    """The leaf every row reaches in every tree: a (len(trees), n) matrix of
-    node ids local to each tree's table.
+def _route(tables: list[NodeTable], X) -> np.ndarray:
+    """The leaf every row reaches in every tree: a (len(tables), n) matrix
+    of node ids local to each table.
 
     The tables are concatenated with node offsets into one child array,
     child[2 * i + 1] the left and child[2 * i] the right child of node i,
     with each leaf its own child. Every (tree, row) pair starts at its
-    tree's node and takes one numpy step per depth level. Rows go in blocks
+    tree's root and takes one numpy step per depth level. Rows go in blocks
     of about ``_ROUTE_BLOCK`` pairs so the per-level temporaries stay small.
     """
     X = _check_matrix(X)
     n, d = X.shape
-    out = np.empty((len(trees), n), dtype=np.intp)
-    if not trees:
+    out = np.empty((len(tables), n), dtype=np.intp)
+    if not tables:
         return out
-    tables = [t.table for t in trees]
     sizes = np.array([t.feature.size for t in tables])
     offset = np.cumsum(sizes) - sizes
     shift = np.repeat(offset, sizes)
@@ -867,9 +814,8 @@ def _route(trees: list[TreeNode], X) -> np.ndarray:
     right = np.where(leaf, ids, np.concatenate([t.right for t in tables]) + shift)
     child = np.stack([right, left], axis=1).ravel()
     feature[leaf] = 0
-    start = offset + np.array([t.i for t in trees])
-    # the number of steps is the deepest level any start node reaches
-    levels, frontier = 0, start
+    # the number of steps is the deepest level of any tree
+    levels, frontier = 0, offset
     while True:
         frontier = frontier[~leaf[frontier]]
         if frontier.size == 0:
@@ -877,10 +823,10 @@ def _route(trees: list[TreeNode], X) -> np.ndarray:
         frontier = np.concatenate([left[frontier], right[frontier]])
         levels += 1
     flat = X.ravel()
-    step = max(1, _ROUTE_BLOCK // len(trees))
+    step = max(1, _ROUTE_BLOCK // len(tables))
     for a in range(0, n, step):
         row_start = np.arange(a, min(a + step, n)) * d  # row offsets in flat
-        node = np.repeat(start[:, None], row_start.size, axis=1)
+        node = np.repeat(offset[:, None], row_start.size, axis=1)
         for _ in range(levels):
             go_left = flat[row_start + feature[node]] <= threshold[node]
             node = child[2 * node + go_left]
@@ -888,9 +834,9 @@ def _route(trees: list[TreeNode], X) -> np.ndarray:
     return out
 
 
-def predict_tree(root: TreeNode, X) -> np.ndarray:
+def predict_tree(table: NodeTable, X) -> np.ndarray:
     """Regression-tree output per row."""
-    return root.table.value[_route([root], X)[0]]
+    return table.value[_route([table], X)[0]]
 
 
 def boost(X, time, event, loss, params: BoostParams = BoostParams(),
@@ -915,7 +861,7 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
     rng = np.random.default_rng(params.seed)
     base = float(loss.intercept(time, event, weights))
     preds = np.full(n, base)
-    trees: list[TreeNode] = []
+    trees: list[NodeTable] = []
     trace: list[float] = []
 
     def full_loss(rnd):
@@ -947,7 +893,7 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
         tree, leaf = _regression_tree(X_fit, g, h, params.tree, rows_fit)
         trees.append(tree)
         # the grower placed the fitted rows; route only the others
-        step = params.learning_rate * tree.table.value[leaf]
+        step = params.learning_rate * tree.value[leaf]
         if sub is None:
             preds += step
         else:
@@ -962,34 +908,16 @@ def boost(X, time, event, loss, params: BoostParams = BoostParams(),
                            n_features=X.shape[1], loss_trace=trace)
 
 
-def predict_ensemble(model: BoostedEnsemble, X) -> np.ndarray:
-    """base_score + learning_rate * sum of tree outputs, per row, added
-    tree by tree."""
-    X = _check_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise DataError(f"expected {model.n_features} features, got {X.shape[1]}")
-    out = np.full(X.shape[0], model.base_score)
-    for tree, leaf in zip(model.trees, _route(model.trees, X)):
-        out += model.learning_rate * tree.table.value[leaf]
-    return out
-
-
-def tree_to_dict(node: TreeNode) -> dict:
-    """The subtree at ``node`` as nested dicts with Python int/float values
-    (the model-file form)."""
-    t = node.table
+def tree_to_dict(t: NodeTable) -> dict:
+    """The tree as nested dicts with Python int/float values (the
+    model-file form)."""
     feature, threshold = t.feature.tolist(), t.threshold.tolist()
     left, right = t.left.tolist(), t.right.tolist()
     value, gain = t.value.tolist(), t.gain.tolist()
 
     def emit(i):
         if feature[i] < 0:
-            leaf: dict = {}
-            if value[i] == value[i]:  # not NaN
-                leaf["value"] = value[i]
-            if t.row_leaf is not None:
-                leaf["members"] = np.flatnonzero(t.row_leaf == i).tolist()
-            return leaf
+            return {"value": value[i]} if value[i] == value[i] else {}
         return {
             "feature": feature[i],
             "threshold": threshold[i],
@@ -998,7 +926,7 @@ def tree_to_dict(node: TreeNode) -> dict:
             "right": emit(right[i]),
         }
 
-    return emit(node.i)
+    return emit(0)
 
 
 def _number(v, what: str) -> float:
@@ -1007,15 +935,14 @@ def _number(v, what: str) -> float:
     return float(v)
 
 
-def tree_from_dict(obj: dict) -> TreeNode:
-    """Rebuild a tree from its nested-dict form; returns the root's view.
+def tree_from_dict(obj: dict) -> NodeTable:
+    """Rebuild a tree from its nested-dict form.
 
     A node that is not an object, a split feature that is not a
     nonnegative int, or a non-numeric threshold, gain or leaf value raises
-    ValueError. Leaf ``members`` must partition the rows 0..n-1.
+    ValueError.
     """
     feature, threshold, right, value, gain = [], [], [], [], []
-    members: dict[int, list] = {}
 
     def add(node):
         if not isinstance(node, dict):
@@ -1028,8 +955,6 @@ def tree_from_dict(obj: dict) -> TreeNode:
             threshold.append(np.nan)
             value.append(np.nan if v is None else _number(v, "leaf value"))
             gain.append(np.nan)
-            if "members" in node:
-                members[i] = node["members"]
             return
         f = node["feature"]
         if isinstance(f, bool) or not isinstance(f, int) or f < 0:
@@ -1044,22 +969,12 @@ def tree_from_dict(obj: dict) -> TreeNode:
         add(node["right"])
 
     add(obj)
-    row_leaf = None
-    if members:
-        rows = np.concatenate([np.asarray(m, dtype=np.intp)
-                               for m in members.values()])
-        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
-            raise ValueError("leaf members do not partition the rows")
-        row_leaf = np.empty(rows.size, dtype=np.intp)
-        row_leaf[rows] = np.repeat(list(members),
-                                   [len(m) for m in members.values()])
-    return TreeNode(NodeTable.from_lists(feature, threshold, right, value,
-                                         gain, row_leaf))
+    return NodeTable.from_lists(feature, threshold, right, value, gain)
 
 
-def _check_split_features(trees: list[TreeNode], n_features) -> None:
+def _check_split_features(trees: list[NodeTable], n_features) -> None:
     """Raise ValueError unless every split feature indexes a column."""
-    top = max((int(t.table.feature.max()) for t in trees), default=-1)
+    top = max((int(t.feature.max()) for t in trees), default=-1)
     if top >= n_features:
         raise ValueError(f"split feature {top} is not below n_features "
                          f"{n_features}")

@@ -151,7 +151,8 @@ class Study:
             return cls(space=space, trials=trials, sampler=obj["sampler"],
                        seed=obj["seed"], best_index=obj["best_index"],
                        meta=obj.get("meta", {}))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
             raise DataError(f"malformed study JSON: {exc!r}") from None
 
 

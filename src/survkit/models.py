@@ -23,7 +23,7 @@ from scipy import special
 
 from . import engine
 from .data import Cohort, atomic_write
-from .engine import (BoostParams, SurvivalTreeParams, TreeNode, TreeParams,
+from .engine import (BoostParams, NodeTable, SurvivalTreeParams, TreeParams,
                      boost)
 from .errors import (ConfigError, ConvergenceError, DataError,
                      NoSurvivalFunctionError, TrainingError)
@@ -292,12 +292,12 @@ class LeafSteps:
 class RsfForest:
     """Forest artifact: trees whose leaf values index their leaf steps."""
 
-    trees: list[TreeNode]
+    trees: list[NodeTable]
     steps: list[LeafSteps]  # per tree
     grid: np.ndarray        # distinct training event times
 
     def _leaves(self, X) -> list[np.ndarray]:  # the rows routed once
-        return [tree.table.value[leaf].astype(int) for tree, leaf
+        return [tree.value[leaf].astype(int) for tree, leaf
                 in zip(self.trees, engine._route(self.trees, X))]
 
     def ensemble_chf(self, X, columns=slice(None)) -> np.ndarray:
@@ -356,7 +356,7 @@ class RsfForest:
             raise ValueError("a forest needs a 1-d grid and trees with hazards")
         engine._check_split_features(forest.trees, obj["n_features"])
         for tree, steps in zip(forest.trees, forest.steps):
-            ids = tree.table.value[tree.table.feature < 0]
+            ids = tree.value[tree.feature < 0]
             ok = (ids >= 0) & (ids < steps.sums.size) & (ids == np.floor(ids))
             if not ok.all():
                 raise ValueError(f"leaf id {float(ids[~ok][0])!r} is not a "
@@ -488,8 +488,8 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
         # slot holds it, and the sample-local row_leaf is dropped
         is_leaf = table.feature < 0
         rank = np.cumsum(is_leaf) - 1
-        trees.append(TreeNode(replace(
-            table, value=np.where(is_leaf, rank, np.nan), row_leaf=None)))
+        trees.append(replace(table, value=np.where(is_leaf, rank, np.nan),
+                             row_leaf=None))
         steps.append(_leaf_chf(rank[table.row_leaf], int(is_leaf.sum()),
                                train.time[sample], train.event[sample], grid))
     return _fitted(RSF, train, X,
@@ -895,5 +895,5 @@ def load_model(path) -> FittedModel:
                                                       dtype=float),
                            meta=obj.get("meta", {}))
     except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+            OverflowError, RecursionError) as exc:
         raise DataError(f"malformed model file {path}: {exc!r}") from None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from survkit import engine
-from survkit.engine import TreeNode, fit_regression_tree, predict_tree
+from survkit.engine import fit_regression_tree, predict_tree
 from survkit.data import atomic_write
 from survkit.errors import DataError, TrainingError
 
@@ -267,46 +267,27 @@ def chf_on_grid_oracle(time, event, grid):
     return np.where(idx >= 0, cumhaz[np.clip(idx, 0, None)], 0.0)
 
 
-def apply_tree_oracle(root, X):
-    """Recursive row routing (the pre-node-table code): the leaf node each
-    row reaches."""
+def apply_tree_oracle(table, X):
+    """Recursive row routing through a node table's child ids (the
+    pre-batched code): the leaf node id each row reaches."""
     X = np.asarray(X, dtype=float)
-    out = [None] * X.shape[0]
+    out = np.empty(X.shape[0], dtype=np.intp)
 
-    def walk(node, idx):
-        if node.is_leaf:
-            for i in idx:
-                out[i] = node
+    def walk(i, idx):
+        if table.feature[i] < 0:
+            out[idx] = i
             return
-        mask = X[idx, node.feature] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+        mask = X[idx, table.feature[i]] <= table.threshold[i]
+        walk(table.left[i], idx[mask])
+        walk(table.right[i], idx[~mask])
 
-    walk(root, np.arange(X.shape[0]))
+    walk(0, np.arange(X.shape[0]))
     return out
 
 
-def apply_tree(root, X):
-    """Route every row to its leaf through ``engine._route``; returns the
-    leaf node per row."""
-    leaf = engine._route([root], X)[0]
-    nodes = np.empty(root.table.feature.size, dtype=object)
-    for i in np.unique(leaf):
-        nodes[i] = TreeNode(root.table, i)
-    return nodes[leaf].tolist()
-
-
-def leaves(node):
-    """The leaves of a tree in depth-first (left before right) order."""
-    if node.is_leaf:
-        return [node]
-    return leaves(node.left) + leaves(node.right)
-
-
-def predict_tree_oracle(root, X):
+def predict_tree_oracle(table, X):
     """Regression-tree output per row through the recursive routing."""
-    return np.array([leaf.value for leaf in apply_tree_oracle(root, X)],
-                    dtype=float)
+    return table.value[apply_tree_oracle(table, X)]
 
 
 def regression_split_oracle(X, g, h, idx, params):
@@ -400,7 +381,7 @@ def forest_leaf_chf(forest):
 
 
 def _leaf_ids(forest, X):
-    return [tree.table.value[leaf].astype(int) for tree, leaf
+    return [tree.value[leaf].astype(int) for tree, leaf
             in zip(forest.trees, engine._route(forest.trees, X))]
 
 
@@ -673,8 +654,8 @@ def _grow(X, split, leaf_value):
     """Grow a tree depth first by recursion, appending each node to its
     table in preorder (the pre-lockstep grower). ``split(idx, depth)``
     gives (gain, feature, threshold) for a split or None for a leaf, and
-    ``leaf_value(idx)`` a leaf's value. Returns the root's view and each
-    row's leaf."""
+    ``leaf_value(idx)`` a leaf's value. Returns the table and each row's
+    leaf."""
     feature, threshold, right, value, gain = [], [], [], [], []
     row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
 
@@ -700,8 +681,8 @@ def _grow(X, split, leaf_value):
         build(idx[~mask], depth + 1)
 
     build(np.arange(X.shape[0]), 0)
-    return (TreeNode(engine.NodeTable.from_lists(feature, threshold, right,
-                                                 value, gain)), row_leaf)
+    return (engine.NodeTable.from_lists(feature, threshold, right, value,
+                                        gain), row_leaf)
 
 
 def _one_node(Xb, time, event):
@@ -776,5 +757,5 @@ def survival_tree_oracle(X, time, event, params):
             return None
         return found[0], int(feats[found[1]]), found[2]
 
-    root, row_leaf = _grow(X, split, lambda idx: np.nan)
-    return replace(root.table, row_leaf=row_leaf)
+    table, row_leaf = _grow(X, split, lambda idx: np.nan)
+    return replace(table, row_leaf=row_leaf)

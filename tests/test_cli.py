@@ -1,11 +1,13 @@
 import json
+import typing
 
 import numpy as np
 import pytest
 
-from survkit.cli import RunConfig, _space_for, main
-from survkit.errors import ConfigError
-from survkit.hpo import ParamSpec
+from survkit.cli import RunConfig, _best_params, _space_for, main
+from survkit.errors import ConfigError, DataError
+from survkit.hpo import ParamSpec, Study
+from survkit.models import GbParams, load_model
 from test_data import _row, write_csv
 from test_models import LEAF_STEP_DEFECTS
 
@@ -474,6 +476,14 @@ class TestExitCodes:
         })
         assert run(["explain", "--config", cfg2]) == 3
 
+    def test_deeply_nested_model_is_data_error(self, prepared_dir, tmp_path):
+        (prepared_dir / "model_gb_cox.json").write_text(_DEEP_JSON,
+                                                        encoding="utf-8")
+        cfg = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
+        })
+        assert run(["explain", "--config", cfg]) == 3
+
     @pytest.mark.parametrize("key", ["base_score", "learning_rate"])
     def test_non_numeric_ensemble_scalar_is_data_error(self, prepared_dir,
                                                        tmp_path, key):
@@ -490,6 +500,22 @@ class TestExitCodes:
             "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
         })
         assert run(["explain", "--config", cfg2]) == 3
+
+
+# nested past the JSON decoder's recursion limit
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("read", [
+    load_model,
+    lambda path: Study.from_json(path.read_text(encoding="utf-8")),
+    lambda path: _best_params(path, GbParams, typing.get_type_hints(GbParams)),
+], ids=["model", "study", "best_params"])
+def test_deeply_nested_json_is_data_error(tmp_path, read):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON, encoding="utf-8")
+    with pytest.raises(DataError):
+        read(path)
 
 
 # The built-in search spaces, as the CLI defined them before they moved

@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import apply_tree
 from survkit.data import synth_cohort
 from survkit.engine import (BoostedEnsemble, BoostParams, SurvivalTreeParams,
-                            TreeParams, boost, ensemble_from_dict,
+                            TreeParams, _route, boost, ensemble_from_dict,
                             ensemble_to_dict, fit_regression_tree,
-                            fit_survival_tree, predict_ensemble, predict_tree,
-                            tree_from_dict, tree_to_dict)
+                            fit_survival_tree, predict_tree, tree_from_dict,
+                            tree_to_dict)
 from survkit.errors import DataError
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
                             SquaredLoss)
@@ -37,28 +36,28 @@ class TestRegressionTree:
         X = np.arange(8.0).reshape(-1, 1)
         g = np.full(8, 0.7)
         h = np.full(8, 2.0)
-        root = fit_regression_tree(X, g, h, TreeParams(reg_lambda=0.0))
-        assert root.is_leaf
-        assert root.value == pytest.approx(-0.7 / 2.0)
+        tree = fit_regression_tree(X, g, h, TreeParams(reg_lambda=0.0))
+        assert tree.feature[0] < 0
+        assert tree.value[0] == pytest.approx(-0.7 / 2.0)
 
     def test_sign_boundary_fixture(self):
         X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         h = np.ones(4)
-        root = fit_regression_tree(X, g, h, TreeParams(reg_lambda=0.0))
-        assert root.feature == 0 and root.threshold == 0.0
-        assert root.left.value == pytest.approx(1.0)
-        assert root.right.value == pytest.approx(-1.0)
+        tree = fit_regression_tree(X, g, h, TreeParams(reg_lambda=0.0))
+        assert tree.feature[0] == 0 and tree.threshold[0] == 0.0
+        assert tree.value[tree.left[0]] == pytest.approx(1.0)
+        assert tree.value[tree.right[0]] == pytest.approx(-1.0)
 
     def test_gain_floor_gives_single_leaf(self):
         X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         h = np.ones(4)
         probe = fit_regression_tree(X, g, h, TreeParams(reg_lambda=0.0))
-        best_gain = probe.gain
-        root = fit_regression_tree(
+        best_gain = probe.gain[0]
+        tree = fit_regression_tree(
             X, g, h, TreeParams(reg_lambda=0.0, min_split_gain=best_gain + 1e-9))
-        assert root.is_leaf
+        assert tree.feature[0] < 0
 
     def test_gain_recomputation_invariant(self):
         rng = np.random.default_rng(0)
@@ -66,40 +65,40 @@ class TestRegressionTree:
         g = rng.standard_normal(200)
         h = rng.uniform(0.5, 2.0, 200)
         lam = 0.7
-        root = fit_regression_tree(X, g, h, TreeParams(max_depth=4,
+        tree = fit_regression_tree(X, g, h, TreeParams(max_depth=4,
                                                        reg_lambda=lam))
 
-        def recompute(node, idx):
-            if node.is_leaf:
+        def recompute(i, idx):
+            if tree.feature[i] < 0:
                 return
-            mask = X[idx, node.feature] <= node.threshold
+            mask = X[idx, tree.feature[i]] <= tree.threshold[i]
             left, right = idx[mask], idx[~mask]
             def score(sel):
                 return g[sel].sum() ** 2 / (h[sel].sum() + lam)
             gain = 0.5 * (score(left) + score(right) - score(idx))
-            assert gain == pytest.approx(node.gain, abs=1e-9)
-            recompute(node.left, left)
-            recompute(node.right, right)
+            assert gain == pytest.approx(tree.gain[i], abs=1e-9)
+            recompute(tree.left[i], left)
+            recompute(tree.right[i], right)
 
-        recompute(root, np.arange(200))
+        recompute(0, np.arange(200))
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 2))
         g = rng.standard_normal(60)
         h = np.ones(60)
-        root = fit_regression_tree(X, g, h,
+        tree = fit_regression_tree(X, g, h,
                                    TreeParams(max_depth=6, min_samples_leaf=10))
 
-        def check(node, idx):
-            if node.is_leaf:
+        def check(i, idx):
+            if tree.feature[i] < 0:
                 assert idx.size >= 10
                 return
-            mask = X[idx, node.feature] <= node.threshold
-            check(node.left, idx[mask])
-            check(node.right, idx[~mask])
+            mask = X[idx, tree.feature[i]] <= tree.threshold[i]
+            check(tree.left[i], idx[mask])
+            check(tree.right[i], idx[~mask])
 
-        check(root, np.arange(60))
+        check(0, np.arange(60))
 
     def test_non_finite_inputs_error(self):
         with pytest.raises(DataError):
@@ -115,11 +114,11 @@ class TestSurvivalTree:
         time = np.where(group == 1, rng.uniform(0.1, 1.0, n),
                         rng.uniform(3.0, 5.0, n))
         X = np.column_stack([group, rng.standard_normal(n)])
-        root = fit_survival_tree(X, time, np.ones(n, int),
+        tree = fit_survival_tree(X, time, np.ones(n, int),
                                  SurvivalTreeParams(max_depth=2,
                                                     min_samples_leaf=5,
                                                     mtry=2, seed=0))
-        assert root.feature == 0
+        assert tree.feature[0] == 0
 
     def test_statistic_matches_direct_oracle(self):
         rng = np.random.default_rng(3)
@@ -128,31 +127,31 @@ class TestSurvivalTree:
         event = (rng.random(n) < 0.7).astype(int)
         event[0] = 1
         X = rng.standard_normal((n, 1))
-        root = fit_survival_tree(X, time, event,
+        tree = fit_survival_tree(X, time, event,
                                  SurvivalTreeParams(max_depth=1,
                                                     min_samples_leaf=1,
                                                     mtry=1, seed=0))
-        assert not root.is_leaf
-        group = (X[:, 0] <= root.threshold).astype(int)
+        assert tree.feature[0] >= 0
+        group = (X[:, 0] <= tree.threshold[0]).astype(int)
         num, var = logrank_oracle(time, event, group)
-        assert abs(num) / np.sqrt(var) == pytest.approx(root.gain, rel=1e-9)
+        assert abs(num) / np.sqrt(var) == pytest.approx(tree.gain[0], rel=1e-9)
 
     def test_constant_features_single_leaf(self):
         X = np.ones((20, 2))
         time = np.arange(1.0, 21.0)
-        root = fit_survival_tree(X, time, np.ones(20, int))
-        assert root.is_leaf
+        tree = fit_survival_tree(X, time, np.ones(20, int))
+        assert tree.feature[0] < 0
 
     def test_depth_one_is_a_stump(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((50, 3))
         time = rng.exponential(1, 50)
-        root = fit_survival_tree(X, time, np.ones(50, int),
+        tree = fit_survival_tree(X, time, np.ones(50, int),
                                  SurvivalTreeParams(max_depth=1,
                                                     min_samples_leaf=2,
                                                     mtry=3, seed=1))
-        assert not root.is_leaf
-        assert root.left.is_leaf and root.right.is_leaf
+        assert tree.feature[0] >= 0
+        assert tree.feature[tree.left[0]] < 0 and tree.feature[tree.right[0]] < 0
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -172,25 +171,23 @@ class TestSurvivalTree:
         time = rng.exponential(1, 70)
         event = (rng.random(70) < 0.7).astype(int)
         event[0] = 1
-        root = fit_survival_tree(X, time, event,
+        tree = fit_survival_tree(X, time, event,
                                  SurvivalTreeParams(max_depth=3,
                                                     min_samples_leaf=5,
                                                     seed=2))
         members = []
 
-        def collect(node):
-            if node.is_leaf:
-                members.extend(node.members.tolist())
+        def collect(i):
+            if tree.feature[i] < 0:
+                members.extend(np.flatnonzero(tree.row_leaf == i).tolist())
             else:
-                collect(node.left)
-                collect(node.right)
+                collect(tree.left[i])
+                collect(tree.right[i])
 
-        collect(root)
+        collect(0)
         assert sorted(members) == list(range(70))
         # routing agrees with stored membership
-        leaves = apply_tree(root, X)
-        for i, leaf in enumerate(leaves):
-            assert i in leaf.members
+        assert _route([tree], X)[0].tolist() == tree.row_leaf.tolist()
 
     def test_no_events_errors(self):
         with pytest.raises(DataError):
@@ -255,7 +252,7 @@ class TestPredictEnsemble:
     def test_empty_trees_returns_base(self):
         model = BoostedEnsemble(base_score=1.5, trees=[], learning_rate=0.1,
                                 loss_id="squared", n_features=2)
-        np.testing.assert_allclose(predict_ensemble(model, np.ones((4, 2))), 1.5)
+        np.testing.assert_allclose(model.predict(np.ones((4, 2))), 1.5)
 
     def test_single_stump_trace(self):
         X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
@@ -264,16 +261,16 @@ class TestPredictEnsemble:
         model = BoostedEnsemble(base_score=0.5, trees=[stump],
                                 learning_rate=0.3, loss_id="squared",
                                 n_features=1)
-        np.testing.assert_allclose(predict_ensemble(model, X),
+        np.testing.assert_allclose(model.predict(X),
                                    0.5 + 0.3 * np.array([1, 1, -1, -1.0]))
 
     def test_batch_equals_rowwise(self):
         cohort = synth_cohort(100, 3, "ph", [1, 0, 0], censor_rate=0.2, seed=12)
         model = boost(cohort.features, cohort.time, cohort.event, CoxLoss(),
                       BoostParams(n_rounds=8))
-        batch = predict_ensemble(model, cohort.features)
+        batch = model.predict(cohort.features)
         rowwise = np.concatenate([
-            predict_ensemble(model, cohort.features[i:i + 1])
+            model.predict(cohort.features[i:i + 1])
             for i in range(cohort.n)])
         np.testing.assert_array_equal(batch, rowwise)
 
@@ -281,7 +278,7 @@ class TestPredictEnsemble:
         model = BoostedEnsemble(base_score=0.0, trees=[], learning_rate=0.1,
                                 loss_id="squared", n_features=3)
         with pytest.raises(DataError):
-            predict_ensemble(model, np.ones((2, 2)))
+            model.predict(np.ones((2, 2)))
 
 
 class TestSerialization:
@@ -311,21 +308,15 @@ class TestSerialization:
                                match="unsupported model file version"):
                 ensemble_from_dict({"version": version})
 
-    def test_survival_tree_round_trip_keeps_members(self):
+    def test_survival_tree_round_trip(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((40, 2))
         time = rng.exponential(1, 40)
-        root = fit_survival_tree(X, time, np.ones(40, int),
+        tree = fit_survival_tree(X, time, np.ones(40, int),
                                  SurvivalTreeParams(max_depth=3,
                                                     min_samples_leaf=4))
-        payload = tree_to_dict(root)
+        payload = tree_to_dict(tree)
         clone = tree_from_dict(json.loads(json.dumps(payload)))
         assert tree_to_dict(clone) == payload
-        assert [leaf.i for leaf in apply_tree(clone, X)] == [
-            leaf.i for leaf in apply_tree(root, X)]
-        leaf = payload
-        while "feature" in leaf:
-            leaf = leaf["left"]
-        leaf["members"] = leaf["members"][1:]  # a row in no leaf
-        with pytest.raises(ValueError, match="partition"):
-            tree_from_dict(payload)
+        assert (_route([clone], X)[0].tolist()
+                == _route([tree], X)[0].tolist())

@@ -829,16 +829,21 @@ def _mutate(obj: dict, rng) -> str:
     return f"{kind} a list of {len(target)}"
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_mutated_rsf_files_load_or_are_data_errors(tmp_path, version):
-    """Seeded mutants of the pinned rsf files: each one loads and predicts
-    without a warning, or raises DataError; no other exception reaches the
-    caller."""
-    source = MODEL_FILES / ("rsf.json" if version == 1 else "v2/rsf.json")
-    text = source.read_text(encoding="utf-8")
+@pytest.mark.parametrize("name, seed", [
+    pytest.param("rsf.json", 161, id="1"),
+    pytest.param("v2/rsf.json", 162, id="2"),
+    *[pytest.param(name, 163 + k, id=name) for k, name in enumerate([
+        "gbsa.json", "gb_cox.json", "v2/gbsa.json", "v2/gb_cox.json",
+        "v2/gb_aft_normal.json", "v2/gb_aft_logistic.json",
+        "v2/gb_reg_weighted.json", "v2/horizon.json"])]])
+def test_mutated_rsf_files_load_or_are_data_errors(tmp_path, name, seed):
+    """Seeded mutants of every pinned model file (the rsf ones first): each
+    one loads and predicts without a warning, or raises DataError; no other
+    exception reaches the caller."""
+    text = (MODEL_FILES / name).read_text(encoding="utf-8")
     X = np.asarray(json.loads((MODEL_FILES / "risks.json").read_text(
         encoding="utf-8"))["features"])
-    rng = np.random.default_rng(160 + version)
+    rng = np.random.default_rng(seed)
     path = tmp_path / "mutant.json"
     outcomes = {"loaded": 0, "refused": 0}
     for _ in range(200):
@@ -851,7 +856,8 @@ def test_mutated_rsf_files_load_or_are_data_errors(tmp_path, version):
                 warnings.simplefilter("error")
                 model = load_model(path)
                 predict_risk(model, X)
-                survival_matrix(model, X, model.artifact.grid[::4])
+                if model.family in CURVE_FAMILIES:
+                    survival_matrix(model, X, model.event_time_grid[::4])
             outcomes["loaded"] += 1
         except DataError:
             outcomes["refused"] += 1

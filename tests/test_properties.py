@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (_node_logrank_scan, _node_logrank_screen, _scan_split,
-                      apply_tree, apply_tree_oracle, boost_oracle,
+                      apply_tree_oracle, boost_oracle,
                       breslow_oracle, chf_on_grid_oracle, chf_steps_oracle,
                       comparable_pairs_oracle, cox_calibrate_oracle,
                       cox_profile_oracle, forest_leaf_chf, harrell_oracle,
-                      leaf_chf_oracle, leaf_sum_oracle, leaves,
+                      leaf_chf_oracle, leaf_sum_oracle,
                       logrank_scan_oracle, predict_tree_oracle,
                       regression_split_oracle, regression_tree_oracle,
                       rsf_ensemble_chf_oracle, rsf_leaf_sum_risk_oracle,
@@ -34,7 +34,7 @@ from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
                             SurvivalTreeParams, TreeParams,
                             _best_regression_split, _sorted_rows, boost,
                             fit_regression_tree, fit_survival_forest,
-                            predict_ensemble, predict_tree, tree_to_dict)
+                            predict_tree, tree_to_dict)
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
                             SquaredLoss)
 from survkit.errors import ConvergenceError, DataError, TrainingError
@@ -522,11 +522,11 @@ def test_forest_leaf_chf_equals_stacked_oracle_rows(msl):
                         min_samples_leaf=msl, seed=65).artifact
     grid = np.unique(cohort.time[cohort.event == 1])
     for tree, chf in zip(forest.trees, forest_leaf_chf(forest)):
-        leaf_of = np.array([leaf.value for leaf in apply_tree(tree, X)], int)
+        leaf_of = tree.value[engine._route([tree], X)[0]].astype(int)
         expected = np.vstack([
             chf_on_grid_oracle(cohort.time[leaf_of == k],
                                cohort.event[leaf_of == k], grid)
-            for k in range(len(leaves(tree)))])
+            for k in range(int(np.sum(tree.feature < 0)))])
         assert chf.tobytes() == expected.tobytes()
 
 
@@ -620,12 +620,11 @@ def test_tree_routing_equals_recursive_oracle(node, data):
     X, g, h, params = node
     with np.errstate(over="ignore"):
         tree = fit_regression_tree(X, g, h, params)
-    Xq = _query_rows(X, [tree.table], data)
-    for start in ([tree] if tree.is_leaf else [tree, tree.left, tree.right]):
-        assert (predict_tree(start, Xq).tobytes()
-                == predict_tree_oracle(start, Xq).tobytes())
-        assert ([leaf.i for leaf in apply_tree(start, Xq)]
-                == [leaf.i for leaf in apply_tree_oracle(start, Xq)])
+    Xq = _query_rows(X, [tree], data)
+    assert (predict_tree(tree, Xq).tobytes()
+            == predict_tree_oracle(tree, Xq).tobytes())
+    assert (engine._route([tree], Xq)[0].tobytes()
+            == apply_tree_oracle(tree, Xq).tobytes())
 
 
 @PROPERTY_SETTINGS
@@ -642,11 +641,11 @@ def test_predict_ensemble_equals_sequential_tree_sum(n_rounds, depth, msl,
                               subsample=subsample, seed=seed,
                               tree=TreeParams(max_depth=depth,
                                               min_samples_leaf=msl)))
-    Xq = _query_rows(X, [t.table for t in model.trees], data)
+    Xq = _query_rows(X, model.trees, data)
     expected = np.full(Xq.shape[0], model.base_score)
     for tree in model.trees:
         expected += model.learning_rate * predict_tree_oracle(tree, Xq)
-    assert predict_ensemble(model, Xq).tobytes() == expected.tobytes()
+    assert model.predict(Xq).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
@@ -660,7 +659,7 @@ def test_blocked_routing_equals_oracle(monkeypatch, block):
     expected = np.full(X.shape[0], ensemble.base_score)
     for tree in ensemble.trees:
         expected += ensemble.learning_rate * predict_tree_oracle(tree, X)
-    assert predict_ensemble(ensemble, X).tobytes() == expected.tobytes()
+    assert ensemble.predict(X).tobytes() == expected.tobytes()
     forest = fit_family("rsf", cohort, n_trees=5, seed=68).artifact
     total = np.zeros((X.shape[0], forest.grid.size))
     for tree, chf in zip(forest.trees, forest_leaf_chf(forest)):
