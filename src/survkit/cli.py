@@ -134,6 +134,13 @@ class RunConfig:
             return default if default is not None else []
         return [item.strip() for item in raw.split(",") if item.strip()]
 
+    def get_float_list(self, key: str) -> list[float]:
+        try:
+            return [float(item) for item in self.get_list(key)]
+        except ValueError:
+            raise ConfigError(f"{key}: expected numbers, got "
+                              f"{self.get(key)!r}") from None
+
     def prefixed(self, prefix: str) -> dict[str, str]:
         plen = len(prefix)
         return {k[plen:]: v for k, v in self.values.items()
@@ -164,8 +171,7 @@ def cmd_synth(config: RunConfig) -> int:
     n = config.get_int("synth.n", 1000)
     d = config.get_int("synth.d", 5)
     model = config.get("synth.model", "ph")
-    beta_raw = config.get_list("synth.beta")
-    beta = [float(b) for b in beta_raw] if beta_raw else None
+    beta = config.get_float_list("synth.beta") or None
     censor_rate = config.get_float("synth.censor_rate", 0.3)
     cohort = synth_cohort(n=n, d=d, model=model, beta=beta,
                           censor_rate=censor_rate, seed=seed)
@@ -505,7 +511,7 @@ def cmd_train_eval(config: RunConfig) -> int:
     if resolution < 2:  # IBS integrates over at least two grid times
         raise ConfigError("metrics.grid_resolution must be at least 2, "
                           f"got {resolution}")
-    horizons = [float(h) for h in config.get_list("horizons")]
+    horizons = config.get_float_list("horizons")
     for h in horizons:  # refused before the first fit, not after the last
         M.HorizonParams(horizon=h)
     grid = default_time_grid(test.time, test.event, censor_dist,
@@ -611,7 +617,6 @@ def cmd_explain(config: RunConfig) -> int:
         model, eval_cohort, metric=config.get("explain.metric", "harrell_c"),
         n_repeats=config.get_int("explain.n_repeats", 10),
         seed=derive_seed(seed, f"explain/pi/{family}"))
-    pi.to_csv(out / f"importance_pi_{family}.csv")
 
     d = eval_cohort.n_features
     mode = config.get("explain.mode",
@@ -623,6 +628,7 @@ def cmd_explain(config: RunConfig) -> int:
         seed=derive_seed(seed, f"explain/shap/{family}"),
         background=train,
         background_size=config.get_int("explain.background_size", 100))
+    pi.to_csv(out / f"importance_pi_{family}.csv")  # both or neither
     shap.to_csv(out / f"importance_shap_{family}.csv")
     log.info("explained %s on %s set (PI + Shapley)", family, dataset)
     return EXIT_OK

@@ -380,13 +380,12 @@ def _calibrate_censoring_rate(latent_times: np.ndarray, censor_rate: float) -> f
 
 
 def synth_cohort(n: int, d: int, model: str = "ph", beta=None,
-                 censor_rate: float = 0.0, seed: int = 0,
-                 aft_sigma: float = 1.0) -> Cohort:
+                 censor_rate: float = 0.0, seed: int = 0) -> Cohort:
     """Generate a synthetic cohort with a known linear predictor.
 
     Features are i.i.d. standard normal. In "ph" mode event times are
     exponential with rate exp(beta @ x); in "aft" mode log event time is
-    -beta @ x plus normal noise, so in both modes a higher linear predictor
+    -beta @ x plus N(0, 1) noise, so in both modes a higher linear predictor
     means earlier events. Censoring is independent exponential, calibrated
     so the expected censored fraction matches ``censor_rate``.
 
@@ -409,7 +408,7 @@ def synth_cohort(n: int, d: int, model: str = "ph", beta=None,
     if model == "ph":
         latent = rng.exponential(1.0, size=n) / np.exp(eta)
     else:
-        latent = np.exp(-eta + aft_sigma * rng.standard_normal(n))
+        latent = np.exp(-eta + rng.standard_normal(n))
 
     if censor_rate == 0.0:
         time, event = latent.copy(), np.ones(n, dtype=int)

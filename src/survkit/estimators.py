@@ -236,11 +236,14 @@ def _cox_profile(s, ev, rs, beta):
     return loglik, score, info
 
 
-def cox_calibrate(scores, time, event, tol: float = 1e-8,
-                  max_iter: int = 100) -> CoxCalibration:
+_COX_TOL = 1e-8
+_COX_MAX_ITER = 100
+
+
+def cox_calibrate(scores, time, event) -> CoxCalibration:
     """Fit eta = beta * score by Newton iteration on the Cox partial likelihood.
 
-    Step halving guards each Newton update; convergence is |delta beta| <= tol.
+    Step halving guards each Newton update; convergence is |delta beta| <= 1e-8.
     Constant scores have an identically zero gradient and return beta = 0.
     Divergence raises ConvergenceError rather than clamping.
     """
@@ -265,7 +268,7 @@ def cox_calibrate(scores, time, event, tol: float = 1e-8,
         beta = 0.0
         loglik, score, info = _cox_profile(s, ev, rs, beta)
         converged = score == 0.0
-        for _ in range(max_iter):
+        for _ in range(_COX_MAX_ITER):
             if converged:
                 break
             if info <= 0:
@@ -284,11 +287,11 @@ def cox_calibrate(scores, time, event, tol: float = 1e-8,
             if abs(new_beta) * np.ptp(scores) > 500.0:
                 # eta range beyond exp() headroom: monotone likelihood
                 raise ConvergenceError("Cox calibration diverged")
-            converged = abs(new_beta - beta) <= tol
+            converged = abs(new_beta - beta) <= _COX_TOL
             beta, loglik, score, info = new_beta, new_ll, new_score, new_info
         else:
             raise ConvergenceError(
-                f"Cox calibration did not converge in {max_iter} iterations")
+                f"Cox calibration did not converge in {_COX_MAX_ITER} iterations")
 
     baseline = _breslow_sorted(e, uniq, start, beta * s)
     return CoxCalibration(beta=float(beta), baseline=baseline)

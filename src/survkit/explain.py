@@ -61,6 +61,12 @@ class ShapleyResult:
     efficiency_residual: float
 
 
+def _at_least_one(**counts) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise DataError(f"{name} must be at least 1, got {value}")
+
+
 def _metric_fn(metric: str, time, event):
     if metric == "harrell_c":
         return lambda risks: harrell_c(time, event, risks).c_index
@@ -81,6 +87,7 @@ def permutation_importance(model: FittedModel, eval_cohort: Cohort,
     """
     if eval_cohort.n == 0:
         raise DataError("empty evaluation cohort")
+    _at_least_one(n_repeats=n_repeats)
     X = np.asarray(eval_cohort.features, dtype=float)
     score = _metric_fn(metric, eval_cohort.time, eval_cohort.event)
     baseline = score(predict_risk(model, X))
@@ -161,6 +168,7 @@ def shapley_values(model: FittedModel, instance, background: Cohort | np.ndarray
 
     if mode != "montecarlo":
         raise DataError(f"unknown mode {mode!r}")
+    _at_least_one(n_permutations=n_permutations)
     rng = np.random.default_rng(seed)
     v_pair = _coalition_values(model, instance, bg,
                                np.repeat([[False], [True]], d, axis=1))
@@ -193,6 +201,7 @@ def global_attribution(model: FittedModel, eval_cohort: Cohort,
     derived from the master seed by row position, so the result is
     independent of evaluation order.
     """
+    _at_least_one(sample_size=sample_size, background_size=background_size)
     if sample_size > eval_cohort.n:
         raise DataError("sample size exceeds the evaluation cohort")
     X = np.asarray(eval_cohort.features, dtype=float)

@@ -1,7 +1,7 @@
 """Hyperparameter optimization: search spaces, samplers, study runner.
 
-Three samplers share one interface: given the search space, the trial
-history and a seed stream they propose the next parameter assignment.
+Three samplers share one interface, ``(space, history, rng)``: they
+propose the next parameter assignment from the space, trials and seeds.
 Random search ignores history; the Parzen-estimator sampler models good
 and bad trials with kernel densities; the evolution strategy adapts a
 multivariate Gaussian over the numeric subspace. The study runner
@@ -30,8 +30,6 @@ __all__ = [
     "ParamSpec",
     "Trial",
     "Study",
-    "TpeConfig",
-    "CmaesConfig",
     "sample_random",
     "sample_tpe",
     "sample_cmaes",
@@ -174,11 +172,10 @@ def sample_random(space: list[ParamSpec], history: list[Trial],
     return params
 
 
-@dataclass(frozen=True)
-class TpeConfig:
-    gamma: float = 0.25
-    n_startup: int = 10
-    n_candidates: int = 24
+# Parzen-estimator defaults (Bergstra et al., NeurIPS 2011)
+_TPE_GAMMA = 0.25
+_TPE_STARTUP = 10
+_TPE_CANDIDATES = 24
 
 
 class _ParzenDensity:
@@ -219,14 +216,14 @@ class _ParzenDensity:
 
 
 def _tpe_numeric(spec: ParamSpec, good: np.ndarray, bad: np.ndarray,
-                 cfg: TpeConfig, rng: np.random.Generator):
+                 rng: np.random.Generator):
     """Propose one numeric value: draw candidates from the good-trial
     density and keep the candidate maximizing l(x)/g(x)."""
     transform = np.log if spec.log else np.asarray
     lo, hi = spec._transformed_bounds()
     dens_l = _ParzenDensity(transform(good), lo, hi)
     dens_g = _ParzenDensity(transform(bad), lo, hi)
-    cand = dens_l.sample(cfg.n_candidates, rng)
+    cand = dens_l.sample(_TPE_CANDIDATES, rng)
     score = dens_l.pdf(cand) / np.maximum(dens_g.pdf(cand), 1e-300)
     best = float(cand[int(np.argmax(score))])
     if spec.log:
@@ -237,7 +234,7 @@ def _tpe_numeric(spec: ParamSpec, good: np.ndarray, bad: np.ndarray,
 
 
 def _tpe_categorical(spec: ParamSpec, good: list, bad: list,
-                     cfg: TpeConfig, rng: np.random.Generator):
+                     rng: np.random.Generator):
     """Add-one-smoothed category frequencies for both groups."""
     k = len(spec.choices)
 
@@ -247,7 +244,7 @@ def _tpe_categorical(spec: ParamSpec, good: list, bad: list,
         return (counts + 1.0) / (len(values) + k)
 
     p_l, p_g = probs(good), probs(bad)
-    idx = rng.choice(k, size=cfg.n_candidates, p=p_l)
+    idx = rng.choice(k, size=_TPE_CANDIDATES, p=p_l)
     scores = p_l[idx] / p_g[idx]
     return spec.choices[int(idx[int(np.argmax(scores))])]
 
@@ -260,36 +257,32 @@ def tpe_split(completed: list[Trial], gamma: float) -> tuple[list[Trial], list[T
 
 
 def sample_tpe(space: list[ParamSpec], history: list[Trial],
-               rng: np.random.Generator,
-               config: TpeConfig = TpeConfig()) -> dict:
+               rng: np.random.Generator) -> dict:
     """Parzen-estimator sampler.
 
-    The first n_startup completed trials delegate to random search. After
-    that, trials split into good (top ceil(gamma * m) by objective) and bad
+    The first 10 completed trials delegate to random search. After that,
+    trials split into good (top ceil(0.25 * m) by objective) and bad
     groups; per parameter, candidates drawn from the good-group density are
     ranked by the density ratio l(x)/g(x).
     """
     completed = [t for t in history if not t.failed]
-    if len(completed) < config.n_startup:
+    if len(completed) < _TPE_STARTUP:
         return sample_random(space, history, rng)
-    good, bad = tpe_split(completed, config.gamma)
+    good, bad = tpe_split(completed, _TPE_GAMMA)
     params = {}
     for spec in space:
         good_v = [t.params[spec.name] for t in good]
         bad_v = [t.params[spec.name] for t in bad]
         if spec.is_numeric:
             value = _tpe_numeric(spec, np.asarray(good_v, dtype=float),
-                                 np.asarray(bad_v, dtype=float), config, rng)
+                                 np.asarray(bad_v, dtype=float), rng)
         else:
-            value = _tpe_categorical(spec, good_v, bad_v, config, rng)
+            value = _tpe_categorical(spec, good_v, bad_v, rng)
         params[spec.name] = value
     return params
 
 
-@dataclass(frozen=True)
-class CmaesConfig:
-    sigma0: float = 0.2
-    population: int | None = None  # None: 4 + floor(3 ln d)
+_CMA_SIGMA0 = 0.2  # the initial step size over the unit cube
 
 
 class _CmaState:
@@ -361,15 +354,15 @@ class _CmaState:
         self.mean = new_mean
 
 
-# (numeric space, config, the (params, value) records of the longest
-# history prefix replayed so far, the state reached after it). A pure
+# (numeric space, the (params, value) records of the longest history
+# prefix replayed so far, the state reached after it). A pure
 # cache: it is read once per call, replaced whole and never updated in
 # place, so any caller, thread or test sees the state of a full replay.
 _cma_resume: tuple | None = None
 
 
-def _cma_replay(space: list[ParamSpec], history: list[Trial],
-                config: CmaesConfig) -> tuple[_CmaState, int, list[ParamSpec]]:
+def _cma_replay(space: list[ParamSpec], history: list[Trial]
+                ) -> tuple[_CmaState, int, list[ParamSpec]]:
     """The state after every completed generation of ``history``.
 
     A history that extends the last replayed prefix resumes from the state
@@ -382,14 +375,13 @@ def _cma_replay(space: list[ParamSpec], history: list[Trial],
     if not numeric:
         raise ConfigError("CMA-ES needs at least one numeric parameter")
     d = len(numeric)
-    lam = config.population or (4 + int(3 * math.log(d)))
+    lam = 4 + int(3 * math.log(d))  # the standard population (Hansen 2016)
     end = len(history) - len(history) % lam
-    state, done = _CmaState(d, config.sigma0), []
+    state, done = _CmaState(d, _CMA_SIGMA0), []
     if _cma_resume is not None:
-        cached_space, cached_config, records, cached = _cma_resume
-        if (cached_space == tuple(numeric) and cached_config == config
-                and records == [(t.params, t.value)
-                                for t in history[:len(records)]]):
+        cached_space, records, cached = _cma_resume
+        if cached_space == tuple(numeric) and records == [
+                (t.params, t.value) for t in history[:len(records)]]:
             state, done = cached, records
     if len(done) < end:
         state = copy.deepcopy(state)  # a caller may hold the cached state
@@ -401,13 +393,12 @@ def _cma_replay(space: list[ParamSpec], history: list[Trial],
             state.update(xs, fitness, lam)
         done = done + [(dict(t.params), t.value)
                        for t in history[len(done):end]]
-        _cma_resume = (tuple(numeric), config, done, state)
+        _cma_resume = (tuple(numeric), done, state)
     return state, lam, numeric
 
 
 def sample_cmaes(space: list[ParamSpec], history: list[Trial],
-                 rng: np.random.Generator,
-                 config: CmaesConfig = CmaesConfig()) -> dict:
+                 rng: np.random.Generator) -> dict:
     """Evolution-strategy sampler over the numeric subspace.
 
     Numeric parameters are normalized to the unit cube (log scale where
@@ -415,7 +406,7 @@ def sample_cmaes(space: list[ParamSpec], history: list[Trial],
     Gaussian state. Categorical parameters fall outside the method's scope
     and are sampled randomly.
     """
-    state, _, numeric = _cma_replay(space, history, config)
+    state, _, numeric = _cma_replay(space, history)
     x = np.clip(state.sample(rng), 0.0, 1.0)
     params = {}
     for spec, u in zip(numeric, x):
@@ -437,14 +428,14 @@ SAMPLERS = {
 def run_study(train: Cohort, family: str, space: list[ParamSpec],
               sampler: str = "random", n_trials: int = 150, k_folds: int = 10,
               seed: int = 0, objective: str = "harrell",
-              stratify_folds: bool = True, base_params: dict | None = None,
+              base_params: dict | None = None,
               study: Study | None = None) -> Study:
     """Cross-validated search maximizing the mean held-out concordance index.
 
     Per trial: sample a configuration, fit the family on each fold's
     training portion with a derived seed (a risk-only fit: no curve work),
-    score the held-out portion, and average. Failed fits record a failure
-    marker and the study continues.
+    score the held-out portion, and average. Folds are stratified on the
+    event. Failed fits record a failure marker and the study continues.
     Fully deterministic given the seed; passing an existing ``study``
     resumes it at the recorded trial count.
     """
@@ -460,9 +451,9 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
     base_params = base_params or {}
 
     folds = kfold(train.n, k_folds, seed=derive_seed(seed, "hpo/folds"),
-                  event=train.event if stratify_folds else None)
+                  event=train.event)
     meta = {"family": family, "k_folds": k_folds, "objective": objective,
-            "stratified_folds": stratify_folds}
+            "stratified_folds": True}
     if study is None:
         study = Study(space=space, sampler=sampler, seed=seed, meta=meta)
     else:

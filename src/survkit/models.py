@@ -681,8 +681,8 @@ class Family:
     """Everything survkit knows about one model family.
 
     ``risk`` follows the package convention (higher = earlier event).
-    ``survival`` returns the (n, len(times)) matrix and ``support`` the
-    curves' own step times; both are None for risk-only families.
+    ``survival`` returns the (n, len(times)) matrix; it is None for
+    risk-only families.
     ``fields`` and ``from_fields`` map the artifact to and from its
     model-file keys (by default, one boosted ensemble); the readers raise
     ValueError on a malformed file. ``space`` is the default HPO space as
@@ -698,7 +698,6 @@ class Family:
     fields: Callable[[object], dict] = _ensemble_fields
     from_fields: Callable[[dict], object] = _ensemble_from
     survival: Callable[[object, np.ndarray, object], np.ndarray] | None = None
-    support: Callable[[object], np.ndarray] | None = None
     td_auc: bool = False
     space: tuple = ()
     fit_risk_only: Callable[[Cohort, object], FittedModel] | None = None
@@ -716,7 +715,7 @@ FAMILY_TABLE: dict[str, Family] = {
     RSF: Family(
         RsfParams, fit_rsf,
         risk=RsfForest.risk,
-        survival=RsfForest.survival, support=lambda forest: forest.grid,
+        survival=RsfForest.survival,
         fields=RsfForest.to_fields, from_fields=RsfForest.from_fields,
         td_auc=True,
         space=(("n_trees", "int", 30, 150), ("max_depth", "int", 3, 10),
@@ -726,7 +725,6 @@ FAMILY_TABLE: dict[str, Family] = {
         risk=lambda art, X: art[0].predict(X),
         survival=lambda art, X, times: breslow_survival(
             art[1], art[0].predict(X), times),
-        support=lambda art: art[1].times,
         fields=lambda art: {**_ensemble_fields(art[0]),
                             "baseline": _step_fields(art[1])},
         from_fields=lambda obj: (_ensemble_from(obj),
@@ -737,7 +735,6 @@ FAMILY_TABLE: dict[str, Family] = {
         SsvmParams, fit_ssvm,
         risk=lambda svm, X: X @ svm.weights,
         survival=SsvmModel.survival,
-        support=lambda svm: svm.calibrated().baseline.times,
         fields=SsvmModel.to_fields, from_fields=SsvmModel.from_fields,
         td_auc=True,
         space=(("gamma", "float", 1e-3, 10.0, True),),
@@ -770,15 +767,7 @@ def _family(name: str, error: type = DataError) -> Family:
     return FAMILY_TABLE[name]
 
 
-def _curve_family(model: FittedModel) -> Family:
-    fam = _family(model.family)
-    if fam.survival is None:
-        raise NoSurvivalFunctionError(
-            f"no survival function defined for family {model.family!r}")
-    return fam
-
-
-def fit_family(family: str, train: Cohort, params=None, *, curves: bool = True,
+def fit_family(family: str, train: Cohort, *, curves: bool = True,
                **overrides) -> FittedModel:
     """Train one family by name; ``overrides`` update the default params.
 
@@ -788,10 +777,7 @@ def fit_family(family: str, train: Cohort, params=None, *, curves: bool = True,
     """
     fam = _family(family, ConfigError)
     try:
-        if params is None:
-            params = fam.params(**overrides)
-        elif overrides:
-            params = fam.params(**{**asdict(params), **overrides})
+        params = fam.params(**overrides)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {family}: {exc}") from None
     if not curves and fam.fit_risk_only is not None:
@@ -820,22 +806,24 @@ def survival_matrix(model: FittedModel, features, times) -> np.ndarray:
     its first step. Risk-only families raise NoSurvivalFunctionError.
     """
     X = _check_dim(model, features)
-    return _curve_family(model).survival(model.artifact, X, times)
+    survival = _family(model.family).survival
+    if survival is None:
+        raise NoSurvivalFunctionError(
+            f"no survival function defined for family {model.family!r}")
+    return survival(model.artifact, X, times)
 
 
 def predict_curves(model: FittedModel, features,
                    grid: TimeGrid | None = None) -> list[StepFunction]:
     """Per-row survival curves for the curve-capable families.
 
-    Curve support is the training event-time grid; an explicit evaluation
-    grid resamples by right-continuous step lookup. Risk-only families
-    raise NoSurvivalFunctionError.
+    Curve support is the training event-time grid, where every curve
+    family steps; an explicit evaluation grid resamples by right-continuous
+    step lookup. Risk-only families raise NoSurvivalFunctionError.
     """
-    X = _check_dim(model, features)
-    times = (_curve_family(model).support(model.artifact) if grid is None
-             else grid.times)
+    times = model.event_time_grid if grid is None else grid.times
     return [StepFunction(times, row, 1.0)
-            for row in survival_matrix(model, X, times)]
+            for row in survival_matrix(model, features, times)]
 
 
 def _file_fields(model: FittedModel) -> dict:

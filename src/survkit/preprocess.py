@@ -28,15 +28,6 @@ class EncoderState:
     numeric: dict[str, tuple[float, float]]  # column -> (mean, sd)
     lexicographic_fallback: list[str]        # ordinal columns without a supplied order
 
-    def rank_of(self, column: str, category) -> int:
-        order = self.ordinal[column]
-        try:
-            return order.index(category)
-        except ValueError:
-            raise DataError(
-                f"column {column!r}: category {category!r} unseen at fit time"
-            ) from None
-
     def to_json(self) -> str:
         return json.dumps({
             "ordinal": self.ordinal,

@@ -627,15 +627,16 @@ def cox_calibrate_oracle(scores, time, event, tol=1e-8, max_iter=100):
     return (float(beta),) + breslow_oracle(time, event, beta * scores)
 
 
-def cma_replay_oracle(space, history, config):
+def cma_replay_oracle(space, history):
     """CMA-ES state replayed from the start of ``history`` on every call
-    (the pre-cache code). Returns (state, lam, numeric)."""
+    (the pre-cache code), at sigma0 = 0.2 and the standard population.
+    Returns (state, lam, numeric)."""
     import math
     from survkit.hpo import _CmaState
     numeric = [s for s in space if s.is_numeric]
     d = len(numeric)
-    lam = config.population or (4 + int(3 * math.log(d)))
-    state = _CmaState(d, config.sigma0)
+    lam = 4 + int(3 * math.log(d))
+    state = _CmaState(d, 0.2)
     for start in range(0, len(history) - lam + 1, lam):
         gen = history[start:start + lam]
         xs = np.array([[s.to_unit(t.params[s.name]) for s in numeric]

@@ -361,6 +361,27 @@ class TestExplainCommand:
         assert (prepared_dir / "importance_pi_gb_aft.csv").exists()
         assert (prepared_dir / "importance_shap_gb_aft.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("sample_size", "-1"), ("sample_size", "0"), ("n_repeats", "-1"),
+        ("n_repeats", "0"), ("background_size", "-3"),
+        ("n_permutations", "0"), ("n_permutations", "-2")])
+    def test_count_below_one_exits_3(self, prepared_dir, tmp_path, caplog,
+                                     key, value):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        cfg2 = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
+            "explain.n_repeats": "1", "explain.sample_size": "2",
+            "explain.mode": "montecarlo", "explain.n_permutations": "3",
+            f"explain.{key}": value,
+        })
+        assert run(["explain", "--config", cfg2]) == 3
+        assert f"{key} must be at least 1, got {value}" in caplog.text
+        assert not list(prepared_dir.glob("importance_*.csv"))
+
 
 class TestExitCodes:
     def test_missing_required_key_is_config_error(self, tmp_path):
@@ -578,6 +599,17 @@ class TestMalformedConfigValues:
             "hpo.space.ssvm.gamma": "float:abc:10:log",
         })
         assert run(["hpo", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("verb,key,value", [
+        ("synth", "synth.beta", "1,x,0"), ("train-eval", "horizons", "12,x")])
+    def test_non_number_in_float_list_exits_2(self, prepared_dir, tmp_path,
+                                              caplog, verb, key, value):
+        cfg = write_config(tmp_path / "bad.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "synth.d": "3",
+            "families": "gb_cox", "family.gb_cox.n_rounds": "3", key: value,
+        })
+        assert run([verb, "--config", cfg]) == 2
+        assert f"{key}: expected numbers, got {value!r}" in caplog.text
 
     @pytest.mark.parametrize("family,key,value", [
         ("gbsa", "n_rounds", "abc"), ("rsf", "n_trees", "2.5"),

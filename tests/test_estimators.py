@@ -174,7 +174,7 @@ class TestCoxCalibrate:
         event = np.ones(40, dtype=int)
         scores = -np.arange(40.0)
         with pytest.raises(ConvergenceError):
-            cox_calibrate(scores, time, event, max_iter=100)
+            cox_calibrate(scores, time, event)
 
 
 class TestCrossEstimatorProperties:

@@ -8,9 +8,8 @@ import survkit.hpo as hpo
 from conftest import cma_replay_oracle
 from survkit.data import synth_cohort
 from survkit.errors import ConfigError, DataError, TrainingError
-from survkit.hpo import (CmaesConfig, ParamSpec, Study, TpeConfig, Trial,
-                         _cma_replay, run_study, sample_cmaes, sample_random,
-                         sample_tpe, tpe_split)
+from survkit.hpo import (ParamSpec, Study, Trial, _cma_replay, run_study,
+                         sample_cmaes, sample_random, sample_tpe, tpe_split)
 
 
 def make_history(values, xs):
@@ -116,15 +115,16 @@ class TestTpeSampler:
         assert len(bad) == 6
         assert min(t.value for t in good) >= max(t.value for t in bad)
 
-    def test_gamma_one_degenerates_gracefully(self):
+    def test_gamma_one_degenerates_gracefully(self, monkeypatch):
         space = [ParamSpec("x", "float", 0.0, 1.0),
                  ParamSpec("c", "categorical", choices=("a", "b"))]
         rng = np.random.default_rng(5)
         hist = [Trial(index=i, params={"x": x, "c": "a"}, value=-(x - 0.5) ** 2,
                       fold_values=[0.0])
                 for i, x in enumerate(np.linspace(0, 1, 20))]
+        monkeypatch.setattr(hpo, "_TPE_GAMMA", 1.0)
         for _ in range(20):
-            p = sample_tpe(space, hist, rng, TpeConfig(gamma=1.0))
+            p = sample_tpe(space, hist, rng)
             assert 0.0 <= p["x"] <= 1.0 and p["c"] in ("a", "b")
 
     def test_quadratic_convergence(self):
@@ -175,7 +175,7 @@ class TestCmaesSampler:
             p = sample_cmaes(space, hist, rng)
             v = -sum((p[f"x{i}"] - 0.5) ** 2 for i in range(3))
             hist.append(Trial(index=t, params=p, value=v, fold_values=[v]))
-            state, lam, _ = _cma_replay(space, hist, CmaesConfig())
+            state, lam, _ = _cma_replay(space, hist)
             evals = np.linalg.eigvalsh(0.5 * (state.cov + state.cov.T))
             assert np.all(evals > 0)
 
@@ -215,7 +215,6 @@ class TestCmaesSampler:
                  ParamSpec("lr", "float", 1e-3, 1.0, log=True),
                  ParamSpec("n", "int", 1, 9),
                  ParamSpec("c", "categorical", choices=("a", "b"))]
-        config = CmaesConfig()
 
         def objective(p, t):
             if t % 11 == 5:
@@ -226,13 +225,13 @@ class TestCmaesSampler:
         def step(hist, seed, t):
             # every proposal against the state replayed from the start
             proposal = sample_cmaes(space, hist, np.random.default_rng((seed, t)))
-            state, _, numeric = cma_replay_oracle(space, hist, config)
+            state, _, numeric = cma_replay_oracle(space, hist)
             rng = np.random.default_rng((seed, t))
             x = np.clip(state.sample(rng), 0.0, 1.0)
             expected = {s.name: s.from_unit(float(u)) for s, u in zip(numeric, x)}
             expected["c"] = sample_random([space[3]], hist, rng)["c"]
             assert repr(proposal) == repr(expected)
-            cached = _cma_replay(space, hist, config)[0]
+            cached = _cma_replay(space, hist)[0]
             assert self._state_bits(cached) == self._state_bits(state)
             value = objective(proposal, t)
             hist.append(Trial(index=t, params=proposal, value=value,
@@ -243,7 +242,7 @@ class TestCmaesSampler:
         for t in range(40):  # two studies interleaved: each call misses
             step(a, 1, t)
             step(b, 2, t)
-        held = _cma_replay(space, a, config)[0]
+        held = _cma_replay(space, a)[0]
         held_bits = self._state_bits(held)
         for t in range(40, 80):  # one study: each call resumes
             step(a, 1, t)
@@ -251,14 +250,10 @@ class TestCmaesSampler:
         step(a[:25], 3, 25)  # a shorter history replays from the start
         a[30].value += 1e-9  # a changed prefix replays from the start
         step(a, 4, len(a))
-        # another space or config replays from the start
-        for other_space, other_config in ((space[:2], config),
-                                          (space, CmaesConfig(sigma0=0.3))):
-            _cma_replay(space, a, config)
-            assert (self._state_bits(_cma_replay(other_space, a,
-                                                 other_config)[0])
-                    == self._state_bits(cma_replay_oracle(
-                        other_space, a, other_config)[0]))
+        # another space replays from the start
+        _cma_replay(space, a)
+        assert (self._state_bits(_cma_replay(space[:2], a)[0])
+                == self._state_bits(cma_replay_oracle(space[:2], a)[0]))
 
     def test_failures_ranked_last(self):
         space = [ParamSpec("x", "float", 0.0, 1.0)]
@@ -271,7 +266,7 @@ class TestCmaesSampler:
                 hist.append(Trial(index=i, params={"x": 0.5 + 0.01 * i},
                                   value=1.0 - 0.01 * i,
                                   fold_values=[1.0]))
-        state, _, _ = _cma_replay(space, hist, CmaesConfig())
+        state, _, _ = _cma_replay(space, hist)
         # the failed 0.9 draw must not dominate the recombined mean
         assert abs(state.mean[0] - 0.5) < 0.2
 
@@ -333,7 +328,6 @@ class TestRunStudy:
         {"family": "gb_aft"},
         {"space": SMALL_SPACE[:1]},
         {"objective": "ipcw"},
-        {"stratify_folds": False},
         {"sampler": "tpe"},
         {"seed": 4},
     ])
@@ -344,6 +338,15 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="different"):
             run_study(small_cohort, n_trials=2, study=study,
                       **{**kw, **change})
+
+    def test_resume_of_unstratified_study_refused(self, small_cohort):
+        kw = dict(family="gb_cox", space=SMALL_SPACE, sampler="random",
+                  k_folds=2, seed=3, base_params={"n_rounds": 5})
+        study = run_study(small_cohort, n_trials=1, **kw)
+        assert study.meta["stratified_folds"] is True
+        study.meta["stratified_folds"] = False  # a study from other folds
+        with pytest.raises(ConfigError, match="stratified_folds"):
+            run_study(small_cohort, n_trials=2, study=study, **kw)
 
     def test_failed_trials_recorded_and_study_continues(self, small_cohort,
                                                         monkeypatch):

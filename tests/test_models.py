@@ -372,6 +372,9 @@ class TestSsvm:
                 == full.artifact.weights.tobytes())
         assert (predict_risk(risk_only, cohort.features).tobytes()
                 == predict_risk(full, cohort.features).tobytes())
+        times = predict_curves(full, cohort.features[:2])[0].times
+        assert (times.tobytes() == full.event_time_grid.tobytes()
+                == full.artifact.calibration.baseline.times.tobytes())
         with pytest.raises(NoSurvivalFunctionError):
             predict_curves(risk_only, cohort.features[:2])
         with pytest.raises(NoSurvivalFunctionError):
@@ -766,6 +769,12 @@ class TestModelFileCompatibility:
             risk = predict_risk(model, np.asarray(recorded["features"]))
             assert (risk.tobytes()
                     == np.asarray(recorded["risk"][family]).tobytes())
+            if family != "gb_cox":  # curves step at the event-time grid
+                steps = (model.artifact.grid if family == "rsf"
+                         else model.artifact[1].times)
+                times = predict_curves(model, recorded["features"])[0].times
+                assert (times.tobytes() == model.event_time_grid.tobytes()
+                        == steps.tobytes())
             save_model(model, tmp_path / "again.json")
             assert ((tmp_path / "again.json").read_bytes()
                     == (MODEL_FILES / "v2" / f"{family}.json").read_bytes())
