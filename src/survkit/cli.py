@@ -603,24 +603,31 @@ def cmd_explain(config: RunConfig) -> int:
     family = config.get("explain.model")
     if family is None:
         raise ConfigError("explain.model must name a trained family")
+    dataset = config.get("explain.dataset", "validation")
+    if dataset not in ("validation", "train"):
+        raise ConfigError("explain.dataset must be validation or train")
+    metric = config.get("explain.metric", "harrell_c")
+    if metric not in ("harrell_c", "ipcw_c"):
+        raise ConfigError(f"explain.metric must be harrell_c or ipcw_c, "
+                          f"got {metric!r}")
+    mode = config.get("explain.mode")
+    if mode not in (None, "exact", "montecarlo"):
+        raise ConfigError(f"explain.mode must be exact or montecarlo, "
+                          f"got {mode!r}")
     model_path = out / f"model_{family}.json"
     if not model_path.exists():
         raise DataError(f"missing model file {model_path}; run train-eval first")
     model = M.load_model(model_path)
     train, test = _load_prepared(out)
-    dataset = config.get("explain.dataset", "validation")
-    if dataset not in ("validation", "train"):
-        raise ConfigError("explain.dataset must be validation or train")
     eval_cohort = test if dataset == "validation" else train
 
     pi = permutation_importance(
-        model, eval_cohort, metric=config.get("explain.metric", "harrell_c"),
+        model, eval_cohort, metric=metric,
         n_repeats=config.get_int("explain.n_repeats", 10),
         seed=derive_seed(seed, f"explain/pi/{family}"))
 
-    d = eval_cohort.n_features
-    mode = config.get("explain.mode",
-                      "exact" if d <= 12 else "montecarlo")
+    if mode is None:
+        mode = "exact" if eval_cohort.n_features <= 12 else "montecarlo"
     sample_size = min(config.get_int("explain.sample_size", 100), eval_cohort.n)
     shap = global_attribution(
         model, eval_cohort, sample_size=sample_size, mode=mode,

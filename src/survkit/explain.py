@@ -16,8 +16,7 @@ import numpy as np
 
 from .data import Cohort, atomic_write
 from .errors import DataError
-from .estimators import censoring_survival
-from .metrics import harrell_c, ipcw_c
+from .metrics import concordance_scorer
 from .models import FittedModel, predict_risk
 
 __all__ = [
@@ -67,15 +66,6 @@ def _at_least_one(**counts) -> None:
             raise DataError(f"{name} must be at least 1, got {value}")
 
 
-def _metric_fn(metric: str, time, event):
-    if metric == "harrell_c":
-        return lambda risks: harrell_c(time, event, risks).c_index
-    if metric == "ipcw_c":
-        g = censoring_survival(time, event)
-        return lambda risks: ipcw_c(time, event, risks, g).c_index
-    raise DataError(f"unknown metric {metric!r}")
-
-
 def permutation_importance(model: FittedModel, eval_cohort: Cohort,
                            metric: str = "harrell_c", n_repeats: int = 10,
                            seed: int = 0, permute=None) -> ImportanceReport:
@@ -89,7 +79,7 @@ def permutation_importance(model: FittedModel, eval_cohort: Cohort,
         raise DataError("empty evaluation cohort")
     _at_least_one(n_repeats=n_repeats)
     X = np.asarray(eval_cohort.features, dtype=float)
-    score = _metric_fn(metric, eval_cohort.time, eval_cohort.event)
+    score = concordance_scorer(metric, eval_cohort.time, eval_cohort.event)
     baseline = score(predict_risk(model, X))
     d = X.shape[1]
     raw = np.empty((d, n_repeats))

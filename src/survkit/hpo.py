@@ -20,8 +20,7 @@ import numpy as np
 
 from .data import Cohort
 from .errors import ConfigError, DataError, TrainingError
-from .estimators import censoring_survival
-from .metrics import harrell_c, ipcw_c
+from .metrics import concordance_scorer
 from .models import fit_family, predict_risk
 from .preprocess import kfold
 from .seeding import derive_seed
@@ -38,6 +37,12 @@ __all__ = [
 ]
 
 log = logging.getLogger("survkit.hpo")
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (an int or float, not a bool)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,13 @@ class ParamSpec:
     @property
     def is_numeric(self) -> bool:
         return self.kind in ("float", "int")
+
+    def holds(self, value) -> bool:
+        """Whether ``value`` is a point of this dimension."""
+        if not self.is_numeric:
+            return value in self.choices
+        return (_finite(value) and self.low <= value <= self.high
+                and (self.kind == "float" or isinstance(value, int)))
 
     def to_unit(self, value) -> float:
         lo, hi = self._transformed_bounds()
@@ -140,17 +152,37 @@ class Study:
 
     @classmethod
     def from_json(cls, text: str) -> "Study":
+        """Read a study, refusing one that no run could have written: each
+        trial's index is its position, its params are points of the space,
+        its value is null or finite, and ``best_index`` is what replaying
+        the trials through ``record`` gives."""
         try:
             obj = json.loads(text)
             space = [ParamSpec(**{**s, "choices": tuple(s["choices"])
                                   if s["choices"] is not None else None})
                      for s in obj["space"]]
-            trials = [Trial(**t) for t in obj["trials"]]
-            return cls(space=space, trials=trials, sampler=obj["sampler"],
-                       seed=obj["seed"], best_index=obj["best_index"],
-                       meta=obj.get("meta", {}))
-        except (ValueError, KeyError, TypeError, AttributeError,
-                RecursionError) as exc:
+            study = cls(space=space, sampler=obj["sampler"], seed=obj["seed"],
+                        meta=obj.get("meta", {}))
+            if not (isinstance(obj["trials"], list)
+                    and isinstance(study.meta, dict)):
+                raise DataError("malformed study JSON: trials must be a list "
+                                "and meta an object")
+            for position, entry in enumerate(obj["trials"]):
+                trial = Trial(**entry)
+                if (trial.index != position
+                        or set(trial.params) != {s.name for s in space}
+                        or not all(s.holds(trial.params[s.name]) for s in space)
+                        or not (trial.value is None or _finite(trial.value))):
+                    raise DataError(f"malformed study JSON: trial {position} "
+                                    "has a wrong index, params outside the "
+                                    "space or a non-finite value")
+                study.record(trial)
+            if study.best_index != obj["best_index"]:
+                raise DataError("malformed study JSON: best_index is not the "
+                                "first best trial")
+            return study
+        except (ValueError, KeyError, TypeError, AttributeError, ConfigError,
+                OverflowError, RecursionError) as exc:
             raise DataError(f"malformed study JSON: {exc!r}") from None
 
 
@@ -435,7 +467,9 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
     Per trial: sample a configuration, fit the family on each fold's
     training portion with a derived seed (a risk-only fit: no curve work),
     score the held-out portion, and average. Folds are stratified on the
-    event. Failed fits record a failure marker and the study continues.
+    event; each fold's training cohort, held-out matrix and scorer are
+    built once per call. Failed fits record a failure marker and the
+    study continues.
     Fully deterministic given the seed; passing an existing ``study``
     resumes it at the recorded trial count.
     """
@@ -450,8 +484,12 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
     sample_fn = SAMPLERS[sampler]
     base_params = base_params or {}
 
-    folds = kfold(train.n, k_folds, seed=derive_seed(seed, "hpo/folds"),
-                  event=train.event)
+    folds = [(train.subset(np.delete(np.arange(train.n), idx)),
+              np.asarray(train.features[idx], dtype=float),
+              concordance_scorer(f"{objective}_c", train.time[idx],
+                                 train.event[idx]))
+             for idx in kfold(train.event, k_folds,
+                              seed=derive_seed(seed, "hpo/folds"))]
     meta = {"family": family, "k_folds": k_folds, "objective": objective,
             "stratified_folds": True}
     if study is None:
@@ -471,23 +509,12 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
         params = sample_fn(space, study.trials, rng)
         fold_values = []
         error = None
-        for f, test_idx in enumerate(folds):
-            mask = np.ones(train.n, dtype=bool)
-            mask[test_idx] = False
+        for f, (fold_train, X_held_out, score) in enumerate(folds):
             fit_seed = derive_seed(seed, f"hpo/trial/{t}/fold/{f}")
             try:
-                model = fit_family(family, train.subset(np.flatnonzero(mask)),
-                                   curves=False,
+                model = fit_family(family, fold_train, curves=False,
                                    **{**base_params, **params, "seed": fit_seed})
-                risks = predict_risk(model, np.asarray(
-                    train.features[test_idx], dtype=float))
-                t_ev = train.time[test_idx]
-                e_ev = train.event[test_idx]
-                if objective == "harrell":
-                    value = harrell_c(t_ev, e_ev, risks).c_index
-                else:
-                    g = censoring_survival(t_ev, e_ev)
-                    value = ipcw_c(t_ev, e_ev, risks, g).c_index
+                value = score(predict_risk(model, X_held_out))
             except (DataError, TrainingError, ValueError) as exc:
                 error = f"fold {f}: {exc}"
                 log.warning("trial %d failed: %s", t, error)

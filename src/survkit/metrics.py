@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .estimators import StepFunction
+from .errors import ConfigError, DataError
+from .estimators import StepFunction, censoring_survival
 
 __all__ = [
     "ConcordanceResult",
@@ -34,6 +34,7 @@ __all__ = [
     "TdAucResult",
     "harrell_c",
     "ipcw_c",
+    "concordance_scorer",
     "brier",
     "ibs",
     "td_auc",
@@ -224,6 +225,17 @@ def ipcw_c(time, event, risk, censor_dist: StepFunction,
     return ConcordanceResult(c_index=float(c), concordant=concordant,
                              discordant=float(comparable - concordant - tied),
                              tied_risk=tied, comparable=comparable)
+
+
+def concordance_scorer(metric: str, time, event):
+    """``harrell_c`` or ``ipcw_c`` (under these targets' censoring survival,
+    built once) of fixed targets, as a function of risks."""
+    if metric == "harrell_c":
+        return lambda risk: harrell_c(time, event, risk).c_index
+    if metric == "ipcw_c":
+        g = censoring_survival(time, event)
+        return lambda risk: ipcw_c(time, event, risk, g).c_index
+    raise ConfigError(f"unknown concordance metric {metric!r}")
 
 
 def brier(t: float, predicted_survival, time, event,

@@ -159,30 +159,22 @@ def split(cohort: Cohort, test_fraction: float, stratify_on_event: bool = True,
     else:
         perm = rng.permutation(n)
         test_idx = np.sort(perm[:n_test])
-    mask = np.zeros(n, dtype=bool)
-    mask[test_idx] = True
-    return cohort.subset(np.flatnonzero(~mask)), cohort.subset(test_idx)
+    train_idx = np.delete(np.arange(n), test_idx)
+    return cohort.subset(train_idx), cohort.subset(test_idx)
 
 
-def kfold(n: int, k: int, seed: int = 0,
-          event: np.ndarray | None = None) -> list[np.ndarray]:
-    """Partition indices 0..n-1 into k folds of near-equal size.
+def kfold(event: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
+    """Partition indices 0..n-1 (n = ``event.size``) into k folds.
 
-    Fold sizes differ by at most one. When ``event`` is given, fold
-    assignment is round-robin within each stratum so event rates stay
-    balanced across folds.
+    Fold assignment is round-robin within each event stratum, so fold
+    sizes differ by at most one and event rates stay balanced.
     """
+    event = np.asarray(event)
     if k < 2:
         raise DataError("k must be at least 2")
-    if k > n:
+    if k > event.size:
         raise DataError("more folds than samples")
     rng = np.random.default_rng(seed)
-    if event is None:
-        order = rng.permutation(n)
-    else:
-        event = np.asarray(event)
-        if event.shape != (n,):
-            raise DataError("event length must be n")
-        parts = [rng.permutation(np.flatnonzero(event == v)) for v in (1, 0)]
-        order = np.concatenate([p for p in parts if p.size])
+    parts = [rng.permutation(np.flatnonzero(event == v)) for v in (1, 0)]
+    order = np.concatenate([p for p in parts if p.size])
     return [np.sort(order[j::k]) for j in range(k)]

@@ -1,4 +1,5 @@
 import json
+import shutil
 import typing
 
 import numpy as np
@@ -320,6 +321,80 @@ class TestMalformedBestParams:
         assert params["n_trees"] == 2 and params["mtry"] is None
 
 
+def _set_trial(position, **fields):
+    return lambda study: study["trials"][position].update(fields)
+
+
+def _set_param(position, name, value):
+    return lambda study: study["trials"][position]["params"].update(
+        {name: value})
+
+
+# One field of a 3-trial ssvm study, changed to what no run writes.
+STUDY_MUTANTS = {
+    "best_index_fraction": lambda study: study.update(best_index=1.5),
+    "best_index_string": lambda study: study.update(best_index="0"),
+    "best_index_huge": lambda study: study.update(best_index=10 ** 30),
+    "best_index_negative": lambda study: study.update(best_index=-99),
+    "best_index_not_best": lambda study: study.update(
+        best_index=min(range(3), key=lambda i: study["trials"][i]["value"])),
+    "value_list": _set_trial(1, value=[1]),
+    "value_string": _set_trial(1, value="x"),
+    "value_nan": _set_trial(0, value=float("nan")),
+    "params_number": _set_trial(1, params=3),
+    "param_string": _set_param(1, "gamma", "x"),
+    "param_out_of_bounds": _set_param(1, "epochs", 1000),
+    "int_param_fraction": _set_param(1, "epochs", 7.5),
+    "param_extra": _set_param(1, "tol", 0.1),
+    "param_missing": lambda study: study["trials"][1]["params"].pop("epochs"),
+    "index_shifted": _set_trial(1, index=2),
+    "meta_number": lambda study: study.update(meta=3),
+    "trials_object": lambda study: study.update(trials={}),
+}
+
+
+@pytest.fixture(scope="module")
+def ssvm_studies(tmp_path_factory):
+    """A run directory with a 3-trial ssvm study for every sampler, and the
+    config that resumes them."""
+    root = tmp_path_factory.mktemp("studies")
+    out = root / "run"
+    keys = {"out": str(out), "seed": "11", "synth.n": "120", "synth.d": "3",
+            "prep.input": str(out / "cohort.csv"), "families": "ssvm",
+            "sampler": "all", "trials": "3", "folds": "2",
+            "hpo.space.ssvm.gamma": "float:0.01:1:log",
+            "hpo.space.ssvm.epochs": "int:5:20"}
+    cfg = write_config(root / "a.cfg", **keys)
+    for verb in ("synth", "prep", "hpo"):
+        assert run([verb, "--config", cfg]) == 0
+    return out, keys
+
+
+class TestMalformedStudy:
+    def test_unchanged_studies_resume(self, ssvm_studies, tmp_path):
+        base, keys = ssvm_studies
+        shutil.copytree(base, tmp_path / "run")
+        cfg = write_config(tmp_path / "b.cfg", **{
+            **keys, "out": str(tmp_path / "run"), "trials": "8"})
+        assert run(["hpo", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("mutant", STUDY_MUTANTS)
+    def test_resumed_study_exits_3(self, ssvm_studies, tmp_path, mutant):
+        # 8 trials take CMA-ES (population 6 over two numeric params) past
+        # one generation, so the resumed trials are replayed too
+        base, keys = ssvm_studies
+        out = tmp_path / "run"
+        shutil.copytree(base, out)
+        for sampler in ("random", "tpe", "cmaes"):
+            path = out / "studies" / f"study_ssvm_{sampler}.json"
+            study = json.loads(path.read_text())
+            STUDY_MUTANTS[mutant](study)
+            path.write_text(json.dumps(study))
+        cfg = write_config(tmp_path / "b.cfg",
+                           **{**keys, "out": str(out), "trials": "8"})
+        assert run(["hpo", "--config", cfg]) == 3
+
+
 class TestExplainCommand:
     def test_outputs(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "te.cfg", **{
@@ -381,6 +456,18 @@ class TestExplainCommand:
         assert run(["explain", "--config", cfg2]) == 3
         assert f"{key} must be at least 1, got {value}" in caplog.text
         assert not list(prepared_dir.glob("importance_*.csv"))
+
+    @pytest.mark.parametrize("key,value", [("metric", "foo"),
+                                           ("mode", "bogus")])
+    def test_unknown_metric_or_mode_exits_2(self, prepared_dir, tmp_path,
+                                            caplog, key, value):
+        # refused before the (here missing) model file is looked for
+        cfg = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
+            f"explain.{key}": value,
+        })
+        assert run(["explain", "--config", cfg]) == 2
+        assert f"explain.{key} must be" in caplog.text
 
 
 class TestExitCodes:

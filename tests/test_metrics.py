@@ -8,10 +8,10 @@ from conftest import (harrell_oracle, ibs_per_time_oracle, ipcw_oracle,
                       random_survival_instance, td_auc_oracle,
                       td_auc_per_time_oracle)
 from survkit.data import synth_cohort
-from survkit.errors import DataError
+from survkit.errors import ConfigError, DataError
 from survkit.estimators import StepFunction, censoring_survival, kaplan_meier
-from survkit.metrics import (TimeGrid, brier, default_tau, default_time_grid,
-                             harrell_c, ibs, ipcw_c, td_auc)
+from survkit.metrics import (TimeGrid, brier, concordance_scorer, default_tau,
+                             default_time_grid, harrell_c, ibs, ipcw_c, td_auc)
 
 
 class TestHarrellC:
@@ -99,6 +99,33 @@ class TestIpcwC:
         g = censoring_survival([1, 2, 3, 4.0], [1, 1, 0, 1])
         with pytest.raises(DataError, match="times must not be NaN"):
             ipcw_c([1, np.nan, 3, 4], [1, 1, 0, 1], [4, 3, 2, 1], g, tau=3.5)
+
+
+def _value_or_refusal(score):
+    try:
+        return score()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestConcordanceScorer:
+    def test_scores_equal_the_metrics(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            time, event, risk = random_survival_instance(rng)
+            g = censoring_survival(time, event)
+            harrell = concordance_scorer("harrell_c", time, event)
+            ipcw = concordance_scorer("ipcw_c", time, event)
+            for r in (risk, -risk):
+                assert _value_or_refusal(lambda: harrell(r)) == \
+                    _value_or_refusal(lambda: harrell_c(time, event, r).c_index)
+                assert _value_or_refusal(lambda: ipcw(r)) == \
+                    _value_or_refusal(lambda: ipcw_c(time, event, r, g).c_index)
+
+    @pytest.mark.parametrize("name", ["harrell", "ipcw", "td_auc", ""])
+    def test_unknown_name_is_config_error(self, name):
+        with pytest.raises(ConfigError, match="unknown concordance metric"):
+            concordance_scorer(name, [1, 2, 3.0], [1, 1, 0])
 
 
 class TestBrier:

@@ -161,28 +161,28 @@ class TestSplit:
 
 class TestKfold:
     def test_ten_singletons(self):
-        folds = kfold(10, 10, seed=0)
+        folds = kfold(np.zeros(10), 10, seed=0)
         assert all(f.size == 1 for f in folds)
 
     def test_balanced_sizes(self):
-        folds = kfold(10, 3, seed=1)
+        folds = kfold(np.zeros(10), 3, seed=1)
         assert sorted(f.size for f in folds) == [3, 3, 4]
 
     def test_deterministic(self):
-        a = kfold(50, 5, seed=2)
-        b = kfold(50, 5, seed=2)
+        a = kfold(np.zeros(50), 5, seed=2)
+        b = kfold(np.zeros(50), 5, seed=2)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
 
     def test_partition(self):
-        folds = kfold(37, 4, seed=3)
+        folds = kfold(np.zeros(37), 4, seed=3)
         merged = np.sort(np.concatenate(folds))
         np.testing.assert_array_equal(merged, np.arange(37))
 
     def test_stratified_partition_and_balance(self):
         rng = np.random.default_rng(4)
         event = (rng.random(1000) < 0.4).astype(int)
-        folds = kfold(1000, 5, seed=5, event=event)
+        folds = kfold(event, 5, seed=5)
         merged = np.sort(np.concatenate(folds))
         np.testing.assert_array_equal(merged, np.arange(1000))
         rates = [event[f].mean() for f in folds]
@@ -191,4 +191,4 @@ class TestKfold:
 
     def test_k_exceeding_n_errors(self):
         with pytest.raises(DataError):
-            kfold(3, 4, seed=0)
+            kfold(np.zeros(3), 4, seed=0)
