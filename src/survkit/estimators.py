@@ -229,10 +229,13 @@ def _cox_profile(s, ev, rs, beta):
     s0 = np.cumsum(w[::-1])[::-1]
     s1 = np.cumsum((w * s)[::-1])[::-1]
     s2 = np.cumsum((w * s * s)[::-1])[::-1]
-    loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta_max)))
-    mean1 = s1[rs] / s0[rs]
-    score = float(np.sum(s[ev] - mean1))
-    info = float(np.sum(s2[rs] / s0[rs] - mean1 ** 2))
+    # a risk set whose weights all underflow gives s0 = 0 and a non-finite
+    # loglik, which the Newton step halving in cox_calibrate handles
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta_max)))
+        mean1 = s1[rs] / s0[rs]
+        score = float(np.sum(s[ev] - mean1))
+        info = float(np.sum(s2[rs] / s0[rs] - mean1 ** 2))
     return loglik, score, info
 
 

@@ -565,10 +565,11 @@ def cox_profile_oracle(scores, time, event, beta):
     risk_start = start[np.searchsorted(uniq, t)]
     ev = e == 1
     rs = risk_start[ev]
-    loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta.max())))
-    mean1 = s1[rs] / s0[rs]
-    score = float(np.sum(s[ev] - mean1))
-    info = float(np.sum(s2[rs] / s0[rs] - mean1 ** 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglik = float(np.sum(eta[ev] - (np.log(s0[rs]) + eta.max())))
+        mean1 = s1[rs] / s0[rs]
+        score = float(np.sum(s[ev] - mean1))
+        info = float(np.sum(s2[rs] / s0[rs] - mean1 ** 2))
     return loglik, score, info
 
 
