@@ -29,7 +29,8 @@ from .data import (INTERVAL_CATEGORIES, Cohort, ColumnSpec, FilterRules,
                    write_cohort_csv)
 from .errors import ConfigError, DataError, SurvKitError, TrainingError
 from .estimators import censoring_survival, kaplan_meier
-from .explain import global_attribution, permutation_importance
+from .explain import (EXACT_MAX_FEATURES, global_attribution,
+                      permutation_importance)
 from .hpo import ParamSpec, Study, run_study
 from .metrics import (default_time_grid, harrell_c, ibs, ipcw_c, td_auc)
 from .preprocess import fit_encoder, split, transform
@@ -627,7 +628,7 @@ def cmd_explain(config: RunConfig) -> int:
         seed=derive_seed(seed, f"explain/pi/{family}"))
 
     if mode is None:
-        mode = "exact" if eval_cohort.n_features <= 12 else "montecarlo"
+        mode = "exact" if eval_cohort.n_features <= EXACT_MAX_FEATURES else "montecarlo"
     sample_size = min(config.get_int("explain.sample_size", 100), eval_cohort.n)
     shap = global_attribution(
         model, eval_cohort, sample_size=sample_size, mode=mode,
@@ -693,6 +694,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except TrainingError as exc:
         log.error("training failure: %s", exc)
+        return EXIT_TRAINING
+    except MemoryError as exc:
+        log.error("out of memory: %r", exc)
         return EXIT_TRAINING
 
 

@@ -115,12 +115,10 @@ def _check_targets(time, event):
 
 def _life_table(time, event):
     """Risk-set bookkeeping: distinct times with deaths, censorings, at-risk."""
-    order = np.argsort(time, kind="stable")
-    t, e = time[order], event[order]
-    uniq, start = np.unique(t, return_index=True)
-    deaths = np.add.reduceat(e.astype(float), start)
-    leaving = np.add.reduceat(np.ones_like(t), start)
-    at_risk = t.size - np.concatenate(([0.0], np.cumsum(leaving)[:-1]))
+    order, uniq, start = _time_blocks(time)
+    deaths = np.add.reduceat(event[order].astype(float), start)
+    leaving = np.add.reduceat(np.ones_like(time), start)
+    at_risk = time.size - np.concatenate(([0.0], np.cumsum(leaving)[:-1]))
     censored = leaving - deaths
     return uniq, deaths, censored, at_risk
 

@@ -10,7 +10,6 @@ maximizes the fold-averaged concordance index.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -86,7 +85,11 @@ class ParamSpec:
 
     def from_unit(self, u: float):
         lo, hi = self._transformed_bounds()
-        v = lo + float(np.clip(u, 0.0, 1.0)) * (hi - lo)
+        return self.from_transformed(lo + float(np.clip(u, 0.0, 1.0)) * (hi - lo))
+
+    def from_transformed(self, v: float):
+        """The point at search coordinate ``v`` (log scale where declared),
+        rounded for an int and clipped to the bounds."""
         if self.log:
             v = math.exp(v)
         if self.kind == "int":
@@ -154,8 +157,8 @@ class Study:
     def from_json(cls, text: str) -> "Study":
         """Read a study, refusing one that no run could have written: each
         trial's index is its position, its params are points of the space,
-        its value is null or finite, and ``best_index`` is what replaying
-        the trials through ``record`` gives."""
+        it has a finite value and ``meta["k_folds"]`` finite fold values or
+        a string error and null ones; ``best_index`` is what ``record`` gives."""
         try:
             obj = json.loads(text)
             space = [ParamSpec(**{**s, "choices": tuple(s["choices"])
@@ -169,13 +172,18 @@ class Study:
                                 "and meta an object")
             for position, entry in enumerate(obj["trials"]):
                 trial = Trial(**entry)
+                folds = trial.fold_values
                 if (trial.index != position
                         or set(trial.params) != {s.name for s in space}
                         or not all(s.holds(trial.params[s.name]) for s in space)
-                        or not (trial.value is None or _finite(trial.value))):
+                        or not ((isinstance(trial.error, str) and folds is None)
+                                if trial.failed else _finite(trial.value)
+                                and isinstance(folds, list)
+                                and all(map(_finite, folds)) and len(folds)
+                                == study.meta.get("k_folds", len(folds)))):
                     raise DataError(f"malformed study JSON: trial {position} "
-                                    "has a wrong index, params outside the "
-                                    "space or a non-finite value")
+                                    "has a wrong index, params, value, fold "
+                                    "values or error")
                 study.record(trial)
             if study.best_index != obj["best_index"]:
                 raise DataError("malformed study JSON: best_index is not the "
@@ -257,12 +265,7 @@ def _tpe_numeric(spec: ParamSpec, good: np.ndarray, bad: np.ndarray,
     dens_g = _ParzenDensity(transform(bad), lo, hi)
     cand = dens_l.sample(_TPE_CANDIDATES, rng)
     score = dens_l.pdf(cand) / np.maximum(dens_g.pdf(cand), 1e-300)
-    best = float(cand[int(np.argmax(score))])
-    if spec.log:
-        best = math.exp(best)
-    if spec.kind == "int":
-        return int(np.clip(round(best), spec.low, spec.high))
-    return float(np.clip(best, spec.low, spec.high))
+    return spec.from_transformed(float(cand[int(np.argmax(score))]))
 
 
 def _tpe_categorical(spec: ParamSpec, good: list, bad: list,
@@ -386,46 +389,21 @@ class _CmaState:
         self.mean = new_mean
 
 
-# (numeric space, the (params, value) records of the longest history
-# prefix replayed so far, the state reached after it). A pure
-# cache: it is read once per call, replaced whole and never updated in
-# place, so any caller, thread or test sees the state of a full replay.
-_cma_resume: tuple | None = None
-
-
 def _cma_replay(space: list[ParamSpec], history: list[Trial]
                 ) -> tuple[_CmaState, int, list[ParamSpec]]:
-    """The state after every completed generation of ``history``.
-
-    A history that extends the last replayed prefix resumes from the state
-    cached after it, so a study's T calls cost O(T) updates in all; any
-    other history replays from the start. The updates run in the same
-    order either way, so the state is the same bit for bit.
-    """
-    global _cma_resume
+    """The state after replaying every completed generation of ``history``."""
     numeric = [s for s in space if s.is_numeric]
     if not numeric:
         raise ConfigError("CMA-ES needs at least one numeric parameter")
     d = len(numeric)
     lam = 4 + int(3 * math.log(d))  # the standard population (Hansen 2016)
-    end = len(history) - len(history) % lam
-    state, done = _CmaState(d, _CMA_SIGMA0), []
-    if _cma_resume is not None:
-        cached_space, records, cached = _cma_resume
-        if cached_space == tuple(numeric) and records == [
-                (t.params, t.value) for t in history[:len(records)]]:
-            state, done = cached, records
-    if len(done) < end:
-        state = copy.deepcopy(state)  # a caller may hold the cached state
-        for start in range(len(done), end, lam):
-            gen = history[start:start + lam]
-            xs = np.array([[s.to_unit(t.params[s.name]) for s in numeric]
-                           for t in gen])
-            fitness = np.array([np.nan if t.failed else t.value for t in gen])
-            state.update(xs, fitness, lam)
-        done = done + [(dict(t.params), t.value)
-                       for t in history[len(done):end]]
-        _cma_resume = (tuple(numeric), done, state)
+    state = _CmaState(d, _CMA_SIGMA0)
+    for start in range(0, len(history) - lam + 1, lam):
+        gen = history[start:start + lam]
+        xs = np.array([[s.to_unit(t.params[s.name]) for s in numeric]
+                       for t in gen])
+        fitness = np.array([np.nan if t.failed else t.value for t in gen])
+        state.update(xs, fitness, lam)
     return state, lam, numeric
 
 
@@ -440,9 +418,7 @@ def sample_cmaes(space: list[ParamSpec], history: list[Trial],
     """
     state, _, numeric = _cma_replay(space, history)
     x = np.clip(state.sample(rng), 0.0, 1.0)
-    params = {}
-    for spec, u in zip(numeric, x):
-        params[spec.name] = spec.from_unit(float(u))
+    params = {spec.name: spec.from_unit(float(u)) for spec, u in zip(numeric, x)}
     for spec in space:
         if not spec.is_numeric:
             log.debug("CMA-ES: categorical %s sampled randomly", spec.name)
@@ -507,8 +483,7 @@ def run_study(train: Cohort, family: str, space: list[ParamSpec],
     for t in range(len(study.trials), n_trials):
         rng = np.random.default_rng(derive_seed(seed, f"hpo/trial/{t}"))
         params = sample_fn(space, study.trials, rng)
-        fold_values = []
-        error = None
+        fold_values, error = [], None
         for f, (fold_train, X_held_out, score) in enumerate(folds):
             fit_seed = derive_seed(seed, f"hpo/trial/{t}/fold/{f}")
             try:

@@ -789,6 +789,8 @@ def _check_dim(model: FittedModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DataError(f"expected {model.n_features} features, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("features must be finite")
     return X
 
 

@@ -813,3 +813,18 @@ class TestMalformedConfigValues:
         assert params["n_trees"] == 2 and params["mtry"] is None
         assert params["bootstrap"] is False
         assert type(params["bootstrap_fraction"]) is float
+
+
+@pytest.mark.parametrize("verb,target", [("hpo", "survkit.hpo.fit_family"),
+                                         ("train-eval", "survkit.models.fit_family")])
+def test_memory_error_exits_4_with_message(prepared_dir, tmp_path, caplog,
+                                           monkeypatch, verb, target):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    monkeypatch.setattr(target, out_of_memory)
+    cfg = write_config(tmp_path / "mem.cfg", **{
+        "out": str(prepared_dir), "seed": "11", "families": "ssvm",
+        "sampler": "random", "trials": "1", "folds": "2"})
+    assert run([verb, "--config", cfg]) == 4
+    assert "out of memory" in caplog.text and "2.00 GiB" in caplog.text

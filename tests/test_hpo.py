@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -66,6 +67,47 @@ class TestTrialStudy:
         text = study.to_json()
         with pytest.raises(DataError, match="malformed study JSON"):
             Study.from_json(text[:len(text) // 2])
+
+
+def _two_fold_study() -> dict:
+    """A written 2-fold study: trial 0 completed, trial 1 failed."""
+    study = Study(space=[ParamSpec("x", "float", 0, 1)], sampler="random",
+                  meta={"k_folds": 2})
+    study.record(Trial(index=0, params={"x": 0.5}, value=0.7,
+                       fold_values=[0.6, 0.8]))
+    study.record(Trial(index=1, params={"x": 0.2}, error="fold 0: boom"))
+    return json.loads(study.to_json())
+
+
+# (trial, field, value) that no run writes
+FOLD_MUTANTS = [
+    (0, "fold_values", "zz"),
+    (0, "fold_values", [1.0]),
+    (0, "fold_values", [1, 2, float("nan")]),
+    (0, "fold_values", [0.6, float("nan")]),
+    (0, "fold_values", [0.6, float("inf")]),
+    (0, "fold_values", [0.6, True]),
+    (0, "fold_values", [0.6, "0.8"]),
+    (0, "fold_values", None),
+    (1, "error", 5),
+    (1, "error", ["boom"]),
+    (1, "fold_values", [0.6, 0.8]),
+    (1, "fold_values", []),
+]
+
+
+class TestStudyFoldValues:
+    def test_written_study_loads(self):
+        text = json.dumps(_two_fold_study())
+        assert Study.from_json(text).to_json() == json.dumps(
+            json.loads(text), sort_keys=True)
+
+    @pytest.mark.parametrize("position,key,value", FOLD_MUTANTS)
+    def test_bad_fold_values_or_error_refused(self, position, key, value):
+        obj = _two_fold_study()
+        obj["trials"][position][key] = value
+        with pytest.raises(DataError, match="malformed study JSON"):
+            Study.from_json(json.dumps(obj))
 
 
 class TestRandomSampler:

@@ -564,6 +564,19 @@ class TestFamilyTable:
                 with pytest.raises(NoSurvivalFunctionError):
                     survival_matrix(model, cohort.features[:4], times)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_data_errors(self, fitted_families, bad):
+        cohort, models = fitted_families
+        X = np.array(cohort.features[:4], dtype=float)
+        X[1, 2] = bad
+        times = np.quantile(cohort.time, [0.2, 0.5, 0.8])
+        for family, model in models.items():
+            with pytest.raises(DataError, match="features must be finite"):
+                predict_risk(model, X)
+            if family in CURVE_FAMILIES:
+                with pytest.raises(DataError, match="features must be finite"):
+                    survival_matrix(model, X, times)
+
     def test_unknown_family_rejected(self, tmp_path, fitted_families):
         cohort, models = fitted_families
         with pytest.raises(ConfigError, match="unknown model family"):
