@@ -43,6 +43,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 
+# metrics.grid_resolution at most: a survival matrix holds test rows x
+# resolution floats
+MAX_GRID_RESOLUTION = 10_000
+
 # RawRecord field -> default registry column name
 DEFAULT_SCHEMA = {
     "institution": "INSTITU", "education": "ESCOLARI", "age": "IDADE",
@@ -437,8 +441,9 @@ def _fits_type(value, kind) -> bool:
 
 def _best_params(path: Path, param_class, fields: dict) -> dict:
     """The ``params`` object of a ``best_params_<family>.json`` file. A
-    file that is not JSON, has no ``params`` object, or names a key, a
-    value type or a value that ``param_class`` refuses is a DataError."""
+    file that is not JSON or has no ``params`` object is a DataError, and
+    so is one that names a key, a value type or a value that
+    ``param_class`` refuses."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -506,12 +511,20 @@ def cmd_train_eval(config: RunConfig) -> int:
     elif censor_source == "train":
         censor_dist = censoring_survival(train.time, train.event)
     else:
-        raise ConfigError(f"metrics.censor_source must be eval or train")
+        raise ConfigError("metrics.censor_source must be eval or train, "
+                          f"got {censor_source!r}")
     tau = config.get_float("metrics.tau")
+    if tau is not None and not tau > 0:  # NaN too
+        raise ConfigError(f"metrics.tau must be positive, got {tau}")
+    if tau is not None and censor_dist(tau) <= 0:  # ipcw_c would refuse it
+        raise DataError(f"censoring survival is zero at metrics.tau = {tau}")
     resolution = config.get_int("metrics.grid_resolution", 100)
     if resolution < 2:  # IBS integrates over at least two grid times
         raise ConfigError("metrics.grid_resolution must be at least 2, "
                           f"got {resolution}")
+    if resolution > MAX_GRID_RESOLUTION:
+        raise ConfigError("metrics.grid_resolution must be at most "
+                          f"{MAX_GRID_RESOLUTION}, got {resolution}")
     horizons = config.get_float_list("horizons")
     for h in horizons:  # refused before the first fit, not after the last
         M.HorizonParams(horizon=h)

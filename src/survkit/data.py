@@ -198,14 +198,6 @@ class FilterRules:
         "morphology_mismatch",
     )
 
-    @classmethod
-    def none_active(cls) -> "FilterRules":
-        return cls(min_age=None, resident_state=None,
-                   undefined_staging_codes=(),
-                   require_microscopic_confirmation=False,
-                   exclude_bone_marrow_transplant=False,
-                   morphology_code=None)
-
 
 @dataclass
 class FilterReport:

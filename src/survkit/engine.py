@@ -68,8 +68,8 @@ class NodeTable:
     ``feature`` is -1 at leaves and a split sends a row left iff
     x[feature] <= threshold. ``left``/``right`` are child node ids (-1 at
     leaves). ``value`` (leaf output) and ``gain`` (split gain) are NaN
-    where a node has none. ``row_leaf`` gives each training row's leaf for
-    survival trees and is None otherwise.
+    where a node has none. A row's leaf, training rows included, is found
+    by routing (``_route``).
     """
 
     feature: np.ndarray
@@ -78,18 +78,15 @@ class NodeTable:
     right: np.ndarray
     value: np.ndarray
     gain: np.ndarray
-    row_leaf: np.ndarray | None = None
 
     @classmethod
-    def from_lists(cls, feature, threshold, right, value, gain,
-                   row_leaf=None) -> "NodeTable":
+    def from_lists(cls, feature, threshold, right, value, gain) -> "NodeTable":
         feature = np.asarray(feature, dtype=np.intp)
         # in preorder a split's left child is the next node
         left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
         return cls(feature, np.asarray(threshold, dtype=float), left,
                    np.asarray(right, dtype=np.intp),
-                   np.asarray(value, dtype=float), np.asarray(gain, dtype=float),
-                   row_leaf)
+                   np.asarray(value, dtype=float), np.asarray(gain, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -599,30 +596,26 @@ class _Grower:
     """One survival tree grown depth first: its node lists in preorder,
     its stack of pending nodes and its own feature draws."""
 
-    __slots__ = ("rng", "stack", "feature", "threshold", "right", "gain",
-                 "row_leaf", "offset")
+    __slots__ = ("rng", "stack", "feature", "threshold", "right", "gain")
 
-    def __init__(self, seed, offset, n_rows):
+    def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.stack = []
         self.feature, self.threshold, self.right, self.gain = [], [], [], []
-        self.row_leaf = np.zeros(n_rows, dtype=np.intp)
-        self.offset = offset
 
-    def leaf(self, rows) -> int:
-        """Append a leaf holding ``rows`` (forest-wide ids); its id."""
+    def leaf(self) -> int:
+        """Append a leaf; its id."""
         i = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(np.nan)
         self.right.append(-1)
         self.gain.append(np.nan)
-        self.row_leaf[rows - self.offset] = i
         return i
 
     def table(self) -> NodeTable:
         return NodeTable.from_lists(self.feature, self.threshold, self.right,
                                     np.full(len(self.feature), np.nan),
-                                    self.gain, self.row_leaf)
+                                    self.gain)
 
 
 def fit_survival_forest(X, samples, time, event,
@@ -630,20 +623,19 @@ def fit_survival_forest(X, samples, time, event,
     """Grow one survival tree per row sample, all trees in lockstep; each
     maximizes the standardized log-rank statistic at every node.
 
-    Tree t is grown on rows ``samples[t]`` of ``X`` (repeats allowed; its
-    table's ``row_leaf`` follows that sample) and draws each node's
-    ``mtry`` features from ``default_rng(seeds[t])`` in preorder;
-    ``params.seed`` is not used. Every tree keeps its own depth-first stack.
-    At each step every unfinished tree pops nodes until one needs a split
-    search (the others become leaves: depth, size, no events), so each tree
-    draws in its own preorder; then one pass finds the splits of all those
-    nodes (``_survival_z``), in parts of about
-    ``_SCREEN_BLOCK / (d + 1 + mtry)`` subjects. Each tree ranks its rows
-    once per feature and by time; every child takes the stable partition
-    of its parent's ranked rows, for all the part's splits at once. A
-    sample without events gives a single leaf, and a node of one row is a
-    leaf. The trees are those of a per-node sort and a full scan of every
-    node, one tree at a time, bit for bit.
+    Tree t is grown on rows ``samples[t]`` of ``X`` (repeats allowed) and
+    draws each node's ``mtry`` features from ``default_rng(seeds[t])`` in
+    preorder; ``params.seed`` is not used. Every tree keeps its own
+    depth-first stack. At each step every unfinished tree pops nodes until one
+    needs a split search (the others become leaves: depth, size, no events),
+    so each tree draws in its own preorder; then one pass finds the splits of
+    all those nodes (``_survival_z``), in parts of about
+    ``_SCREEN_BLOCK / (d + 1 + mtry)`` subjects. Each tree ranks its rows once
+    per feature and by time; every child takes the stable partition of its
+    parent's ranked rows, for all the part's splits at once. A sample without
+    events gives a single leaf, and a node of one row is a leaf. The trees are
+    those of a per-node sort and a full scan of every node, one tree at a
+    time, bit for bit.
     """
     X = _check_matrix(X)
     time = np.asarray(time, dtype=float)
@@ -663,7 +655,7 @@ def fit_survival_forest(X, samples, time, event,
 
     growers = []
     for s, seed, off in zip(samples, seeds, offsets):
-        grower = _Grower(seed, off, s.size)
+        grower = _Grower(seed)
         # each feature's rows, then the rows by time, as forest-wide ids
         ranked = (np.argsort(np.vstack([XT[:, s], time[s]]), axis=1,
                              kind="stable") + off).astype(np.int32)
@@ -749,7 +741,7 @@ def fit_survival_forest(X, samples, time, event,
         for grower in active:
             while grower.stack:
                 ranked, a, b, depth, parent, events = grower.stack.pop()
-                i = grower.leaf(ranked[d, a:b])
+                i = grower.leaf()
                 if parent >= 0:
                     grower.right[parent] = i
                 if (depth < params.max_depth and b - a >= max(2, 2 * msl)
@@ -777,9 +769,8 @@ def fit_survival_tree(X, time, event,
                       params: SurvivalTreeParams = SurvivalTreeParams()) -> NodeTable:
     """Grow a survival tree by maximizing the standardized log-rank
     statistic: ``fit_survival_forest`` with one tree on all rows, seeded by
-    ``params.seed``. The table records each row's leaf so callers can attach
-    nonparametric estimates. Nodes without events or without an admissible
-    split become leaves.
+    ``params.seed``. Nodes without events or without an admissible split
+    become leaves.
     """
     X = _check_matrix(X)
     if np.asarray(event, dtype=int).sum() == 0:

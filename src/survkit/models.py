@@ -483,14 +483,13 @@ def fit_rsf(train: Cohort, params: RsfParams = RsfParams()) -> FittedModel:
                            min_samples_leaf=params.min_samples_leaf,
                            mtry=mtry), seeds)
     trees, steps = [], []
-    for table, sample in zip(tables, samples):
+    for table, sample, leaf in zip(tables, samples, engine._route(tables, X)):
         # a leaf's id is its rank among the leaves in preorder; the value
-        # slot holds it, and the sample-local row_leaf is dropped
+        # slot holds it
         is_leaf = table.feature < 0
         rank = np.cumsum(is_leaf) - 1
-        trees.append(replace(table, value=np.where(is_leaf, rank, np.nan),
-                             row_leaf=None))
-        steps.append(_leaf_chf(rank[table.row_leaf], int(is_leaf.sum()),
+        trees.append(replace(table, value=np.where(is_leaf, rank, np.nan)))
+        steps.append(_leaf_chf(rank[leaf[sample]], int(is_leaf.sum()),
                                train.time[sample], train.event[sample], grid))
     return _fitted(RSF, train, X,
                    RsfForest(trees=trees, steps=steps, grid=grid), params)

@@ -1,6 +1,5 @@
 import csv
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -734,8 +733,7 @@ def _scan_split(z, thresholds):
 def survival_tree_oracle(X, time, event, params):
     """Survival tree grown by recursion, one node's split search at a time
     (the pre-lockstep code): ``_grow`` with a screen or a scan per node; a
-    node of one row is a leaf. Returns its NodeTable, with each row's
-    leaf."""
+    node of one row is a leaf. Returns its NodeTable and each row's leaf."""
     X = np.asarray(X, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=int)
@@ -759,5 +757,4 @@ def survival_tree_oracle(X, time, event, params):
             return None
         return found[0], int(feats[found[1]]), found[2]
 
-    table, row_leaf = _grow(X, split, lambda idx: np.nan)
-    return replace(table, row_leaf=row_leaf)
+    return _grow(X, split, lambda idx: np.nan)

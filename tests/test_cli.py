@@ -5,7 +5,8 @@ import typing
 import numpy as np
 import pytest
 
-from survkit.cli import RunConfig, _best_params, _space_for, main
+from survkit.cli import (MAX_GRID_RESOLUTION, RunConfig, _best_params,
+                         _space_for, main)
 from survkit.errors import ConfigError, DataError
 from survkit.hpo import ParamSpec, Study
 from survkit.models import GbParams, load_model
@@ -778,6 +779,57 @@ class TestMalformedConfigValues:
                 f"got {resolution}") in caplog.text
         assert not (prepared_dir / "metrics.json").exists()
         assert not (prepared_dir / "model_gbsa.json").exists()
+
+    def test_grid_resolution_above_cap_exits_2(self, prepared_dir, tmp_path,
+                                               caplog):
+        resolution = MAX_GRID_RESOLUTION + 1
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gbsa",
+            "family.gbsa.n_rounds": "3",
+            "metrics.grid_resolution": str(resolution),
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert ("metrics.grid_resolution must be at most "
+                f"{MAX_GRID_RESOLUTION}, got {resolution}") in caplog.text
+        assert not list(prepared_dir.glob("model_*.json"))
+        assert not (prepared_dir / "metrics.json").exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "0", "-1"])
+    def test_bad_tau_exits_2_before_fitting(self, prepared_dir, tmp_path,
+                                            caplog, tau):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11",
+            "families": "ssvm,gb_cox", "family.gb_cox.n_rounds": "3",
+            "metrics.tau": tau,
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert f"metrics.tau must be positive, got {float(tau)}" in caplog.text
+        assert not list(prepared_dir.glob("model_*.json"))
+        assert not (prepared_dir / "metrics.json").exists()
+
+    @pytest.mark.parametrize("tau", ["inf", "1e9"])
+    def test_tau_past_censoring_support_exits_3(self, prepared_dir, tmp_path,
+                                                caplog, tau):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11",
+            "families": "ssvm,gb_cox", "family.gb_cox.n_rounds": "3",
+            "metrics.tau": tau,
+        })
+        assert run(["train-eval", "--config", cfg]) == 3
+        assert ("censoring survival is zero at metrics.tau = "
+                f"{float(tau)}") in caplog.text
+        assert not list(prepared_dir.glob("model_*.json"))
+
+    def test_bad_censor_source_names_the_value(self, prepared_dir, tmp_path,
+                                               caplog):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3", "metrics.censor_source": "test",
+        })
+        assert run(["train-eval", "--config", cfg]) == 2
+        assert ("metrics.censor_source must be eval or train, got 'test'"
+                in caplog.text)
+        assert not list(prepared_dir.glob("model_*.json"))
 
     @pytest.mark.parametrize("horizon", ["0", "-1", "inf"])
     def test_bad_horizon_exits_2_before_fitting(self, prepared_dir, tmp_path,

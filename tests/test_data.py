@@ -105,7 +105,12 @@ class TestApplyFilters:
     def test_all_rules_inactive_identity(self):
         records = [compliant_record(age=5, residence_state="XX",
                                     morphology="9999")]
-        kept, report = apply_filters(records, FilterRules.none_active())
+        rules = FilterRules(min_age=None, resident_state=None,
+                            undefined_staging_codes=(),
+                            require_microscopic_confirmation=False,
+                            exclude_bone_marrow_transplant=False,
+                            morphology_code=None)
+        kept, report = apply_filters(records, rules)
         assert kept == records
         assert sum(report.removed.values()) == 0
 

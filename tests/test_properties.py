@@ -310,21 +310,23 @@ def test_logrank_screen_in_small_blocks(monkeypatch, block):
 
 
 def _assert_same_table(table, expected):
-    for name in ("feature", "threshold", "left", "right", "value", "gain",
-                 "row_leaf"):
+    for name in ("feature", "threshold", "left", "right", "value", "gain"):
         assert getattr(table, name).dtype == getattr(expected, name).dtype
         assert (getattr(table, name).tobytes()
                 == getattr(expected, name).tobytes()), name
 
 
 def _assert_forest_equals_oracle(X, samples, time, event, params, seeds):
-    """Every tree of the lockstep forest == the recursive one-tree grower."""
+    """Every tree of the lockstep forest == the recursive one-tree grower,
+    and routing its sample (repeats included) reaches the grower's leaves."""
     tables = fit_survival_forest(X, samples, time, event, params, seeds)
     assert len(tables) == len(samples)
     for table, sample, seed in zip(tables, samples, seeds):
-        expected = survival_tree_oracle(X[sample], time[sample], event[sample],
-                                        replace(params, seed=int(seed)))
+        expected, leaf = survival_tree_oracle(
+            X[sample], time[sample], event[sample],
+            replace(params, seed=int(seed)))
         _assert_same_table(table, expected)
+        assert engine._route([table], X[sample])[0].tolist() == leaf.tolist()
     return tables
 
 
@@ -451,7 +453,8 @@ def test_survival_forest_bootstraps_without_events():
     for table, sample, none in zip(tables, samples, empty):
         if none:  # a single leaf holding every sampled row
             assert table.feature.tolist() == [-1]
-            assert table.row_leaf.tolist() == [0] * sample.size
+            leaf = engine._route([table], X[sample])[0]
+            assert leaf.tolist() == [0] * sample.size
 
 
 @PROPERTY_SETTINGS
