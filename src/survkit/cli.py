@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
-from .data import (INTERVAL_CATEGORIES, Cohort, ColumnSpec, FilterRules,
-                   apply_filters, build_targets, categorize_interval,
-                   atomic_write, ingest_csv, read_cohort_csv, synth_cohort,
-                   write_cohort_csv)
+from .data import (DAYS_PER_MONTH, INTERVAL_CATEGORIES, Cohort, ColumnSpec,
+                   FilterRules, apply_filters, build_targets,
+                   categorize_interval, atomic_write, ingest_csv,
+                   read_cohort_csv, synth_cohort, write_cohort_csv)
 from .errors import ConfigError, DataError, SurvKitError, TrainingError
 from .estimators import censoring_survival, kaplan_meier
 from .explain import (EXACT_MAX_FEATURES, global_attribution,
@@ -70,6 +70,9 @@ FEATURE_FIELDS = (
     "hospital_qualification", "hospital_region",
 )
 DERIVED_FEATURES = ("consult_to_treatment_cat", "diagnosis_to_treatment_cat")
+# the exclusion rules that ``filter.off`` may name, in attribution order
+FILTER_NAMES = ("age", "residency", "staging", "confirmation", "transplant",
+                "morphology")
 
 
 class RunConfig:
@@ -199,25 +202,31 @@ def _interval_category(treatment, reference):
 
 
 def _registry_cohort(config: RunConfig, out: Path) -> Cohort:
+    days_per_month = config.get_float("prep.days_per_month", DAYS_PER_MONTH)
+    if not (0 < days_per_month < np.inf):
+        raise ConfigError("prep.days_per_month must be finite and positive, "
+                          f"got {days_per_month!r}")
+    inactive = set(config.get_list("filter.off"))
+    unknown = sorted(inactive - set(FILTER_NAMES))
+    if unknown:
+        raise ConfigError(f"filter.off: unknown rule(s) {', '.join(unknown)}; "
+                          f"the rules are {', '.join(FILTER_NAMES)}")
     schema = dict(DEFAULT_SCHEMA)
     schema.update(config.prefixed("schema."))
     # an empty mapping drops the field (e.g. a registry without a TMO column)
     schema = {field: col for field, col in schema.items() if col}
     records = ingest_csv(config.require("prep.input"), schema)
 
-    inactive = set(config.get_list("filter.off"))
     rules = FilterRules(
         min_age=None if "age" in inactive else config.get_int("filter.min_age", 20),
         resident_state=None if "residency" in inactive
         else config.get("filter.resident_state", "SP"),
         undefined_staging_codes=() if "staging" in inactive
         else tuple(config.get_list("filter.undefined_staging", ["X", "Y", "0", ""])),
-        require_microscopic_confirmation="confirmation" not in inactive,
-        confirmation_positive_codes=tuple(
-            config.get_list("filter.confirmation_codes", ["1"])),
-        exclude_bone_marrow_transplant="transplant" not in inactive,
-        transplant_positive_codes=tuple(
-            config.get_list("filter.transplant_codes", ["1", "S"])),
+        confirmation_positive_codes=None if "confirmation" in inactive
+        else tuple(config.get_list("filter.confirmation_codes", ["1"])),
+        transplant_positive_codes=() if "transplant" in inactive
+        else tuple(config.get_list("filter.transplant_codes", ["1", "S"])),
         morphology_code=None if "morphology" in inactive
         else config.get("filter.morphology", "8140/3"),
     )
@@ -228,7 +237,6 @@ def _registry_cohort(config: RunConfig, out: Path) -> Cohort:
     dropped_missing = 0
     dropped_invalid = 0
     death_codes = tuple(config.get_list("prep.death_codes", ["1"]))
-    days_per_month = config.get_float("prep.days_per_month", 30.4375)
     for rec in kept:
         values = [getattr(rec, f) for f in FEATURE_FIELDS]
         try:

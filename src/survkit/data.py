@@ -177,15 +177,14 @@ class FilterRules:
 
     Attribution order is fixed: age, residency, staging, confirmation,
     transplant, morphology. A removed record is counted once, under the
-    first active rule that rejects it.
+    first active rule that rejects it. ``None`` switches a rule off, and
+    so do empty staging or transplant codes, which reject nothing.
     """
 
     min_age: int | None = 20
     resident_state: str | None = "SP"
     undefined_staging_codes: tuple = ("X", "Y", "0", "")
-    require_microscopic_confirmation: bool = True
-    confirmation_positive_codes: tuple = ("1",)
-    exclude_bone_marrow_transplant: bool = True
+    confirmation_positive_codes: tuple | None = ("1",)
     transplant_positive_codes: tuple = ("1", "S")
     morphology_code: str | None = "8140/3"
 
@@ -282,16 +281,14 @@ def _first_rejecting_rule(rec: RawRecord, rules: FilterRules) -> str | None:
     if rules.resident_state is not None:
         if rec.residence_state != rules.resident_state:
             return "non_resident"
-    if rules.undefined_staging_codes:
-        staging = "" if rec.staging is None else str(rec.staging)
-        if staging in rules.undefined_staging_codes:
-            return "undefined_or_in_situ_staging"
-    if rules.require_microscopic_confirmation:
+    staging = "" if rec.staging is None else str(rec.staging)
+    if staging in rules.undefined_staging_codes:
+        return "undefined_or_in_situ_staging"
+    if rules.confirmation_positive_codes is not None:
         if rec.microscopic_confirmation not in rules.confirmation_positive_codes:
             return "no_microscopic_confirmation"
-    if rules.exclude_bone_marrow_transplant:
-        if rec.bone_marrow_transplant in rules.transplant_positive_codes:
-            return "bone_marrow_transplant"
+    if rec.bone_marrow_transplant in rules.transplant_positive_codes:
+        return "bone_marrow_transplant"
     if rules.morphology_code is not None:
         if rec.morphology != rules.morphology_code:
             return "morphology_mismatch"
@@ -336,8 +333,8 @@ def categorize_interval(days: int | None) -> str:
 def build_targets(records: list[RawRecord], days_per_month: float = DAYS_PER_MONTH,
                   death_codes: tuple = ("1",)) -> list[SurvivalTarget]:
     """Derive (time in months, death indicator) from dates and vital status."""
-    if days_per_month <= 0:
-        raise DataError("days_per_month must be positive")
+    if not (0 < days_per_month < np.inf):
+        raise DataError("days_per_month must be finite and positive")
     targets = []
     for i, rec in enumerate(records):
         if rec.diagnosis_date is None or rec.last_info_date is None:

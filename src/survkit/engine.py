@@ -79,14 +79,33 @@ class NodeTable:
     value: np.ndarray
     gain: np.ndarray
 
-    @classmethod
-    def from_lists(cls, feature, threshold, right, value, gain) -> "NodeTable":
-        feature = np.asarray(feature, dtype=np.intp)
+
+class _Nodes:
+    """A tree's node lists in preorder, the one builder of ``NodeTable``: a
+    split's ``right`` is patched once its left subtree has been added."""
+
+    def __init__(self):
+        self.feature, self.threshold, self.right = [], [], []
+        self.value, self.gain = [], []
+
+    def add(self, feature=-1, threshold=np.nan, value=np.nan, gain=np.nan):
+        """Append a node whose right child is -1; its id."""
+        i = len(self.feature)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.right.append(-1)
+        self.value.append(value)
+        self.gain.append(gain)
+        return i
+
+    def table(self) -> NodeTable:
+        feature = np.asarray(self.feature, dtype=np.intp)
         # in preorder a split's left child is the next node
         left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
-        return cls(feature, np.asarray(threshold, dtype=float), left,
-                   np.asarray(right, dtype=np.intp),
-                   np.asarray(value, dtype=float), np.asarray(gain, dtype=float))
+        return NodeTable(feature, np.asarray(self.threshold, dtype=float),
+                         left, np.asarray(self.right, dtype=np.intp),
+                         np.asarray(self.value, dtype=float),
+                         np.asarray(self.gain, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -221,36 +240,28 @@ def _regression_tree(X, gradients, hessians, params: TreeParams, rows):
     if np.any(h < 0):
         raise DataError("hessians must be nonnegative")
     lam = params.reg_lambda
-    feature, threshold, right, value, gain = [], [], [], [], []
+    nodes = _Nodes()
     row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
 
     def build(idx, node_rows, depth):
-        i = len(feature)
         found = None
         if depth < params.max_depth and idx.size >= 2 * params.min_samples_leaf:
             found = _best_regression_split(X, g, h, idx, params, node_rows)
-        right.append(-1)
         if found is None or found[0] <= params.min_split_gain:
             denom = h[idx].sum() + lam
-            feature.append(-1)
-            threshold.append(np.nan)
-            value.append(0.0 if denom <= 0 else -g[idx].sum() / denom)
-            gain.append(np.nan)
-            row_leaf[idx] = i
+            row_leaf[idx] = nodes.add(
+                value=0.0 if denom <= 0 else -g[idx].sum() / denom)
             return
         node_gain, feat, thr = found
-        feature.append(feat)
-        threshold.append(thr)
-        value.append(np.nan)
-        gain.append(node_gain)
+        i = nodes.add(feat, thr, gain=node_gain)
         mask = X[idx, feat] <= thr
         go = X[node_rows, feat] <= thr
         build(idx[mask], node_rows[go].reshape(X.shape[1], -1), depth + 1)
-        right[i] = len(feature)
+        nodes.right[i] = len(nodes.feature)
         build(idx[~mask], node_rows[~go].reshape(X.shape[1], -1), depth + 1)
 
     build(np.arange(X.shape[0]), rows, 0)
-    return NodeTable.from_lists(feature, threshold, right, value, gain), row_leaf
+    return nodes.table(), row_leaf
 
 
 @dataclass(frozen=True)
@@ -592,30 +603,14 @@ def _first_maxima(z, xs):
     return found
 
 
-class _Grower:
-    """One survival tree grown depth first: its node lists in preorder,
-    its stack of pending nodes and its own feature draws."""
-
-    __slots__ = ("rng", "stack", "feature", "threshold", "right", "gain")
+class _Grower(_Nodes):
+    """One survival tree grown depth first: its nodes, its stack of
+    pending nodes and its own feature draws."""
 
     def __init__(self, seed):
+        super().__init__()
         self.rng = np.random.default_rng(seed)
         self.stack = []
-        self.feature, self.threshold, self.right, self.gain = [], [], [], []
-
-    def leaf(self) -> int:
-        """Append a leaf; its id."""
-        i = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.right.append(-1)
-        self.gain.append(np.nan)
-        return i
-
-    def table(self) -> NodeTable:
-        return NodeTable.from_lists(self.feature, self.threshold, self.right,
-                                    np.full(len(self.feature), np.nan),
-                                    self.gain)
 
 
 def fit_survival_forest(X, samples, time, event,
@@ -741,7 +736,7 @@ def fit_survival_forest(X, samples, time, event,
         for grower in active:
             while grower.stack:
                 ranked, a, b, depth, parent, events = grower.stack.pop()
-                i = grower.leaf()
+                i = grower.add()
                 if parent >= 0:
                     grower.right[parent] = i
                 if (depth < params.max_depth and b - a >= max(2, 2 * msl)
@@ -933,34 +928,27 @@ def tree_from_dict(obj: dict) -> NodeTable:
     nonnegative int, or a non-numeric threshold, gain or leaf value raises
     ValueError.
     """
-    feature, threshold, right, value, gain = [], [], [], [], []
+    nodes = _Nodes()
 
-    def add(node):
+    def read(node):
         if not isinstance(node, dict):
             raise ValueError(f"tree node {node!r} is not an object")
-        i = len(feature)
-        right.append(-1)
         if "feature" not in node:
             v = node.get("value")
-            feature.append(-1)
-            threshold.append(np.nan)
-            value.append(np.nan if v is None else _number(v, "leaf value"))
-            gain.append(np.nan)
+            nodes.add(value=np.nan if v is None else _number(v, "leaf value"))
             return
         f = node["feature"]
         if isinstance(f, bool) or not isinstance(f, int) or f < 0:
             raise ValueError(f"split feature {f!r} is not a column index")
         g = node.get("gain")
-        feature.append(f)
-        threshold.append(_number(node["threshold"], "threshold"))
-        value.append(np.nan)
-        gain.append(np.nan if g is None else _number(g, "gain"))
-        add(node["left"])
-        right[i] = len(feature)
-        add(node["right"])
+        i = nodes.add(f, _number(node["threshold"], "threshold"),
+                      gain=np.nan if g is None else _number(g, "gain"))
+        read(node["left"])
+        nodes.right[i] = len(nodes.feature)
+        read(node["right"])
 
-    add(obj)
-    return NodeTable.from_lists(feature, threshold, right, value, gain)
+    read(obj)
+    return nodes.table()
 
 
 def _check_split_features(trees: list[NodeTable], n_features) -> None:

@@ -655,14 +655,16 @@ def _grow(X, split, leaf_value):
     """Grow a tree depth first by recursion, appending each node to its
     table in preorder (the pre-lockstep grower). ``split(idx, depth)``
     gives (gain, feature, threshold) for a split or None for a leaf, and
-    ``leaf_value(idx)`` a leaf's value. Returns the table and each row's
-    leaf."""
-    feature, threshold, right, value, gain = [], [], [], [], []
+    ``leaf_value(idx)`` a leaf's value. Records both children as it builds
+    them and makes the ``NodeTable`` itself. Returns the table and each
+    row's leaf."""
+    feature, threshold, left, right, value, gain = [], [], [], [], [], []
     row_leaf = np.full(X.shape[0], -1, dtype=np.intp)
 
     def build(idx, depth):
         i = len(feature)
         found = split(idx, depth)
+        left.append(-1)
         right.append(-1)
         if found is None:
             feature.append(-1)
@@ -677,13 +679,17 @@ def _grow(X, split, leaf_value):
         value.append(np.nan)
         gain.append(node_gain)
         mask = X[idx, feat] <= thr
+        left[i] = len(feature)
         build(idx[mask], depth + 1)
         right[i] = len(feature)
         build(idx[~mask], depth + 1)
 
     build(np.arange(X.shape[0]), 0)
-    return (engine.NodeTable.from_lists(feature, threshold, right, value,
-                                        gain), row_leaf)
+    table = engine.NodeTable(
+        np.asarray(feature, dtype=np.intp), np.asarray(threshold, dtype=float),
+        np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp),
+        np.asarray(value, dtype=float), np.asarray(gain, dtype=float))
+    return table, row_leaf
 
 
 def _one_node(Xb, time, event):

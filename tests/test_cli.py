@@ -124,6 +124,30 @@ class TestRegistryPrep:
             ["<=60", "61-90", ">90", "untreated"]
         assert "consult_to_treatment_cat" not in enc["lexicographic_fallback"]
 
+    def _registry_config(self, tmp_path, **keys):
+        src = tmp_path / "registry.csv"
+        write_csv(src, [_row() for _ in range(30)])
+        return write_config(tmp_path / "prep.cfg", **{
+            "out": str(tmp_path / "run"), "seed": "3", "prep.mode": "registry",
+            "prep.input": str(src), **keys})
+
+    @pytest.mark.parametrize("days", ["inf", "nan", "0", "-5"])
+    def test_bad_days_per_month_refused_before_any_output(self, tmp_path,
+                                                          days, caplog):
+        cfg = self._registry_config(tmp_path, **{"prep.days_per_month": days})
+        assert run(["prep", "--config", cfg]) == 2
+        assert "prep.days_per_month must be finite and positive" in caplog.text
+        assert not (tmp_path / "run" / "filter_report.json").exists()
+
+    def test_unknown_filter_off_name_refused_before_any_output(self, tmp_path,
+                                                               caplog):
+        cfg = self._registry_config(tmp_path,
+                                    **{"filter.off": "age,residence"})
+        assert run(["prep", "--config", cfg]) == 2
+        assert "unknown rule(s) residence" in caplog.text
+        assert "age, residency, staging" in caplog.text
+        assert list((tmp_path / "run").glob("*")) == []
+
 
 class TestSurvivalModeOrdinals:
     def test_ordinal_columns_and_explicit_order(self, tmp_path):

@@ -107,8 +107,8 @@ class TestApplyFilters:
                                     morphology="9999")]
         rules = FilterRules(min_age=None, resident_state=None,
                             undefined_staging_codes=(),
-                            require_microscopic_confirmation=False,
-                            exclude_bone_marrow_transplant=False,
+                            confirmation_positive_codes=None,
+                            transplant_positive_codes=(),
                             morphology_code=None)
         kept, report = apply_filters(records, rules)
         assert kept == records
@@ -192,6 +192,11 @@ class TestBuildTargets:
         assert t.event == 1
         t365 = build_targets([rec], days_per_month=30.4375)[0]
         assert t365.time == pytest.approx(365 / 30.4375)
+
+    @pytest.mark.parametrize("days", [0.0, -5.0, np.nan, np.inf])
+    def test_days_per_month_must_be_finite_and_positive(self, days):
+        with pytest.raises(DataError, match="finite and positive"):
+            build_targets([compliant_record()], days_per_month=days)
 
     def test_last_info_before_diagnosis_errors(self):
         rec = compliant_record(last_info_date=dt.date(2009, 1, 1))

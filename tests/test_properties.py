@@ -34,7 +34,7 @@ from survkit.engine import (_SCREEN_MIN_ROWS, BoostParams,
                             SurvivalTreeParams, TreeParams,
                             _best_regression_split, _sorted_rows, boost,
                             fit_regression_tree, fit_survival_forest,
-                            predict_tree, tree_to_dict)
+                            predict_tree, tree_from_dict, tree_to_dict)
 from survkit.losses import (AftLoss, CoxLoss, FirstOrder, LogisticLoss,
                             SquaredLoss)
 from survkit.errors import ConvergenceError, DataError, TrainingError
@@ -318,7 +318,8 @@ def _assert_same_table(table, expected):
 
 def _assert_forest_equals_oracle(X, samples, time, event, params, seeds):
     """Every tree of the lockstep forest == the recursive one-tree grower,
-    and routing its sample (repeats included) reaches the grower's leaves."""
+    and to its model-file round trip, and routing its sample (repeats
+    included) reaches the grower's leaves."""
     tables = fit_survival_forest(X, samples, time, event, params, seeds)
     assert len(tables) == len(samples)
     for table, sample, seed in zip(tables, samples, seeds):
@@ -326,6 +327,8 @@ def _assert_forest_equals_oracle(X, samples, time, event, params, seeds):
             X[sample], time[sample], event[sample],
             replace(params, seed=int(seed)))
         _assert_same_table(table, expected)
+        _assert_same_table(
+            tree_from_dict(json.loads(json.dumps(tree_to_dict(table)))), table)
         assert engine._route([table], X[sample])[0].tolist() == leaf.tolist()
     return tables
 
@@ -584,6 +587,7 @@ def test_presorted_regression_tree_equals_per_node_sorts(node):
         tree = fit_regression_tree(X, g, h, params)
         expected = regression_tree_oracle(X, g, h, params)
     assert json.dumps(tree_to_dict(tree)) == json.dumps(expected)
+    _assert_same_table(tree_from_dict(json.loads(json.dumps(expected))), tree)
 
 
 def test_regression_split_skips_nan_gains_like_oracle():
