@@ -161,10 +161,16 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path} as a directory: {exc}") from None
+    return path
+
+
 def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.get("out", "run_output"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(config.get("out", "run_output")))
 
 
 def _master_seed(config: RunConfig) -> int:
@@ -276,19 +282,12 @@ def _registry_cohort(config: RunConfig, out: Path) -> Cohort:
 
 
 def _survival_cohort(config: RunConfig, out: Path) -> Cohort:
-    ordinal = set(config.get_list("columns.ordinal"))
-    path = config.require("prep.input")
-    columns = None
-    if ordinal:
-        try:
-            header = Path(path).read_text(encoding="utf-8").splitlines()[0]
-        except (OSError, IndexError) as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        names = [c for c in header.split(",") if c not in ("time", "event",
-                                                           "weight")]
-        columns = [ColumnSpec(n, "ordinal" if n in ordinal else "numeric")
-                   for n in names]
-    cohort = read_cohort_csv(path, columns)
+    ordinal = config.get_list("columns.ordinal")
+    cohort = read_cohort_csv(config.require("prep.input"), ordinal)
+    unknown = sorted(set(ordinal) - set(cohort.column_names()))
+    if unknown:
+        raise ConfigError(f"columns.ordinal names no feature column: "
+                          f"{', '.join(unknown)}")
     report = {"initial": cohort.n, "removed": {}, "final": cohort.n}
     _write_json(out / "filter_report.json", report)
     return cohort
@@ -400,11 +399,12 @@ def cmd_hpo(config: RunConfig) -> int:
     samplers = config.get_list("sampler", ["tpe"])
     if samplers == ["all"]:
         samplers = ["random", "tpe", "cmaes"]
+    if not families or not samplers:
+        raise ConfigError("hpo needs at least one family and one sampler")
     n_trials = config.get_int("trials", 150)
     k_folds = config.get_int("folds", 10)
     objective = config.get("hpo.objective", "harrell")
-    studies_dir = out / "studies"
-    studies_dir.mkdir(exist_ok=True)
+    studies_dir = _make_dir(out / "studies")
 
     for family in families:
         best_value, best_payload = -np.inf, None

@@ -443,11 +443,10 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
         writer.writerows(zip(*cells))
 
 
-def read_cohort_csv(path, columns: list[ColumnSpec] | None = None) -> Cohort:
+def read_cohort_csv(path, ordinal=()) -> Cohort:
     """Read a cohort written by write_cohort_csv.
 
-    Without metadata every feature column is treated as numeric unless
-    ``columns`` says otherwise.
+    Every feature column is numeric except those named in ``ordinal``.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -467,10 +466,8 @@ def read_cohort_csv(path, columns: list[ColumnSpec] | None = None) -> Cohort:
     if (len(header) < n_meta or header[len(feat_names)] != "time"
             or header[len(feat_names) + 1] != "event"):
         raise DataError(f"{path}: expected trailing time,event[,weight] columns")
-    if columns is None:
-        columns = [ColumnSpec(name, "numeric") for name in feat_names]
-    if len(columns) != len(feat_names):
-        raise DataError(f"{path}: column metadata does not match the header")
+    columns = [ColumnSpec(name, "ordinal" if name in ordinal else "numeric")
+               for name in feat_names]
     numeric = all(c.kind == "numeric" for c in columns)
     raw = [r[:len(feat_names)] for r in rows]
     try:

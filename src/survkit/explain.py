@@ -118,8 +118,11 @@ def shapley_values(model: FittedModel, instance, background: Cohort | np.ndarray
 
     Exact mode enumerates all feature coalitions (requires d <= 12);
     Monte Carlo averages marginal contributions over random feature
-    orderings. Efficiency (sum of values = v(full) - v(empty)) is enforced
-    at 1e-9 in exact mode and reported as a residual in Monte Carlo mode.
+    orderings. Each mode scores all its coalitions in one batched pass;
+    Monte Carlo's member matrix holds n_permutations * d**2 booleans (128 kB
+    at 500 permutations and 16 features). Efficiency (sum of values =
+    v(full) - v(empty)) is enforced at 1e-9 in exact mode and reported as a
+    residual in Monte Carlo mode.
     """
     bg = (np.asarray(background.features, dtype=float)
           if isinstance(background, Cohort)
@@ -131,6 +134,7 @@ def shapley_values(model: FittedModel, instance, background: Cohort | np.ndarray
     if bg.shape[1] != d:
         raise DataError("background width must match the instance")
 
+    phi = np.zeros(d)
     if mode == "exact":
         if d > EXACT_MAX_FEATURES:
             raise DataError(f"exact mode supports at most {EXACT_MAX_FEATURES} "
@@ -139,42 +143,36 @@ def shapley_values(model: FittedModel, instance, background: Cohort | np.ndarray
         members = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(bool)
         v = _coalition_values(model, instance, bg, members)
         fact = [math.factorial(k) for k in range(d + 1)]
-        phi = np.zeros(d)
-        for size in range(d):
-            weight = fact[size] * fact[d - size - 1] / fact[d]
-            for subset in combinations(range(d), size):
-                mask = 0
-                for j in subset:
-                    mask |= 1 << j
-                for i in range(d):
-                    if not (mask >> i & 1):
-                        phi[i] += weight * (v[mask | (1 << i)] - v[mask])
+        weight = np.array([fact[k] * fact[d - k - 1] / fact[d] for k in range(d)])
+        # each S by size, then in combinations order, paired with every
+        # feature i outside it in ascending i: np.add.at sums in this
+        # order, which fixes the rounding of each phi_i
+        masks = np.array([sum(1 << j for j in s) for k in range(d)
+                          for s in combinations(range(d), k)], dtype=np.int64)
+        pair, feature = np.nonzero(~members[masks])
+        without = masks[pair]
+        np.add.at(phi, feature, weight[members[without].sum(axis=1)]
+                  * (v[without | 1 << feature] - v[without]))
         v_empty, v_full = float(v[0]), float(v[-1])
-        residual = float(phi.sum() - (v_full - v_empty))
-        if abs(residual) > 1e-9 * max(1.0, abs(v_full - v_empty)):
-            raise DataError(f"Shapley efficiency violated: residual {residual}")
-        return ShapleyResult(values=phi, v_full=v_full, v_empty=v_empty,
-                             efficiency_residual=residual)
-
-    if mode != "montecarlo":
-        raise DataError(f"unknown mode {mode!r}")
-    _at_least_one(n_permutations=n_permutations)
-    rng = np.random.default_rng(seed)
-    v_pair = _coalition_values(model, instance, bg,
-                               np.repeat([[False], [True]], d, axis=1))
-    v_empty, v_full = float(v_pair[0]), float(v_pair[1])
-    phi = np.zeros(d)
-    for _ in range(n_permutations):
-        order = rng.permutation(d)
-        # coalition t holds the first t + 1 features of the order
-        members = np.argsort(order) <= np.arange(d)[:, None]
+    elif mode == "montecarlo":
+        _at_least_one(n_permutations=n_permutations)
+        rng = np.random.default_rng(seed)
+        orders = np.array([rng.permutation(d) for _ in range(n_permutations)])
+        # the empty and full coalitions, then coalition (p, t) holding the
+        # first t + 1 features of order p
+        prefixes = np.argsort(orders, axis=1)[:, None, :] <= np.arange(d)[:, None]
+        members = np.concatenate([np.repeat([[False], [True]], d, axis=1),
+                                  prefixes.reshape(-1, d)])
         v = _coalition_values(model, instance, bg, members)
-        prev = v_empty
-        for j, val in zip(order, v):
-            phi[int(j)] += val - prev
-            prev = val
-    phi /= n_permutations
+        v_empty, v_full = float(v[0]), float(v[1])
+        np.add.at(phi, orders, np.diff(v[2:].reshape(n_permutations, d),
+                                       axis=1, prepend=v_empty))
+        phi /= n_permutations
+    else:
+        raise DataError(f"unknown mode {mode!r}")
     residual = float(phi.sum() - (v_full - v_empty))
+    if mode == "exact" and abs(residual) > 1e-9 * max(1.0, abs(v_full - v_empty)):
+        raise DataError(f"Shapley efficiency violated: residual {residual}")
     return ShapleyResult(values=phi, v_full=v_full, v_empty=v_empty,
                          efficiency_residual=residual)
 

@@ -646,6 +646,59 @@ def cma_replay_oracle(space, history):
     return state, lam, numeric
 
 
+def shapley_exact_oracle(model, instance, bg):
+    """Exact Shapley values by the nested coalition loops (the pre-batched
+    sum): size, then ``combinations``, then the bitmask bit by bit, then
+    each feature. ``instance`` and ``bg`` are float arrays. Returns
+    (values, v_full, v_empty, efficiency_residual)."""
+    import math
+    from itertools import combinations
+    from survkit.explain import _coalition_values
+    d = instance.size
+    # coalition S as its bitmask: feature j is in S iff bit j is set
+    members = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(bool)
+    v = _coalition_values(model, instance, bg, members)
+    fact = [math.factorial(k) for k in range(d + 1)]
+    phi = np.zeros(d)
+    for size in range(d):
+        weight = fact[size] * fact[d - size - 1] / fact[d]
+        for subset in combinations(range(d), size):
+            mask = 0
+            for j in subset:
+                mask |= 1 << j
+            for i in range(d):
+                if not (mask >> i & 1):
+                    phi[i] += weight * (v[mask | (1 << i)] - v[mask])
+    v_empty, v_full = float(v[0]), float(v[-1])
+    residual = float(phi.sum() - (v_full - v_empty))
+    return phi, v_full, v_empty, residual
+
+
+def shapley_mc_oracle(model, instance, bg, n_permutations, seed):
+    """Monte Carlo Shapley values with one ``_coalition_values`` call per
+    permutation (the pre-batched loop). Returns (values, v_full, v_empty,
+    efficiency_residual)."""
+    from survkit.explain import _coalition_values
+    d = instance.size
+    rng = np.random.default_rng(seed)
+    v_pair = _coalition_values(model, instance, bg,
+                               np.repeat([[False], [True]], d, axis=1))
+    v_empty, v_full = float(v_pair[0]), float(v_pair[1])
+    phi = np.zeros(d)
+    for _ in range(n_permutations):
+        order = rng.permutation(d)
+        # coalition t holds the first t + 1 features of the order
+        members = np.argsort(order) <= np.arange(d)[:, None]
+        v = _coalition_values(model, instance, bg, members)
+        prev = v_empty
+        for j, val in zip(order, v):
+            phi[int(j)] += val - prev
+            prev = val
+    phi /= n_permutations
+    residual = float(phi.sum() - (v_full - v_empty))
+    return phi, v_full, v_empty, residual
+
+
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: np.random.default_rng(seed)

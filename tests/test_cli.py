@@ -175,6 +175,20 @@ class TestSurvivalModeOrdinals:
         first_value = float(train_lines[1].split(",")[0])
         assert first_value in (0.0, 1.0, 2.0)
 
+    def test_unknown_ordinal_name_exits_2_before_any_output(self, tmp_path,
+                                                            caplog):
+        src = tmp_path / "cohort.csv"
+        src.write_text("stage,size,time,event\n1,0.5,2.0,1\n2,0.1,3.0,0\n",
+                       encoding="utf-8")
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "prep.cfg", **{
+            "out": str(out), "prep.mode": "survival", "prep.input": str(src),
+            "columns.ordinal": "stage,grade,time"})
+        assert run(["prep", "--config", cfg]) == 2
+        assert "columns.ordinal names no feature column: grade, time" \
+            in caplog.text
+        assert list(out.glob("*")) == []
+
 
 class TestTrainEval:
     @pytest.fixture()
@@ -316,6 +330,17 @@ class TestHpoCommand:
         model = json.loads((prepared_dir / "model_gb_cox.json").read_text())
         assert model["params"]["n_rounds"] == best["params"]["n_rounds"]
 
+    @pytest.mark.parametrize("key", ["families", "sampler"])
+    def test_empty_list_exits_2_before_any_output(self, prepared_dir,
+                                                  tmp_path, caplog, key):
+        cfg = write_config(tmp_path / "hpo.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "sampler": "random", "trials": "1", "folds": "2", key: ""})
+        assert run(["hpo", "--config", cfg]) == 2
+        assert "at least one family and one sampler" in caplog.text
+        assert not list(prepared_dir.glob("best_params_*.json"))
+        assert not (prepared_dir / "studies").exists()
+
 
 class TestMalformedBestParams:
     @pytest.mark.parametrize("text", [
@@ -438,6 +463,27 @@ class TestExplainCommand:
         assert pi.splitlines()[0] == "feature,value,dispersion"
         assert len(shap.splitlines()) == 4  # header + 3 features
 
+    def test_more_than_12_features_take_monte_carlo(self, tmp_path):
+        # no explain.mode: above EXACT_MAX_FEATURES the CLI falls back to
+        # Monte Carlo, the path a 16-predictor registry takes
+        out = tmp_path / "run"
+        steps = [("synth", {"synth.n": "80", "synth.d": "13"}),
+                 ("prep", {"prep.mode": "survival",
+                           "prep.input": str(out / "cohort.csv")}),
+                 ("train-eval", {"families": "gb_cox",
+                                 "family.gb_cox.n_rounds": "3"}),
+                 ("explain", {"explain.model": "gb_cox",
+                              "explain.n_repeats": "1",
+                              "explain.sample_size": "2",
+                              "explain.n_permutations": "3"})]
+        for verb, keys in steps:
+            cfg = write_config(tmp_path / f"{verb}.cfg", out=str(out),
+                               seed="11", **keys)
+            assert run([verb, "--config", cfg]) == 0, verb
+        shap = (out / "importance_shap_gb_cox.csv").read_text().splitlines()
+        assert shap[0] == "feature,value,dispersion"
+        assert len(shap) == 1 + 13
+
     def test_missing_model_is_data_error(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "ex.cfg", **{
             "out": str(prepared_dir), "seed": "11", "explain.model": "rsf",
@@ -506,6 +552,24 @@ class TestExitCodes:
             "prep.mode": "survival", "prep.input": str(tmp_path / "nope.csv"),
         })
         assert run(["prep", "--config", cfg]) == 3
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, caplog):
+        afile = tmp_path / "afile"
+        afile.write_text("x\n", encoding="utf-8")
+        assert run(["synth", "--out", str(afile)]) == 2
+        assert f"cannot use {afile} as a directory" in caplog.text
+        assert afile.read_text(encoding="utf-8") == "x\n"
+
+    def test_studies_path_that_is_a_file_exits_2(self, prepared_dir,
+                                                 tmp_path, caplog):
+        (prepared_dir / "studies").write_text("x\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "hpo.cfg", **{
+            "out": str(prepared_dir), "families": "gb_cox",
+            "sampler": "random", "trials": "1", "folds": "2"})
+        assert run(["hpo", "--config", cfg]) == 2
+        assert f"cannot use {prepared_dir / 'studies'} as a directory" \
+            in caplog.text
+        assert not list(prepared_dir.glob("best_params_*.json"))
 
     def test_malformed_config_line(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -3,8 +3,8 @@ fast paths (RSF scan and screened split search, the lockstep forest, leaf
 hazards and survival, leaf-step storage, IBS, regression split search and
 presorted trees, tree and ensemble routing, the boosting loop, comparable
 SSVM pairs, the SSVM descent, the presorted Cox calibration, direct
-concordance counts) against their oracles, and Cox derivatives against
-finite differences."""
+concordance counts, the batched Shapley sums) against their oracles, and
+Cox derivatives against finite differences."""
 
 import json
 import warnings
@@ -24,7 +24,8 @@ from conftest import (_node_logrank_scan, _node_logrank_screen, _scan_split,
                       logrank_scan_oracle, predict_tree_oracle,
                       regression_split_oracle, regression_tree_oracle,
                       rsf_ensemble_chf_oracle, rsf_leaf_sum_risk_oracle,
-                      rsf_risk_oracle, rsf_survival_oracle, ssvm_fit_oracle,
+                      rsf_risk_oracle, rsf_survival_oracle,
+                      shapley_exact_oracle, shapley_mc_oracle, ssvm_fit_oracle,
                       survival_tree_oracle)
 from survkit import metrics
 from survkit import engine
@@ -41,6 +42,7 @@ from survkit.errors import ConvergenceError, DataError, TrainingError
 from survkit.estimators import (_cox_profile, _time_blocks,
                                 breslow_baseline, censoring_survival,
                                 cox_calibrate)
+from survkit.explain import shapley_values
 from survkit.metrics import TimeGrid, brier, harrell_c, ibs, ipcw_c, td_auc
 from survkit.models import (LeafSteps, SsvmParams, _comparable_pairs,
                             _leaf_chf, fit_family,
@@ -1105,3 +1107,52 @@ def test_direct_counts_equal_prefix_counts(seed, n, pattern, tie_times,
         concordant, tied, comparable = harrell_oracle(time, event, risk)
         assert (direct[0].concordant, direct[0].tied_risk,
                 direct[0].comparable) == (concordant, tied, comparable)
+
+
+_SHAPLEY_FAMILIES = {"gb_cox": {"n_rounds": 5, "max_depth": 2},
+                     "rsf": {"n_trees": 3, "max_depth": 3},
+                     "horizon": {"n_rounds": 5, "max_depth": 2, "horizon": 0.7},
+                     "ssvm": {}}
+
+
+@pytest.fixture(scope="module")
+def shapley_models():
+    """(model, features) per (family, d), fitted on first use."""
+    fitted = {}
+
+    def get(family, d):
+        if (family, d) not in fitted:
+            cohort = synth_cohort(120, d, censor_rate=0.3, seed=90 + d)
+            model = fit_family(family, cohort, seed=91,
+                               **_SHAPLEY_FAMILIES[family])
+            fitted[family, d] = model, np.asarray(cohort.features, dtype=float)
+        return fitted[family, d]
+    return get
+
+
+@PROPERTY_SETTINGS
+@given(family=st.sampled_from(sorted(_SHAPLEY_FAMILIES)), d=st.integers(1, 8),
+       mode=st.sampled_from(["exact", "montecarlo"]),
+       n_permutations=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       # 700 background rows split the coalitions over several chunks
+       n_background=st.one_of(st.integers(1, 30), st.just(700)))
+def test_shapley_equals_loop_oracle(shapley_models, family, d, mode,
+                                    n_permutations, seed, n_background):
+    model, X = shapley_models(family, d)
+    rng = np.random.default_rng(seed)
+    instance = X[rng.integers(X.shape[0])]
+    bg = X[rng.integers(X.shape[0], size=n_background)]
+    result = shapley_values(model, instance, bg, mode=mode,
+                            n_permutations=n_permutations, seed=seed)
+    got = (result.values, result.v_full, result.v_empty,
+           result.efficiency_residual)
+    want = (shapley_exact_oracle(model, instance, bg) if mode == "exact"
+            else shapley_mc_oracle(model, instance, bg, n_permutations, seed))
+    if family == "ssvm" and mode == "montecarlo":
+        # one batched X @ w may round some rows differently from per-call ones
+        scale = max(abs(want[1]), abs(want[2]), np.abs(want[0]).max())
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+    else:
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
