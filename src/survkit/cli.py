@@ -13,11 +13,20 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import logging
+import multiprocessing
+import os
 import sys
+import threading
 import time as _time
+import traceback
 import typing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +38,8 @@ from .data import (DAYS_PER_MONTH, INTERVAL_CATEGORIES, Cohort, ColumnSpec,
                    read_cohort_csv, synth_cohort, write_cohort_csv)
 from .errors import ConfigError, DataError, SurvKitError, TrainingError
 from .estimators import censoring_survival, kaplan_meier
-from .explain import (EXACT_MAX_FEATURES, global_attribution,
-                      permutation_importance)
+from .explain import (EXACT_MAX_FEATURES, _at_least_one,
+                      global_attribution, permutation_importance)
 from .hpo import ParamSpec, Study, run_study
 from .metrics import (default_time_grid, harrell_c, ibs, ipcw_c, td_auc)
 from .preprocess import fit_encoder, split, transform
@@ -502,6 +511,114 @@ def _family_params(config: RunConfig, out: Path, family: str) -> dict:
     return params
 
 
+def _train_eval_task(task: tuple[str, dict], *, out, train, test, X_test,
+                     censor_dist, tau, grid, km):
+    """One family's fit, scores and model file, or one horizon classifier.
+    A family returns (metrics row, mean survival curve or None, seconds),
+    or its message if it raised a SurvKitError or ValueError; a horizon
+    returns its ``horizons.csv`` line."""
+    family, params = task
+    if family == M.HORIZON:
+        h = params["horizon"]
+        clf = M.fit_horizon_classifier(train, M.HorizonParams(**params))
+        p_death = M.predict_risk(clf, X_test)
+        return ",".join([
+            repr(float(h)), repr(float(km(h))),
+            repr(float(np.mean(p_death < 0.5))),
+            repr(float(np.mean(1.0 - p_death))),
+            str(clf.meta["n_excluded"]), str(clf.meta["n_trained"])])
+    started = _time.perf_counter()
+    try:
+        model = M.fit_family(family, train, **params)
+        risks = M.predict_risk(model, X_test)
+        row = {
+            "model": family,
+            "c_index": harrell_c(test.time, test.event, risks).c_index,
+            "c_index_ipcw": ipcw_c(test.time, test.event, risks,
+                                   censor_dist, tau=tau).c_index,
+            "ibs": None,
+            "mean_td_auc": None,
+            "endpoint_mean_td_auc": None,
+            "per_time_auc": [],
+        }
+        curve_mean = None
+        if family in M.CURVE_FAMILIES:
+            mat = M.survival_matrix(model, X_test, grid.times)
+            row["ibs"] = ibs(grid, mat, test.time, test.event, censor_dist)
+            curve_mean = mat.mean(axis=0)
+        if family in M.TDAUC_FAMILIES:
+            auc = td_auc(test.time, test.event, risks, grid, censor_dist)
+            row["mean_td_auc"] = auc.mean
+            row["endpoint_mean_td_auc"] = auc.endpoint_mean
+            row["per_time_auc"] = [
+                {"time": float(t), "auc": float(v)}
+                for t, v in zip(auc.times, auc.values)]
+        M.save_model(model, out / f"model_{family}.json")
+    except (SurvKitError, ValueError) as exc:
+        return str(exc)
+    return row, curve_mean, _time.perf_counter() - started
+
+
+_worker_run = None  # set only in pool workers: the bound task function
+
+
+def _start_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _pool_task(task):
+    """``_worker_run(task)``, its warnings and any error returned as
+    values for the parent to re-issue in task order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = _worker_run(task), None
+        except Exception as exc:
+            result, error = None, (exc, traceback.format_exc())
+    return result, error, [(w.message, w.category, w.filename, w.lineno)
+                           for w in caught]
+
+
+def _reissue(outcome):
+    result, error, caught = outcome
+    for warning in caught:
+        warnings.warn_explicit(*warning)
+    if error is not None:
+        raise error[0] from RuntimeError(f"in a worker process:\n{error[1]}")
+    return result
+
+
+@contextlib.contextmanager
+def _task_results(run, tasks: list):
+    """``run(task)`` for each task, as an iterator in task order. With
+    fork and two or more usable CPUs, a fork-based pool of one worker per
+    CPU (at most one per task) inherits ``run``; it is shut down, and
+    waited for, when the block ends. Otherwise each task runs in-process
+    when its result is asked for.
+
+    Fork, not spawn: a spawned worker would import numpy, scipy and
+    survkit again (0.4-0.6 s on a 2-CPU x86 host) and be sent the cohorts
+    by pickle. A process running other Python threads runs the tasks
+    in-process, since one of those threads may hold a lock at the fork."""
+    workers = (min(len(tasks), len(os.sched_getaffinity(0)))
+               if hasattr(os, "sched_getaffinity")
+               and "fork" in multiprocessing.get_all_start_methods()
+               and threading.active_count() == 1 else 1)
+    if workers < 2:
+        yield map(run, tasks)
+        return
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(run,))
+    try:
+        yield map(_reissue, pool.map(_pool_task, tasks))
+    except BrokenProcessPool as exc:
+        raise TrainingError(f"a train-eval worker died: {exc}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cmd_train_eval(config: RunConfig) -> int:
     out = _out_dir(config)
     seed = _master_seed(config)
@@ -536,84 +653,68 @@ def cmd_train_eval(config: RunConfig) -> int:
     horizons = config.get_float_list("horizons")
     for h in horizons:  # refused before the first fit, not after the last
         M.HorizonParams(horizon=h)
+    # every family's and horizon's params, resolved before the first fit;
+    # a family listed twice is fitted once (two workers would race to
+    # write its model file)
+    tasks = [(family, {**_family_params(config, out, family),
+                       "seed": derive_seed(seed, f"train/{family}")})
+             for family in dict.fromkeys(families)]
+    if horizons:
+        shared = _family_params(config, out, M.HORIZON)
+        tasks += [(M.HORIZON, {**shared, "horizon": h, "seed":
+                               derive_seed(seed, f"train/horizon/{h}")})
+                  for h in horizons]
     grid = default_time_grid(test.time, test.event, censor_dist,
                              resolution=resolution)
-
-    X_test = np.asarray(test.features, dtype=float)
-    rows, failures = [], {}
-    curve_means: dict[str, np.ndarray] = {}
-    for family in families:
-        params = _family_params(config, out, family)
-        params["seed"] = derive_seed(seed, f"train/{family}")
-        started = _time.perf_counter()
-        try:
-            model = M.fit_family(family, train, **params)
-            risks = M.predict_risk(model, X_test)
-            row = {
-                "model": family,
-                "c_index": harrell_c(test.time, test.event, risks).c_index,
-                "c_index_ipcw": ipcw_c(test.time, test.event, risks,
-                                       censor_dist, tau=tau).c_index,
-                "ibs": None,
-                "mean_td_auc": None,
-                "endpoint_mean_td_auc": None,
-                "per_time_auc": [],
-            }
-            if family in M.CURVE_FAMILIES:
-                mat = M.survival_matrix(model, X_test, grid.times)
-                row["ibs"] = ibs(grid, mat, test.time, test.event, censor_dist)
-                curve_means[family] = mat.mean(axis=0)
-                del mat  # the next family fits without it
-            if family in M.TDAUC_FAMILIES:
-                auc = td_auc(test.time, test.event, risks, grid, censor_dist)
-                row["mean_td_auc"] = auc.mean
-                row["endpoint_mean_td_auc"] = auc.endpoint_mean
-                row["per_time_auc"] = [
-                    {"time": float(t), "auc": float(v)}
-                    for t, v in zip(auc.times, auc.values)]
-            rows.append(row)
-            M.save_model(model, out / f"model_{family}.json")
-            log.info("%s: C=%.4f (%.1fs)", family, row["c_index"],
-                     _time.perf_counter() - started)
-        except (SurvKitError, ValueError) as exc:
-            failures[family] = str(exc)
-            log.error("family %s failed: %s", family, exc)
-    if not rows:
-        raise TrainingError(f"every family failed: {failures}")
-
-    settings = {"tau": tau, "censor_source": censor_source,
-                "grid_low": float(grid.times[0]),
-                "grid_high": float(grid.times[-1]),
-                "grid_resolution": int(grid.resolution), "seed": seed}
-    _write_json(out / "metrics.json",
-                {"models": rows, "failures": failures, "settings": settings})
-
     km = kaplan_meier(test.time, test.event)
-    header = ["time", "km"] + [f for f in families if f in curve_means]
-    km_vals = km(grid.times)
-    with atomic_write(out / "curves.csv") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, t in enumerate(grid.times):
-            cells = [repr(float(t)), repr(float(km_vals[k]))]
-            cells += [repr(float(curve_means[f][k])) for f in header[2:]]
-            fh.write(",".join(cells) + "\n")
+    run = functools.partial(
+        _train_eval_task, out=out, train=train, test=test,
+        X_test=np.asarray(test.features, dtype=float),
+        censor_dist=censor_dist, tau=tau, grid=grid, km=km)
 
-    if horizons:
-        hlines = ["horizon,km_survival,classifier_fraction_survive,"
-                  "classifier_mean_survival,n_excluded_train,n_trained"]
-        for h in horizons:
-            params = _family_params(config, out, M.HORIZON)
-            params["horizon"] = h
-            params["seed"] = derive_seed(seed, f"train/horizon/{h}")
-            clf = M.fit_horizon_classifier(train, M.HorizonParams(**params))
-            p_death = M.predict_risk(clf, X_test)
-            hlines.append(",".join([
-                repr(float(h)), repr(float(km(h))),
-                repr(float(np.mean(p_death < 0.5))),
-                repr(float(np.mean(1.0 - p_death))),
-                str(clf.meta["n_excluded"]), str(clf.meta["n_trained"])]))
-        with atomic_write(out / "horizons.csv") as fh:
-            fh.write("\n".join(hlines) + "\n")
+    rows, failures, outcomes = [], {}, {}
+    curve_means: dict[str, np.ndarray] = {}
+    with _task_results(run, tasks) as results:
+        for family in families:
+            if family not in outcomes:
+                outcomes[family] = next(results)
+            outcome = outcomes[family]
+            if isinstance(outcome, str):
+                failures[family] = outcome
+                log.error("family %s failed: %s", family, outcome)
+                continue
+            row, curve_mean, seconds = outcome
+            rows.append(row)
+            if curve_mean is not None:
+                curve_means[family] = curve_mean
+            log.info("%s: C=%.4f (%.1fs)", family, row["c_index"], seconds)
+        if not rows:
+            raise TrainingError(f"every family failed: {failures}")
+
+        settings = {"tau": tau, "censor_source": censor_source,
+                    "grid_low": float(grid.times[0]),
+                    "grid_high": float(grid.times[-1]),
+                    "grid_resolution": int(grid.resolution), "seed": seed}
+        _write_json(out / "metrics.json",
+                    {"models": rows, "failures": failures,
+                     "settings": settings})
+
+        header = ["time", "km"] + [f for f in families if f in curve_means]
+        km_vals = km(grid.times)
+        with atomic_write(out / "curves.csv") as fh:
+            fh.write(",".join(header) + "\n")
+            for k, t in enumerate(grid.times):
+                cells = [repr(float(t)), repr(float(km_vals[k]))]
+                cells += [repr(float(curve_means[f][k])) for f in header[2:]]
+                fh.write(",".join(cells) + "\n")
+
+        if horizons:
+            # the horizon tasks' lines; a horizon's error surfaces here
+            hlines = ["horizon,km_survival,classifier_fraction_survive,"
+                      "classifier_mean_survival,n_excluded_train,n_trained",
+                      *results]
+            with atomic_write(out / "horizons.csv") as fh:
+                fh.write("\n".join(hlines) + "\n")
     return EXIT_OK
 
 
@@ -643,20 +744,31 @@ def cmd_explain(config: RunConfig) -> int:
     train, test = _load_prepared(out)
     eval_cohort = test if dataset == "validation" else train
 
-    pi = permutation_importance(
-        model, eval_cohort, metric=metric,
-        n_repeats=config.get_int("explain.n_repeats", 10),
-        seed=derive_seed(seed, f"explain/pi/{family}"))
+    # what permutation importance or Shapley would refuse, refused before
+    # either calls the model
+    n_repeats = config.get_int("explain.n_repeats", 10)
+    sample_size = min(config.get_int("explain.sample_size", 100),
+                      eval_cohort.n)
+    background_size = config.get_int("explain.background_size", 100)
+    n_permutations = config.get_int("explain.n_permutations", 500)
+    _at_least_one(n_repeats=n_repeats, sample_size=sample_size,
+                  background_size=background_size)
+    d = eval_cohort.n_features
+    mode = mode or ("exact" if d <= EXACT_MAX_FEATURES else "montecarlo")
+    if mode == "exact" and d > EXACT_MAX_FEATURES:
+        raise DataError(f"exact mode supports at most {EXACT_MAX_FEATURES} "
+                        f"features, got {d}")
+    if mode == "montecarlo":
+        _at_least_one(n_permutations=n_permutations)
 
-    if mode is None:
-        mode = "exact" if eval_cohort.n_features <= EXACT_MAX_FEATURES else "montecarlo"
-    sample_size = min(config.get_int("explain.sample_size", 100), eval_cohort.n)
+    pi = permutation_importance(
+        model, eval_cohort, metric=metric, n_repeats=n_repeats,
+        seed=derive_seed(seed, f"explain/pi/{family}"))
     shap = global_attribution(
         model, eval_cohort, sample_size=sample_size, mode=mode,
-        n_permutations=config.get_int("explain.n_permutations", 500),
+        n_permutations=n_permutations,
         seed=derive_seed(seed, f"explain/shap/{family}"),
-        background=train,
-        background_size=config.get_int("explain.background_size", 100))
+        background=train, background_size=background_size)
     pi.to_csv(out / f"importance_pi_{family}.csv")  # both or neither
     shap.to_csv(out / f"importance_shap_{family}.csv")
     log.info("explained %s on %s set (PI + Shapley)", family, dataset)

@@ -1,10 +1,17 @@
 import json
+import multiprocessing
+import os
 import shutil
+import threading
 import typing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import survkit.cli as cli
+import survkit.models as models
 from survkit.cli import (MAX_GRID_RESOLUTION, RunConfig, _best_params,
                          _space_for, main)
 from survkit.errors import ConfigError, DataError
@@ -250,6 +257,184 @@ class TestTrainEval:
         assert run(["train-eval", "--config", cfg2]) == 2
 
 
+def _usable_cpus(monkeypatch, n):
+    """Make train-eval see ``n`` CPUs: two or more start its worker pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _patch_fit(monkeypatch, family, action):
+    """Run ``action(family)`` before fitting ``family``; the other families
+    fit as usual. Forked workers inherit the patch."""
+    fit = models.fit_family
+
+    def patched(name, *args, **kwargs):
+        if name == family:
+            action(name)
+        return fit(name, *args, **kwargs)
+
+    monkeypatch.setattr(models, "fit_family", patched)
+
+
+def _in_worker_only(parent):
+    """Fail the test if a patched fit runs in the test process itself."""
+    assert os.getpid() != parent, "train-eval did not use its worker pool"
+
+
+class TestTrainEvalPool:
+    """train-eval's fork-based worker pool. The in-process path, taken with
+    one usable CPU, is its oracle."""
+
+    def _train_eval(self, out, tmp_path, **keys):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(out), "seed": "11", "families": "gbsa,gb_cox",
+            "family.gbsa.n_rounds": "5", "family.gb_cox.n_rounds": "5",
+            **keys})
+        return run(["train-eval", "--config", cfg])
+
+    def test_pool_and_in_process_runs_write_the_same_bytes(self, tmp_path,
+                                                           monkeypatch):
+        def refuse(name):
+            raise DataError(f"{name} refused by the test")
+
+        _patch_fit(monkeypatch, "gb_aft", refuse)
+        pools = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+        files = {}
+        for cpus in (2, 1):
+            _usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            steps = [("synth", {"synth.n": "300", "synth.d": "3",
+                                "synth.beta": "1.0,0.5,0.0"}),
+                     ("prep", {"prep.mode": "survival",
+                               "prep.input": str(out / "cohort.csv")})]
+            for verb, keys in steps:
+                cfg = write_config(tmp_path / f"{verb}.cfg", out=str(out),
+                                   seed="11", **keys)
+                assert run([verb, "--config", cfg]) == 0, verb
+            # gbsa twice: listed twice, fitted once
+            assert self._train_eval(out, tmp_path, **{
+                "families": "rsf,gbsa,ssvm,gb_aft,gb_cox,gbsa",
+                "family.rsf.n_trees": "4", "family.gb_aft.n_rounds": "5",
+                "family.horizon.n_rounds": "5", "horizons": "6,12"}) == 0
+            files[cpus] = {path.relative_to(out).as_posix(): path.read_bytes()
+                           for path in sorted(out.rglob("*"))
+                           if path.is_file()}
+        assert pools == [2]  # the one-CPU run fitted in-process
+        assert files[2] == files[1]
+        report = json.loads(files[1]["metrics.json"])
+        assert report["failures"] == {"gb_aft": "gb_aft refused by the test"}
+        assert [r["model"] for r in report["models"]] == [
+            "rsf", "gbsa", "ssvm", "gb_cox", "gbsa"]
+        assert {"curves.csv", "horizons.csv", "model_rsf.json"} <= set(files[1])
+
+    def test_other_threads_keep_the_fits_in_process(self, prepared_dir,
+                                                    tmp_path, monkeypatch):
+        pids = []  # a forked worker would append to its own copy
+        _patch_fit(monkeypatch, "gb_cox", lambda name: pids.append(os.getpid()))
+        _usable_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert self._train_eval(prepared_dir, tmp_path) == 0
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert pids == [os.getpid()]
+
+    def test_dead_worker_exits_4_and_leaves_no_process(self, prepared_dir,
+                                                       tmp_path, monkeypatch,
+                                                       caplog, capfd):
+        parent = os.getpid()
+
+        def die(name):
+            _in_worker_only(parent)
+            os._exit(1)
+
+        _patch_fit(monkeypatch, "gb_cox", die)
+        _usable_cpus(monkeypatch, 2)
+        assert self._train_eval(prepared_dir, tmp_path) == 4
+        assert "training failure: a train-eval worker died" in caplog.text
+        assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (prepared_dir / "metrics.json").exists()
+
+    def test_worker_warnings_reach_pytest_warns_in_task_order(
+            self, prepared_dir, tmp_path, monkeypatch):
+        parent = os.getpid()
+        fit = models.fit_family
+
+        def warn_then_fit(name, *args, **kwargs):
+            warnings.warn(f"fitting {name} in {os.getpid()}", UserWarning)
+            return fit(name, *args, **kwargs)
+
+        monkeypatch.setattr(models, "fit_family", warn_then_fit)
+        _usable_cpus(monkeypatch, 2)
+        with pytest.warns(UserWarning, match="fitting") as record:
+            assert self._train_eval(prepared_dir, tmp_path, **{
+                "families": "gbsa,gb_cox,gb_aft",
+                "family.gb_aft.n_rounds": "5"}) == 0
+        seen = [str(w.message).split() for w in record
+                if str(w.message).startswith("fitting")]
+        assert [words[1] for words in seen] == ["gbsa", "gb_cox", "gb_aft"]
+        assert all(int(words[3]) != parent for words in seen)
+
+    def test_worker_warning_obeys_an_error_filter(self, prepared_dir, tmp_path,
+                                                  monkeypatch):
+        # pytest turns RuntimeWarning into an error, as -W error would
+        parent = os.getpid()
+
+        def warn(name):
+            _in_worker_only(parent)
+            warnings.warn("overflow in the test fit", RuntimeWarning)
+
+        _patch_fit(monkeypatch, "gb_cox", warn)
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeWarning, match="overflow in the test fit"):
+            self._train_eval(prepared_dir, tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_data_error_in_a_worker_is_a_listed_failure(self, prepared_dir,
+                                                        tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def refuse(name):
+            _in_worker_only(parent)
+            raise DataError("no events in the test fold")
+
+        _patch_fit(monkeypatch, "gb_cox", refuse)
+        _usable_cpus(monkeypatch, 2)
+        assert self._train_eval(prepared_dir, tmp_path) == 0
+        report = json.loads((prepared_dir / "metrics.json").read_text())
+        assert report["failures"] == {"gb_cox": "no events in the test fold"}
+        assert [r["model"] for r in report["models"]] == ["gbsa"]
+        assert not (prepared_dir / "model_gb_cox.json").exists()
+
+    def test_horizon_data_error_surfaces_after_metrics_and_curves(
+            self, prepared_dir, tmp_path, monkeypatch, caplog):
+        parent = os.getpid()
+
+        def refuse(*args, **kwargs):
+            _in_worker_only(parent)
+            raise DataError("no one at risk at the test horizon")
+
+        monkeypatch.setattr(models, "fit_horizon_classifier", refuse)
+        _usable_cpus(monkeypatch, 2)
+        assert self._train_eval(prepared_dir, tmp_path, horizons="6") == 3
+        assert "no one at risk at the test horizon" in caplog.text
+        assert (prepared_dir / "metrics.json").exists()
+        assert (prepared_dir / "curves.csv").exists()
+        assert not (prepared_dir / "horizons.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
 class TestHpoCommand:
     def test_study_files_and_resume(self, prepared_dir, tmp_path):
         cfg = write_config(tmp_path / "hpo.cfg", **{
@@ -356,6 +541,25 @@ class TestMalformedBestParams:
         })
         assert run(["train-eval", "--config", cfg]) == 3
         assert "malformed" in caplog.text and "best_params_gb_cox" in caplog.text
+        assert not (prepared_dir / "metrics.json").exists()
+
+    @pytest.mark.parametrize("family", ["gb_aft", "horizon"])
+    def test_refused_before_the_first_fit(self, prepared_dir, tmp_path,
+                                          caplog, family):
+        # the malformed file belongs to the last family or the horizons, so
+        # a loop that read it only when its turn came would already have
+        # written model_gb_cox.json
+        (prepared_dir / f"best_params_{family}.json").write_text(
+            '{"params": []}')
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11",
+            "families": "gb_cox,gb_aft", "horizons": "6",
+            "family.gb_cox.n_rounds": "3", "family.gb_aft.n_rounds": "3",
+        })
+        assert run(["train-eval", "--config", cfg]) == 3
+        assert f"malformed {prepared_dir / f'best_params_{family}.json'}" \
+            in caplog.text
+        assert not list(prepared_dir.glob("model_*.json"))
         assert not (prepared_dir / "metrics.json").exists()
 
     def test_optional_and_float_fields_take_json_types(self, prepared_dir,
@@ -527,6 +731,55 @@ class TestExplainCommand:
         assert run(["explain", "--config", cfg2]) == 3
         assert f"{key} must be at least 1, got {value}" in caplog.text
         assert not list(prepared_dir.glob("importance_*.csv"))
+
+    @staticmethod
+    def _no_model_calls(monkeypatch):
+        calls = []
+        for name in ("permutation_importance", "global_attribution"):
+            monkeypatch.setattr(cli, name,
+                                lambda *args, _name=name, **kwargs:
+                                calls.append(_name))
+        return calls
+
+    def test_exact_above_12_features_refused_before_any_model_call(
+            self, tmp_path, monkeypatch, caplog):
+        out = tmp_path / "run"
+        steps = [("synth", {"synth.n": "80", "synth.d": "13"}),
+                 ("prep", {"prep.mode": "survival",
+                           "prep.input": str(out / "cohort.csv")}),
+                 ("train-eval", {"families": "gb_cox",
+                                 "family.gb_cox.n_rounds": "3"})]
+        for verb, keys in steps:
+            cfg = write_config(tmp_path / f"{verb}.cfg", out=str(out),
+                               seed="11", **keys)
+            assert run([verb, "--config", cfg]) == 0, verb
+        calls = self._no_model_calls(monkeypatch)
+        cfg = write_config(tmp_path / "ex.cfg", **{
+            "out": str(out), "seed": "11", "explain.model": "gb_cox",
+            "explain.mode": "exact", "explain.n_repeats": "30"})
+        assert run(["explain", "--config", cfg]) == 3
+        assert "exact mode supports at most 12 features, got 13" in caplog.text
+        assert calls == []
+        assert not list(out.glob("importance_*.csv"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_repeats", "0"), ("sample_size", "0"), ("background_size", "-3"),
+        ("n_permutations", "0")])
+    def test_count_below_one_refused_before_any_model_call(
+            self, prepared_dir, tmp_path, monkeypatch, caplog, key, value):
+        cfg = write_config(tmp_path / "te.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "families": "gb_cox",
+            "family.gb_cox.n_rounds": "3",
+        })
+        assert run(["train-eval", "--config", cfg]) == 0
+        calls = self._no_model_calls(monkeypatch)
+        cfg2 = write_config(tmp_path / "ex.cfg", **{
+            "out": str(prepared_dir), "seed": "11", "explain.model": "gb_cox",
+            "explain.mode": "montecarlo", f"explain.{key}": value,
+        })
+        assert run(["explain", "--config", cfg2]) == 3
+        assert f"{key} must be at least 1, got {value}" in caplog.text
+        assert calls == []
 
     @pytest.mark.parametrize("key,value", [("metric", "foo"),
                                            ("mode", "bogus")])
